@@ -3,7 +3,8 @@
 // trace every time) versus the shared-trace one-pass engine (explore()
 // and exploreParallel()), plus an instrumented parallel run with an
 // obs::Recorder attached to measure the observability layer's overhead
-// (budget: < 5%), plus two backend comparisons — the same serial
+// (budget: the median of paired, interleaved instrumented/plain ratios
+// over samples of >= 200 ms stays <= 5%), plus two backend comparisons — the same serial
 // shared-trace sweep forced onto SweepBackend::MultiSim versus
 // SweepBackend::StackDist (the sweep is LRU-only, so the analytic
 // backend applies; budget: >= 2x points/sec), once on the paper's
@@ -131,20 +132,54 @@ int main() {
     parPts = std::move(r.points);
   }
 
-  // Instrumented parallel run: recorder attached, fresh per rep so the
-  // kept report describes exactly one run. The timing difference against
-  // the uninstrumented parallel path is the observability overhead.
-  double obsSec = 1e30;
-  std::vector<DesignPoint> obsPts;
-  memx::obs::RunReport report;
-  for (int rep = 0; rep < kReps; ++rep) {
+  // Report-sink overhead: paired samples of the parallel sweep with and
+  // without a recorder attached. One sweep takes ~10 ms, where a single
+  // scheduler blip is several percent, so a pair interleaves the two
+  // sides sweep by sweep (alternating which goes first) until each side
+  // has run for at least kMinSampleSec; both sides of a ratio then see
+  // the same background load, and the gate reads the median ratio.
+  constexpr double kMinSampleSec = 0.2;
+  constexpr int kOverheadPairs = 9;
+  const auto timeSweep = [&](const Explorer& explorer) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)memx::exploreParallel(explorer, kernel);
+    return seconds(t0, std::chrono::steady_clock::now());
+  };
+  std::vector<double> overheadRatios;
+  double plainSampleSec = 1e30;  // shortest plain side of a pair
+  double obsSec = 1e30;          // best mean instrumented sweep of a pair
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    // Both sides sweep a fresh copy of `grid`; only the recorder differs.
+    const Explorer plain = grid;
     memx::obs::Recorder recorder;
     Explorer observed = grid;
     observed.setRecorder(&recorder);
-    const auto t0 = std::chrono::steady_clock::now();
-    ExplorationResult r = memx::exploreParallel(observed, kernel);
-    obsSec = std::min(obsSec, seconds(t0, std::chrono::steady_clock::now()));
-    obsPts = std::move(r.points);
+    double plainT = 0.0;
+    double obsT = 0.0;
+    int s = 0;
+    for (; plainT < kMinSampleSec || obsT < kMinSampleSec; ++s) {
+      if (s % 2 == 0) {
+        plainT += timeSweep(plain);
+        obsT += timeSweep(observed);
+      } else {
+        obsT += timeSweep(observed);
+        plainT += timeSweep(plain);
+      }
+    }
+    plainSampleSec = std::min(plainSampleSec, plainT);
+    obsSec = std::min(obsSec, obsT / s);
+    overheadRatios.push_back(obsT / plainT);
+  }
+
+  // One more instrumented run, untimed, supplies the kept report (it
+  // describes exactly one sweep) and the points for the identity check.
+  std::vector<DesignPoint> obsPts;
+  memx::obs::RunReport report;
+  {
+    memx::obs::Recorder recorder;
+    Explorer observed = grid;
+    observed.setRecorder(&recorder);
+    obsPts = memx::exploreParallel(observed, kernel).points;
     report = recorder.report();
   }
 
@@ -269,7 +304,7 @@ int main() {
   const double wbBackendSpeedup = medianOf(wbRatios);
   const double fifoBackendSpeedup = medianOf(fifoRatios);
   const double plruBackendSpeedup = medianOf(plruRatios);
-  const double overheadPct = 100.0 * (obsSec - parSec) / parSec;
+  const double overheadPct = 100.0 * (medianOf(overheadRatios) - 1.0);
 
   std::printf("per-point baseline : %8.3f s  (%9.1f points/s)\n", baseSec,
               n / baseSec);
@@ -277,8 +312,10 @@ int main() {
               sharedSec, n / sharedSec, speedup);
   std::printf("shared-trace para. : %8.3f s  (%9.1f points/s)  %.2fx\n",
               parSec, n / parSec, baseSec / parSec);
-  std::printf("para. + report sink: %8.3f s  (%9.1f points/s)  %+.1f%% overhead\n",
-              obsSec, n / obsSec, overheadPct);
+  std::printf("para. + report sink: %8.3f s  (%9.1f points/s)  %+.1f%% overhead"
+              " (median of %d paired %.2f s samples)\n",
+              obsSec, n / obsSec, overheadPct, kOverheadPairs,
+              plainSampleSec);
   std::printf("stackdist backend  : %8.3f s  (%9.1f points/s)  %.2fx vs multisim\n",
               stackSec, n / stackSec, backendSpeedup);
   std::printf("wb+energy multisim : %8.3f s  (%9.1f points/s)\n", wbSimSec,
@@ -297,9 +334,8 @@ int main() {
 
   // Budgets: the analytic backend must earn its keep on an LRU-only
   // sweep — both on the read-only metric and on the write-back +
-  // write-energy sweep it newly serves — and the report sink must stay
-  // in the noise (absolute guard for sub-100ms runs where one scheduler
-  // blip is a large percentage).
+  // write-energy sweep it newly serves — and the report sink must cost
+  // at most 5% by the median paired ratio.
   const bool fastEnough =
       backendSpeedup >= 2.0 && wbBackendSpeedup >= 2.0 &&
       fifoBackendSpeedup >= 2.0 && plruBackendSpeedup >= 2.0;
@@ -319,7 +355,7 @@ int main() {
     std::cerr << "BUDGET: PLRU policy-grid speedup " << plruBackendSpeedup
               << "x is below the 2x floor\n";
   }
-  const bool lowOverhead = overheadPct < 5.0 || (obsSec - parSec) < 0.05;
+  const bool lowOverhead = overheadPct <= 5.0;
   if (!lowOverhead) {
     std::cerr << "BUDGET: instrumentation overhead " << overheadPct
               << "% exceeds the 5% budget\n";
@@ -355,6 +391,8 @@ int main() {
        << ", \"speedup\": " << speedup
        << ", \"backend_speedup\": " << backendSpeedup
        << ", \"sink_overhead_pct\": " << overheadPct
+       << ", \"sink_overhead_pairs\": " << kOverheadPairs
+       << ", \"sink_overhead_min_sample_seconds\": " << plainSampleSec
        << ", \"identical\": " << (ok ? "true" : "false");
   memx::bench::emitRunReport(report, json, "BENCH_sweep_trace.json");
   json << "}\n";

@@ -1,26 +1,20 @@
 #include "memx/cachesim/miss_classifier.hpp"
 
+#include "memx/util/assert.hpp"
+
 namespace memx {
 
-namespace {
-CacheConfig fullyAssociativeTwin(CacheConfig config) {
-  config.associativity = config.numLines();
-  config.replacement = ReplacementPolicy::LRU;
-  return config;
-}
-}  // namespace
-
 MissClassifier::MissClassifier(const CacheConfig& config)
-    : target_(config), fullyAssoc_(fullyAssociativeTwin(config)) {}
+    : target_(config), fullyAssoc_(config) {}
 
 void MissClassifier::access(const MemRef& ref) {
   const AccessOutcome real = target_.access(ref);
-  const AccessOutcome shadow = fullyAssoc_.access(ref);
-
   const std::uint64_t firstLine =
       ref.addr / target_.config().lineBytes;
   const std::uint64_t lastLine =
       (ref.addr + ref.size - 1) / target_.config().lineBytes;
+  const bool shadowHit = fullyAssoc_.access(firstLine, lastLine, ref.type);
+
   bool allSeen = true;
   for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
     allSeen &= !seenLines_.insert(line).second;
@@ -31,7 +25,7 @@ void MissClassifier::access(const MemRef& ref) {
     ++breakdown_.hits;
   } else if (!allSeen) {
     ++breakdown_.compulsory;
-  } else if (!shadow.hit) {
+  } else if (!shadowHit) {
     ++breakdown_.capacity;
   } else {
     ++breakdown_.conflict;
@@ -46,6 +40,23 @@ MissBreakdown classifyMisses(const CacheConfig& config, const Trace& trace) {
   MissClassifier classifier(config);
   classifier.run(trace);
   return classifier.breakdown();
+}
+
+std::uint64_t countConflicts(const CacheConfig& config, const Trace& trace,
+                             std::uint64_t bound) {
+  ConflictCounter counter(config);
+  const std::uint64_t lineBytes = config.lineBytes;
+  std::uint64_t conflicts = 0;
+  for (std::size_t i = 0; i < trace.size() && conflicts < bound; ++i) {
+    const MemRef& ref = trace[i];
+    MEMX_EXPECTS(ref.size > 0, "access size must be positive");
+    conflicts += counter.access(ref.addr / lineBytes,
+                                (ref.addr + ref.size - 1) / lineBytes,
+                                ref.type)
+                     ? 1
+                     : 0;
+  }
+  return conflicts;
 }
 
 }  // namespace memx

@@ -15,6 +15,7 @@
 #include <unordered_set>
 
 #include "memx/cachesim/cache_sim.hpp"
+#include "memx/cachesim/fully_assoc_lru.hpp"
 
 namespace memx {
 
@@ -62,7 +63,7 @@ public:
 
 private:
   CacheSim target_;
-  CacheSim fullyAssoc_;
+  FullyAssocLru fullyAssoc_;
   std::unordered_set<std::uint64_t> seenLines_;
   MissBreakdown breakdown_;
 };
@@ -70,5 +71,36 @@ private:
 /// Convenience wrapper: classify all misses of `trace` under `config`.
 [[nodiscard]] MissBreakdown classifyMisses(const CacheConfig& config,
                                            const Trace& trace);
+
+/// Counts conflict misses alone: target misses that the
+/// fully-associative LRU twin hits. A twin hit means every line the
+/// access touches is resident, hence was seen before, so no compulsory
+/// miss can qualify and no first-touch set is needed; the count equals
+/// MissBreakdown::conflict of the same stream.
+class ConflictCounter {
+public:
+  /// Throws on invalid config.
+  explicit ConflictCounter(const CacheConfig& config)
+      : target_(config), twin_(config) {}
+
+  /// Present one access covering line indices [firstLine, lastLine];
+  /// returns true when it was a conflict miss.
+  bool access(std::uint64_t firstLine, std::uint64_t lastLine,
+              AccessType type) {
+    const bool targetHit = target_.accessLinesFast(firstLine, lastLine, type);
+    const bool twinHit = twin_.access(firstLine, lastLine, type);
+    return !targetHit && twinHit;
+  }
+
+private:
+  CacheSim target_;
+  FullyAssocLru twin_;
+};
+
+/// Conflict misses of `trace` under `config`, stopping once `bound` are
+/// found: min(classifyMisses(config, trace).conflict, bound).
+[[nodiscard]] std::uint64_t countConflicts(const CacheConfig& config,
+                                           const Trace& trace,
+                                           std::uint64_t bound);
 
 }  // namespace memx

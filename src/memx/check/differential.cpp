@@ -4,7 +4,9 @@
 #include <sstream>
 
 #include "memx/cachesim/cache_sim.hpp"
+#include "memx/cachesim/fully_assoc_lru.hpp"
 #include "memx/cachesim/hierarchy.hpp"
+#include "memx/cachesim/miss_classifier.hpp"
 #include "memx/cachesim/multi_sim.hpp"
 #include "memx/cachesim/set_sampling.hpp"
 #include "memx/check/random_gen.hpp"
@@ -230,6 +232,71 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
                       gridBank.stats(i));
       }
       if (!d.empty()) return d;
+    }
+  }
+
+  // Path 8: the O(1) fully-associative LRU twin against CacheSim with
+  // associativity = numLines, LRU, hit for hit, under both allocate
+  // policies (c.config's and the other one), so straddling references
+  // and write misses that must not fill are covered on every case.
+  for (const AllocatePolicy alloc :
+       {AllocatePolicy::WriteAllocate, AllocatePolicy::NoWriteAllocate}) {
+    CacheConfig fa = c.config;
+    fa.associativity = fa.numLines();
+    fa.replacement = ReplacementPolicy::LRU;
+    fa.allocatePolicy = alloc;
+    CacheSim sim(fa);
+    FullyAssocLru twin(fa);
+    const std::uint64_t lineBytes = fa.lineBytes;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const MemRef& ref = trace[i];
+      const bool want = sim.access(ref).hit;
+      const bool got = twin.access(ref.addr / lineBytes,
+                                   (ref.addr + ref.size - 1) / lineBytes,
+                                   ref.type);
+      if (got != want) {
+        std::ostringstream os;
+        os << "FullyAssocLru[" << toString(alloc) << "] at ref " << i
+           << ": CacheSim(FA-LRU) hit=" << want << " twin hit=" << got;
+        return os.str();
+      }
+    }
+  }
+
+  // Path 9: conflict counting. The 3C conflict count of c.config (every
+  // replacement policy across seeds) must match an oracle built from
+  // two RefCacheSims (target, and an FA-LRU twin of equal capacity):
+  // a conflict is a target miss the twin hits. countConflicts must then
+  // equal min(conflicts, bound) at every bound.
+  {
+    CacheConfig fa = c.config;
+    fa.associativity = fa.numLines();
+    fa.replacement = ReplacementPolicy::LRU;
+    RefCacheSim target(c.config);
+    RefCacheSim twin(fa);
+    std::uint64_t oracle = 0;
+    for (const MemRef& ref : trace) {
+      const bool targetHit = target.access(ref).hit;
+      const bool twinHit = twin.access(ref).hit;
+      if (!targetHit && twinHit) ++oracle;
+    }
+    const std::uint64_t classified = classifyMisses(c.config, trace).conflict;
+    if (classified != oracle) {
+      std::ostringstream os;
+      os << "MissClassifier.conflict: oracle=" << oracle
+         << " actual=" << classified;
+      return os.str();
+    }
+    for (const std::uint64_t bound :
+         {std::uint64_t{0}, std::uint64_t{1}, oracle / 2, oracle,
+          oracle + 1, ~std::uint64_t{0}}) {
+      const std::uint64_t got = countConflicts(c.config, trace, bound);
+      if (got != std::min(oracle, bound)) {
+        std::ostringstream os;
+        os << "countConflicts bound=" << bound
+           << ": oracle=" << std::min(oracle, bound) << " actual=" << got;
+        return os.str();
+      }
     }
   }
 

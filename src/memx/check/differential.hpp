@@ -8,7 +8,11 @@
 // fully-associative and direct-mapped siblings) and the policy-grid
 // bank (the same sibling scheme on a seed-pure FIFO or tree-PLRU
 // config, exercising PolicyGridProfile) — and diffs the full
-// statistics of each against the naive RefCacheSim oracle. Full
+// statistics of each against the naive RefCacheSim oracle. Two more
+// paths check the 3C machinery behind the Section-4.1 layout: the O(1)
+// fully-associative LRU twin hit for hit against CacheSim, and the
+// conflict count (MissClassifier and the bounded countConflicts)
+// against a conflict count built from two RefCacheSims. Full
 // simulation must match bit for bit (including the Random replacement
 // policy, which both sides draw from identically-seeded engines); set
 // sampling must match the oracle's re-statement of the estimator

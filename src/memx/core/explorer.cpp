@@ -302,23 +302,44 @@ SweepBackend Explorer::resolvedBackend() const noexcept {
                              : SweepBackend::MultiSim;
 }
 
+std::string Explorer::kernelTag(const Kernel& kernel) const {
+  const auto it =
+      kernelIds_.try_emplace(structuralIdentity(kernel), kernelIds_.size())
+          .first;
+  return 'k' + std::to_string(it->second);
+}
+
 const MemoryLayout& Explorer::layoutFor(const Kernel& kernel,
+                                        const std::string& kernelTag,
                                         const CacheConfig& cache,
-                                        const Kernel* tiledProbe,
-                                        std::uint32_t tiling) const {
-  const std::string key =
-      kernel.name + '|' + cache.label() + "|B" + std::to_string(tiling);
+                                        std::uint32_t traceTiling,
+                                        PatternCache& probes) const {
+  const std::string key = kernelTag + '|' + cache.label() + "|B" +
+                          std::to_string(traceTiling);
   const auto it = layoutCache_.find(key);
   if (it != layoutCache_.end()) {
     if (recorder_ != nullptr) recorder_->counter("layout.cache_hit").add();
     return it->second;
   }
   if (recorder_ != nullptr) recorder_->counter("layout.cache_miss").add();
-  MemoryLayout layout =
-      options_.optimizeLayout
-          ? assignConflictFree(kernel, cache, 0, tiledProbe).layout
-          : sequentialLayout(kernel);
-  return layoutCache_.emplace(key, std::move(layout)).first->second;
+  if (!options_.optimizeLayout) {
+    return layoutCache_.emplace(key, sequentialLayout(kernel)).first->second;
+  }
+  // Candidates are certified against the traversal that will execute:
+  // the tiled nest when traceTiling > 1.
+  auto probe = probes.find(traceTiling);
+  if (probe == probes.end()) {
+    AccessPattern pattern =
+        traceTiling > 1 ? layoutProbePattern(tile2D(kernel, traceTiling))
+                        : layoutProbePattern(kernel);
+    probe = probes.emplace(traceTiling, std::move(pattern)).first;
+  }
+  AssignmentPlan plan = assignConflictFree(kernel, cache, 0, &probe->second);
+  if (recorder_ != nullptr) {
+    recorder_->counter("layout.candidates_probed").add(plan.candidatesProbed);
+    recorder_->counter("layout.probe_refs").add(plan.probeRefs);
+  }
+  return layoutCache_.emplace(key, std::move(plan.layout)).first->second;
 }
 
 CacheConfig Explorer::configFor(const ConfigKey& key) const {
@@ -365,15 +386,13 @@ DesignPoint Explorer::evaluate(const Kernel& kernel,
   config.writePolicy = options_.writePolicy;
   config.replacement = options_.replacement;
 
-  // The class analysis behind the Section-4.1 layout always runs on the
-  // untiled kernel, but candidate layouts are certified against the
-  // traversal that will actually execute (the tiled one when B > 1).
   const bool tileable = tiling > 1 && kernel.nest.depth() >= 2;
   std::optional<Kernel> tiled;
   if (tileable) tiled = tile2D(kernel, tiling);
 
-  const MemoryLayout& layout =
-      layoutFor(kernel, config, tiled ? &*tiled : nullptr, tiling);
+  PatternCache probes;
+  const MemoryLayout& layout = layoutFor(kernel, kernelTag(kernel), config,
+                                        tileable ? tiling : 1, probes);
 
   const Trace trace =
       tiled ? generateTrace(*tiled, layout) : generateTrace(kernel, layout);
@@ -421,9 +440,10 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
   // Policies are run-global, so every group of this plan resolves to the
   // same engine; stamping each group keeps evaluateGroup self-contained.
   const SweepBackend backend = resolvedBackend();
-  // Tiled variants used only to certify layouts; the trace-generating
-  // tiling happens later, once per pattern.
-  std::map<std::uint32_t, Kernel> tiledProbes;
+  const std::string tag = kernelTag(kernel);
+  // Probe prefixes that certify layouts, per trace tiling; the full
+  // trace-generating patterns are recorded later, once per group tiling.
+  PatternCache probes;
   std::map<std::string, std::size_t> groupIndex;
   for (std::size_t i = 0; i < plan.keys.size(); ++i) {
     const ConfigKey& key = plan.keys[i];
@@ -431,24 +451,16 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
     const CacheConfig config = configFor(key);
     config.validate();
 
-    const bool tileable = key.tiling > 1 && kernel.nest.depth() >= 2;
-    const Kernel* probe = nullptr;
-    if (tileable) {
-      auto it = tiledProbes.find(key.tiling);
-      if (it == tiledProbes.end()) {
-        it = tiledProbes.emplace(key.tiling, tile2D(kernel, key.tiling))
-                 .first;
-      }
-      probe = &it->second;
-    }
-    const MemoryLayout& layout = layoutFor(kernel, config, probe, key.tiling);
-
     // Keys whose traversal is untiled (B = 1, or a nest too shallow to
-    // tile) share one pattern regardless of the B they carry.
+    // tile) share one layout and one pattern regardless of the B they
+    // carry.
+    const bool tileable = key.tiling > 1 && kernel.nest.depth() >= 2;
     const std::uint32_t traceTiling = tileable ? key.tiling : 1;
-    const std::string traceKey = kernel.name + "|B" +
-                                 std::to_string(traceTiling) + '|' +
-                                 layout.signature();
+    const MemoryLayout& layout =
+        layoutFor(kernel, tag, config, traceTiling, probes);
+
+    const std::string traceKey = tag + "|B" + std::to_string(traceTiling) +
+                                 '|' + layout.signature();
     const auto [it, inserted] =
         groupIndex.try_emplace(traceKey, plan.groups.size());
     if (inserted) {

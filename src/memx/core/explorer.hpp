@@ -231,7 +231,8 @@ struct SweepPlan {
     /// Tiling applied to the loop nest for this group's trace (1 when
     /// the kernel is too shallow to tile, whatever B the keys carry).
     std::uint32_t traceTiling = 1;
-    /// Kernel + tiling + layout-signature key of the shared trace.
+    /// Kernel identity + tiling + layout-signature key of the shared
+    /// trace.
     std::string traceKey;
     const MemoryLayout* layout = nullptr;
     std::vector<std::size_t> keyIndices;  ///< indices into `keys`
@@ -348,13 +349,20 @@ public:
   }
 
 private:
-  /// Memoized Section-4.1 layout per (kernel, T, L, S, B); candidates are
-  /// certified against the tiled traversal when one is supplied. Keyed by
-  /// kernel name + cache label + tiling; not thread-safe.
+  /// Memo tag of `kernel`'s structural identity ("k<n>", interned per
+  /// Explorer), so same-named kernels of different structure never share
+  /// memo entries. Computed once per planSweep/evaluate, not per key.
+  [[nodiscard]] std::string kernelTag(const Kernel& kernel) const;
+
+  /// Memoized Section-4.1 layout per (kernel identity, T, L, S, trace
+  /// tiling) — the tiling that reaches the probe, 1 when the nest cannot
+  /// be tiled. Candidates are certified against the probe prefix of that
+  /// traversal, recorded into `probes` on first use. Not thread-safe.
   const MemoryLayout& layoutFor(const Kernel& kernel,
+                                const std::string& kernelTag,
                                 const CacheConfig& cache,
-                                const Kernel* tiledProbe,
-                                std::uint32_t tiling) const;
+                                std::uint32_t traceTiling,
+                                PatternCache& probes) const;
 
   /// A shared immutable trace plus its measured bus activity.
   struct TraceEntry {
@@ -378,6 +386,9 @@ private:
   ExploreOptions options_;
   CycleModel cycleModel_;
   obs::Recorder* recorder_ = nullptr;
+  /// Structural identity -> interned number behind kernelTag(); never
+  /// cleared, so tags stay stable across clearCaches().
+  mutable std::map<std::string, std::size_t> kernelIds_;
   mutable std::map<std::string, MemoryLayout> layoutCache_;
   mutable std::map<std::string, TraceEntry> traceCache_;
   /// Bumped by clearCaches(); plans stamped with an older generation

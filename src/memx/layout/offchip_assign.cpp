@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <span>
 
 #include "memx/cachesim/miss_classifier.hpp"
 #include "memx/loopir/ref_classes.hpp"
@@ -157,29 +159,65 @@ std::optional<Candidate> tryShift(
   return cand;
 }
 
-/// Conflict misses of `layout` on a bounded probe of the kernel's trace.
-std::uint64_t probeConflicts(const Kernel& kernel,
-                             const CacheConfig& cache,
-                             const MemoryLayout& layout) {
-  const Trace probe = generateTracePrefix(kernel, layout, kVerifyRefCap);
-  MissClassifier classifier(cache);
-  classifier.run(probe);
-  return classifier.breakdown().conflict;
+/// Outcome of one bounded probe simulation.
+struct ProbeResult {
+  std::uint64_t conflicts = 0;  ///< min(conflict misses, bound)
+  std::uint64_t refs = 0;       ///< probe references presented
+};
+
+/// Conflict misses of `placements` on the recorded probe, stopping once
+/// `bound` are found. Addresses are materialized per reference, so a
+/// probe cut short early costs only the references it presented.
+ProbeResult probeConflicts(const AccessPattern& probe,
+                           const CacheConfig& cache,
+                           const std::vector<ArrayPlacement>& placements,
+                           std::uint64_t bound) {
+  ConflictCounter counter(cache);
+  const unsigned lineShift = log2Exact(cache.lineBytes);
+  ProbeResult result;
+  std::size_t coord = 0;
+  for (const AccessPattern::Ref& ref : probe.refs) {
+    if (result.conflicts >= bound) break;
+    const std::uint32_t rank = probe.ranks[ref.arrayIndex];
+    const std::uint64_t addr = placements[ref.arrayIndex].address(
+        std::span<const std::int64_t>(probe.coords.data() + coord, rank));
+    coord += rank;
+    const std::uint64_t last = addr + probe.elemBytes[ref.arrayIndex] - 1;
+    ++result.refs;
+    if (counter.access(addr >> lineShift, last >> lineShift, ref.type)) {
+      ++result.conflicts;
+    }
+  }
+  return result;
 }
 
-AssignmentPlan tightFallback(const Kernel& kernel, std::uint64_t startAddr) {
+/// The plan for an accepted candidate (or the tight layout when there
+/// is none), with per-array padding measured against tight placement.
+AssignmentPlan planFrom(const Kernel& kernel, const Candidate* cand,
+                        bool certified, std::uint64_t startAddr) {
   AssignmentPlan plan;
-  plan.layout = MemoryLayout::tight(kernel, startAddr);
+  plan.layout = cand ? MemoryLayout{cand->placements}
+                     : MemoryLayout::tight(kernel, startAddr);
+  if (cand) plan.groupSlots = cand->slots;
+  plan.complete = certified;
   plan.arrays.resize(kernel.arrays.size());
   std::uint64_t next = startAddr;
   for (std::size_t a = 0; a < kernel.arrays.size(); ++a) {
-    plan.arrays[a].baseAddr = next;
-    plan.arrays[a].rowPitchBytes = 0;
-    plan.arrays[a].paddingBytes = 0;
-    plan.arrays[a].conflictFree = false;
-    next += kernel.arrays[a].sizeBytes();
+    const ArrayDecl& decl = kernel.arrays[a];
+    if (!cand) {
+      plan.arrays[a].baseAddr = next;
+      next += decl.sizeBytes();
+      continue;
+    }
+    const ArrayPlacement& p = plan.layout.placement(a);
+    plan.arrays[a].baseAddr = p.baseAddr;
+    plan.arrays[a].rowPitchBytes =
+        decl.rank() >= 2 ? p.pitches[decl.rank() - 2] : 0;
+    plan.arrays[a].paddingBytes =
+        (p.baseAddr - next) + (p.spanBytes(decl) - decl.sizeBytes());
+    plan.arrays[a].conflictFree = certified;
+    next = p.baseAddr + p.spanBytes(decl);
   }
-  plan.complete = false;
   return plan;
 }
 
@@ -196,13 +234,16 @@ MemoryLayout sequentialLayout(const Kernel& kernel,
   return MemoryLayout::tight(kernel, startAddr);
 }
 
+AccessPattern layoutProbePattern(const Kernel& probeKernel) {
+  return generateAccessPattern(probeKernel, kVerifyRefCap);
+}
+
 AssignmentPlan assignConflictFree(const Kernel& kernel,
                                   const CacheConfig& cache,
                                   std::uint64_t startAddr,
-                                  const Kernel* probeKernel) {
+                                  const AccessPattern* probePattern) {
   kernel.validate();
   cache.validate();
-  const Kernel& probe = probeKernel ? *probeKernel : kernel;
 
   const RefAnalysis analysis = analyzeReferences(kernel);
   const std::int64_t step =
@@ -219,84 +260,80 @@ AssignmentPlan assignConflictFree(const Kernel& kernel,
   const bool feasible =
       minLiveLines(kernel, cache.lineBytes) <= cache.numLines();
 
-  // Enumerate uniform row shifts, cheapest padding first, and accept the
-  // first candidate the probe simulation certifies conflict-free.
+  // Enumerate uniform row shifts, cheapest padding first.
   std::vector<std::uint64_t> shifts(
       std::min<std::uint64_t>(modulus, 32));
   std::iota(shifts.begin(), shifts.end(), 0);
 
-  struct Scored {
-    std::uint64_t shift = 0;
-    Candidate cand;
-  };
-  std::vector<Scored> scored;
+  std::vector<Candidate> scored;
   for (const std::uint64_t d : shifts) {
     auto cand = tryShift(kernel, cache, analysis, origin, d, step,
                          startAddr);
-    if (cand) scored.push_back(Scored{d, std::move(*cand)});
+    if (cand) scored.push_back(std::move(*cand));
   }
   std::sort(scored.begin(), scored.end(),
-            [](const Scored& x, const Scored& y) {
-              return x.cand.padding < y.cand.padding;
+            [](const Candidate& x, const Candidate& y) {
+              return x.padding < y.padding;
             });
-
-  std::optional<Scored> fallback;
-  std::uint64_t fallbackConflicts =
-      std::numeric_limits<std::uint64_t>::max();
-  for (Scored& s : scored) {
-    if (!feasible) break;
-    MemoryLayout layout{std::vector<ArrayPlacement>(s.cand.placements)};
-    const std::uint64_t conflicts = probeConflicts(probe, cache, layout);
-    if (conflicts == 0) {
-      AssignmentPlan plan;
-      plan.layout = std::move(layout);
-      plan.groupSlots = s.cand.slots;
-      plan.complete = true;
-      plan.arrays.resize(kernel.arrays.size());
-      std::uint64_t next = startAddr;
-      for (std::size_t a = 0; a < kernel.arrays.size(); ++a) {
-        const ArrayDecl& decl = kernel.arrays[a];
-        const ArrayPlacement& p = plan.layout.placement(a);
-        plan.arrays[a].baseAddr = p.baseAddr;
-        plan.arrays[a].rowPitchBytes =
-            decl.rank() >= 2 ? p.pitches[decl.rank() - 2] : 0;
-        plan.arrays[a].paddingBytes =
-            (p.baseAddr - next) + (p.spanBytes(decl) - decl.sizeBytes());
-        plan.arrays[a].conflictFree = true;
-        next = p.baseAddr + p.spanBytes(decl);
-      }
-      return plan;
-    }
-    if (conflicts < fallbackConflicts) {
-      fallbackConflicts = conflicts;
-      fallback = std::move(s);
-    }
+  if (!feasible || scored.empty()) {
+    return planFrom(kernel, nullptr, false, startAddr);
   }
 
-  // No certified layout: keep the least-conflicting candidate when one
-  // exists (still often better than tight), flagged incomplete.
-  if (fallback) {
-    AssignmentPlan plan;
-    plan.layout =
-        MemoryLayout{std::vector<ArrayPlacement>(fallback->cand.placements)};
-    plan.groupSlots = fallback->cand.slots;
-    plan.complete = false;
-    plan.arrays.resize(kernel.arrays.size());
-    std::uint64_t next = startAddr;
-    for (std::size_t a = 0; a < kernel.arrays.size(); ++a) {
-      const ArrayDecl& decl = kernel.arrays[a];
-      const ArrayPlacement& p = plan.layout.placement(a);
-      plan.arrays[a].baseAddr = p.baseAddr;
-      plan.arrays[a].rowPitchBytes =
-          decl.rank() >= 2 ? p.pitches[decl.rank() - 2] : 0;
-      plan.arrays[a].paddingBytes =
-          (p.baseAddr - next) + (p.spanBytes(decl) - decl.sizeBytes());
-      plan.arrays[a].conflictFree = false;
-      next = p.baseAddr + p.spanBytes(decl);
-    }
+  // Candidates with equal placements address every probe reference
+  // identically and so score identically: a repeat can neither certify
+  // before its first occurrence nor beat it strictly. Probe each
+  // distinct placement once, in padding order.
+  std::vector<const Candidate*> distinct;
+  for (const Candidate& cand : scored) {
+    const bool repeat = std::any_of(
+        distinct.begin(), distinct.end(), [&](const Candidate* seen) {
+          return seen->placements == cand.placements;
+        });
+    if (!repeat) distinct.push_back(&cand);
+  }
+
+  AccessPattern ownProbe;
+  if (probePattern == nullptr) {
+    ownProbe = layoutProbePattern(kernel);
+    probePattern = &ownProbe;
+  }
+  std::uint64_t probes = 0;
+  std::uint64_t probeRefs = 0;
+  const auto probe = [&](const Candidate& cand, std::uint64_t bound) {
+    const ProbeResult r =
+        probeConflicts(*probePattern, cache, cand.placements, bound);
+    ++probes;
+    probeRefs += r.refs;
+    return r.conflicts;
+  };
+  const auto finish = [&](AssignmentPlan plan) {
+    plan.candidatesProbed = probes;
+    plan.probeRefs = probeRefs;
     return plan;
+  };
+
+  // Phase 1: accept the first candidate the probe certifies
+  // conflict-free; one conflict is enough to reject.
+  for (const Candidate* cand : distinct) {
+    if (probe(*cand, 1) == 0) {
+      return finish(planFrom(kernel, cand, true, startAddr));
+    }
   }
-  return tightFallback(kernel, startAddr);
+
+  // Phase 2: nothing certified, so keep the least-conflicting candidate
+  // (still often better than tight), flagged incomplete. Bounding each
+  // count by the best so far is exact: a probe cut off at the bound
+  // cannot win, and the first candidate in order keeps ties.
+  const Candidate* best = nullptr;
+  std::uint64_t bestConflicts = std::numeric_limits<std::uint64_t>::max();
+  for (const Candidate* cand : distinct) {
+    const std::uint64_t conflicts = probe(*cand, bestConflicts);
+    if (conflicts < bestConflicts) {
+      bestConflicts = conflicts;
+      best = cand;
+    }
+  }
+  return finish(planFrom(kernel, best, false, startAddr));
 }
 
 }  // namespace memx

@@ -19,6 +19,7 @@
 #include "memx/cachesim/cache_config.hpp"
 #include "memx/loopir/kernel.hpp"
 #include "memx/loopir/memory_layout.hpp"
+#include "memx/loopir/trace_gen.hpp"
 
 namespace memx {
 
@@ -39,6 +40,11 @@ struct AssignmentPlan {
   std::vector<std::uint64_t> groupSlots;
   /// True when every class landed on its target slot.
   bool complete = false;
+  /// Probe simulations run while certifying (a candidate probed in both
+  /// phases counts twice; 0 when no candidate needed probing).
+  std::uint64_t candidatesProbed = 0;
+  /// Probe references those simulations consumed in total.
+  std::uint64_t probeRefs = 0;
   /// Total padding inserted relative to tight placement.
   [[nodiscard]] std::uint64_t totalPaddingBytes() const;
 };
@@ -47,15 +53,25 @@ struct AssignmentPlan {
 [[nodiscard]] MemoryLayout sequentialLayout(const Kernel& kernel,
                                             std::uint64_t startAddr = 0);
 
+/// The bounded prefix of `probeKernel`'s reference stream that
+/// assignConflictFree certifies candidate layouts against. It depends
+/// only on the traversal, so callers that plan one kernel under many
+/// caches record it once per tiling and pass it in.
+[[nodiscard]] AccessPattern layoutProbePattern(const Kernel& probeKernel);
+
 /// Compute a conflict-avoiding layout for `kernel` under `cache`.
 /// The kernel must have constant loop bounds (the class analysis runs on
-/// the untiled nest). When `probeKernel` is given, candidate layouts are
-/// certified against *its* traversal instead — pass the tiled variant so
-/// the padding also separates the classes a tile keeps live together.
-/// Arrays that cannot be made conflict-free (cache too small, indirect
+/// the untiled nest). Candidate layouts, cheapest padding first, are
+/// certified by simulating a probe: by default layoutProbePattern(kernel);
+/// pass layoutProbePattern(tiled variant) as `probePattern` so the
+/// padding also separates the classes a tile keeps live together. The
+/// first candidate whose probe has no conflict miss wins; when none
+/// does, the least-conflicting one is kept, flagged incomplete. Arrays
+/// that cannot be made conflict-free (cache too small, indirect
 /// accesses) fall back to tight placement and are flagged.
 [[nodiscard]] AssignmentPlan assignConflictFree(
     const Kernel& kernel, const CacheConfig& cache,
-    std::uint64_t startAddr = 0, const Kernel* probeKernel = nullptr);
+    std::uint64_t startAddr = 0,
+    const AccessPattern* probePattern = nullptr);
 
 }  // namespace memx

@@ -46,6 +46,36 @@ std::size_t Kernel::arrayIndexOf(const std::string& arrayName) const {
   return static_cast<std::size_t>(it - arrays.begin());
 }
 
+std::string structuralIdentity(const Kernel& kernel) {
+  std::string id;
+  const auto exprs = [&](const std::vector<AffineExpr>& list) {
+    for (const AffineExpr& e : list) {
+      id += e.toString();
+      id += ',';
+    }
+  };
+  for (const ArrayDecl& a : kernel.arrays) {
+    id += 'A' + std::to_string(a.elemBytes);
+    for (const std::int64_t e : a.extents) id += 'x' + std::to_string(e);
+    id += ';';
+  }
+  for (const Loop& loop : kernel.nest.loops()) {
+    id += 'L';
+    exprs(loop.lower.exprs);
+    id += ':';
+    exprs(loop.upper.exprs);
+    id += ':' + std::to_string(loop.step) + ';';
+  }
+  for (const ArrayAccess& acc : kernel.body) {
+    id += 'R' + std::to_string(acc.arrayIndex) + ':' +
+          std::to_string(static_cast<int>(acc.type)) + ':';
+    exprs(acc.subscripts);
+    if (acc.indirectSeed) id += '#' + std::to_string(*acc.indirectSeed);
+    id += ';';
+  }
+  return id;
+}
+
 ArrayAccess makeAccess(std::size_t arrayIndex,
                        std::vector<AffineExpr> subscripts, AccessType type) {
   ArrayAccess acc;

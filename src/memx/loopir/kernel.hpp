@@ -65,6 +65,13 @@ struct Kernel {
   [[nodiscard]] std::size_t arrayIndexOf(const std::string& name) const;
 };
 
+/// Canonical text of everything that determines the kernel's reference
+/// stream: element sizes and extents of the arrays, loop bounds and
+/// steps, and the body accesses in order. Names are left out, so two
+/// kernels that differ only in names share an identity, and two that
+/// share a name but differ in structure do not. Memo keys use this.
+[[nodiscard]] std::string structuralIdentity(const Kernel& kernel);
+
 /// Builder-style helpers for the common access shapes.
 /// a2(arr, e0, e1) -> ArrayAccess with two subscripts.
 [[nodiscard]] ArrayAccess makeAccess(std::size_t arrayIndex,

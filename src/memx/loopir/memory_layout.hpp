@@ -31,6 +31,8 @@ struct ArrayPlacement {
   /// given extents.
   [[nodiscard]] std::uint64_t spanBytes(
       const ArrayDecl& decl) const;
+
+  bool operator==(const ArrayPlacement&) const = default;
 };
 
 /// A complete layout for a kernel's arrays.

@@ -1,6 +1,6 @@
 #include "memx/loopir/trace_gen.hpp"
 
-#include <limits>
+#include <algorithm>
 
 #include "memx/util/assert.hpp"
 
@@ -53,31 +53,10 @@ void resolveSubscripts(const Kernel& kernel, const ArrayAccess& acc,
   }
 }
 
-Trace generateUpTo(const Kernel& kernel, const MemoryLayout& layout,
-                   std::size_t maxRefs) {
-  kernel.validate();
-  Trace trace;
-  std::vector<std::int64_t> subs;
-  kernel.nest.forEachIterationWhile(
-      [&](std::span<const std::int64_t> iv) -> bool {
-        for (const ArrayAccess& acc : kernel.body) {
-          if (trace.size() >= maxRefs) return false;
-          const ArrayDecl& decl = kernel.arrays[acc.arrayIndex];
-          resolveSubscripts(kernel, acc, decl, iv, subs);
-          // Addressed through the placement so padding (if any) is
-          // respected.
-          const std::uint64_t addr =
-              layout.placement(acc.arrayIndex).address(subs);
-          trace.push(MemRef{addr, decl.elemBytes, acc.type});
-        }
-        return trace.size() < maxRefs;
-      });
-  return trace;
-}
-
 }  // namespace
 
-AccessPattern generateAccessPattern(const Kernel& kernel) {
+AccessPattern generateAccessPattern(const Kernel& kernel,
+                                    std::size_t maxRefs) {
   kernel.validate();
   AccessPattern pattern;
   pattern.ranks.reserve(kernel.arrays.size());
@@ -86,12 +65,13 @@ AccessPattern generateAccessPattern(const Kernel& kernel) {
     pattern.ranks.push_back(static_cast<std::uint32_t>(decl.rank()));
     pattern.elemBytes.push_back(decl.elemBytes);
   }
-  const std::uint64_t expected = kernel.referenceCount();
-  pattern.refs.reserve(expected);
+  pattern.refs.reserve(
+      std::min<std::uint64_t>(kernel.referenceCount(), maxRefs));
   std::vector<std::int64_t> subs;
   kernel.nest.forEachIterationWhile(
       [&](std::span<const std::int64_t> iv) -> bool {
         for (const ArrayAccess& acc : kernel.body) {
+          if (pattern.refs.size() >= maxRefs) return false;
           const ArrayDecl& decl = kernel.arrays[acc.arrayIndex];
           resolveSubscripts(kernel, acc, decl, iv, subs);
           pattern.refs.push_back(AccessPattern::Ref{
@@ -99,7 +79,7 @@ AccessPattern generateAccessPattern(const Kernel& kernel) {
           pattern.coords.insert(pattern.coords.end(), subs.begin(),
                                 subs.end());
         }
-        return true;
+        return pattern.refs.size() < maxRefs;
       });
   return pattern;
 }
@@ -123,17 +103,24 @@ Trace materializeTrace(const AccessPattern& pattern,
 }
 
 Trace generateTrace(const Kernel& kernel, const MemoryLayout& layout) {
-  return generateUpTo(kernel, layout,
-                      std::numeric_limits<std::size_t>::max());
+  kernel.validate();
+  Trace trace;
+  std::vector<std::int64_t> subs;
+  kernel.nest.forEachIteration([&](std::span<const std::int64_t> iv) {
+    for (const ArrayAccess& acc : kernel.body) {
+      const ArrayDecl& decl = kernel.arrays[acc.arrayIndex];
+      resolveSubscripts(kernel, acc, decl, iv, subs);
+      // Addressed through the placement so padding (if any) is
+      // respected.
+      trace.push(MemRef{layout.placement(acc.arrayIndex).address(subs),
+                        decl.elemBytes, acc.type});
+    }
+  });
+  return trace;
 }
 
 Trace generateTrace(const Kernel& kernel) {
   return generateTrace(kernel, MemoryLayout::tight(kernel));
-}
-
-Trace generateTracePrefix(const Kernel& kernel, const MemoryLayout& layout,
-                          std::size_t maxRefs) {
-  return generateUpTo(kernel, layout, maxRefs);
 }
 
 }  // namespace memx

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "memx/loopir/kernel.hpp"
@@ -48,10 +49,13 @@ struct AccessPattern {
   }
 };
 
-/// Execute `kernel` symbolically and record its reference stream without
-/// committing to a layout. Performs the same range checks as
-/// generateTrace (a violation throws memx::ContractViolation).
-[[nodiscard]] AccessPattern generateAccessPattern(const Kernel& kernel);
+/// Execute `kernel` symbolically and record the first `maxRefs`
+/// references of its stream (all of them by default) without committing
+/// to a layout. Performs the same range checks as generateTrace on the
+/// references it records (a violation throws memx::ContractViolation).
+[[nodiscard]] AccessPattern generateAccessPattern(
+    const Kernel& kernel,
+    std::size_t maxRefs = std::numeric_limits<std::size_t>::max());
 
 /// Turn a recorded pattern into the byte-address trace it denotes under
 /// `layout`. materializeTrace(generateAccessPattern(k), l) is
@@ -68,11 +72,5 @@ struct AccessPattern {
 
 /// Generate the trace under the tight (unoptimized) layout.
 [[nodiscard]] Trace generateTrace(const Kernel& kernel);
-
-/// Generate at most the first `maxRefs` references of the kernel's trace
-/// (cheap probe used by layout verification).
-[[nodiscard]] Trace generateTracePrefix(const Kernel& kernel,
-                                        const MemoryLayout& layout,
-                                        std::size_t maxRefs);
 
 }  // namespace memx

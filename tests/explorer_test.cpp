@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <tuple>
 
 #include "memx/core/explorer.hpp"
 #include "memx/kernels/benchmarks.hpp"
+#include "memx/kernels/mpeg_kernels.hpp"
+#include "memx/obs/recorder.hpp"
 #include "memx/util/assert.hpp"
 
 namespace memx {
@@ -271,6 +275,59 @@ TEST(Explorer, ExploreMatchesPerPointEvaluateExactly) {
     EXPECT_EQ(r.points[i].cycles, p.cycles);
     EXPECT_EQ(r.points[i].energyNj, p.energyNj);
   }
+}
+
+TEST(Explorer, SameNamedKernelsDoNotShareMemoizedLayouts) {
+  // The layout and trace memos key on the kernel's structure, not its
+  // name: a second kernel reusing the first one's name must get the
+  // points a fresh Explorer computes for it.
+  const Explorer shared(smallSweep());
+  const Kernel first = compressKernel();
+  (void)shared.explore(first);
+  Kernel second = dequantKernel();
+  second.name = first.name;
+  const ExplorationResult reused = shared.explore(second);
+  const ExplorationResult fresh = Explorer(smallSweep()).explore(second);
+  ASSERT_EQ(reused.points.size(), fresh.points.size());
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < fresh.points.size(); ++i) {
+    const DesignPoint& a = reused.points[i];
+    const DesignPoint& b = fresh.points[i];
+    if (a.key != b.key || a.accesses != b.accesses ||
+        a.missRate != b.missRate || a.cycles != b.cycles ||
+        a.energyNj != b.energyNj) {
+      ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "of " << fresh.points.size() << " points";
+
+  CacheConfig c;
+  c.sizeBytes = 64;
+  c.lineBytes = 8;
+  const DesignPoint viaShared = shared.evaluate(second, c, 2);
+  const DesignPoint viaFresh = Explorer(smallSweep()).evaluate(second, c, 2);
+  EXPECT_EQ(viaShared.missRate, viaFresh.missRate);
+  EXPECT_EQ(viaShared.energyNj, viaFresh.energyNj);
+}
+
+TEST(Explorer, UntileableKernelPlansOneLayoutPerGeometry) {
+  // A one-deep nest runs untiled whatever B a key carries, so the
+  // layout memo holds one assignment per (T, L, S), not per B.
+  const Kernel k = mpegDisplayKernel();
+  ASSERT_LT(k.nest.depth(), 2u);
+  obs::Recorder recorder;
+  Explorer ex(smallSweep());
+  ex.setRecorder(&recorder);
+  const std::vector<ConfigKey> keys = ex.sweepKeys();
+  (void)ex.planSweep(k, keys);
+  std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> geoms;
+  for (const ConfigKey& key : keys) {
+    geoms.insert({key.cacheBytes, key.lineBytes, key.associativity});
+  }
+  ASSERT_LT(geoms.size(), keys.size());
+  EXPECT_EQ(recorder.counter("layout.cache_miss").value(), geoms.size());
+  EXPECT_EQ(recorder.counter("layout.cache_hit").value(),
+            keys.size() - geoms.size());
 }
 
 TEST(Explorer, TraceCacheGrowsAndClears) {

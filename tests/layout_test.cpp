@@ -140,6 +140,36 @@ TEST(OffChipAssign, LayoutCarriesOverToTiledKernels) {
   }
 }
 
+TEST(OffChipAssign, ReportsProbeEffort) {
+  // A certified plan probed at least its winner; every probe presents
+  // at least one reference and at most the probe prefix.
+  const Kernel k = compressKernel();
+  const AssignmentPlan plan = assignConflictFree(k, dm(64, 8));
+  ASSERT_TRUE(plan.complete);
+  EXPECT_GE(plan.candidatesProbed, 1u);
+  EXPECT_GE(plan.probeRefs, plan.candidatesProbed);
+  EXPECT_LE(plan.probeRefs,
+            plan.candidatesProbed * layoutProbePattern(k).size());
+  // Below the minimum size nothing is probed.
+  const AssignmentPlan tight = assignConflictFree(k, dm(8, 4));
+  EXPECT_EQ(tight.candidatesProbed, 0u);
+  EXPECT_EQ(tight.probeRefs, 0u);
+}
+
+TEST(OffChipAssign, SuppliedProbeMatchesDefaultProbe) {
+  for (const Kernel& k : {compressKernel(), dequantKernel(), sorKernel()}) {
+    const AccessPattern probe = layoutProbePattern(k);
+    for (const CacheConfig& cache : {dm(32, 4), dm(64, 8), dm(256, 16)}) {
+      const AssignmentPlan a = assignConflictFree(k, cache);
+      const AssignmentPlan b = assignConflictFree(k, cache, 0, &probe);
+      EXPECT_EQ(a.layout.signature(), b.layout.signature())
+          << k.name << " " << cache.label();
+      EXPECT_EQ(a.complete, b.complete);
+      EXPECT_EQ(a.probeRefs, b.probeRefs);
+    }
+  }
+}
+
 /// Property sweep: whenever the plan reports complete, the optimized
 /// layout has zero conflict misses across cache geometries.
 class ConflictFreeSweep

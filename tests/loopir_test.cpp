@@ -228,5 +228,51 @@ TEST(TraceGen, ReferenceCountMatchesTraceSize) {
   EXPECT_EQ(generateTrace(k).size(), 128u);
 }
 
+TEST(TraceGen, PatternPrefixIsTheTracePrefix) {
+  // A bounded pattern stops mid-iteration (after the first access of
+  // iteration 2 here) and materializes to exactly the trace's prefix.
+  Kernel k;
+  k.name = "t";
+  k.arrays = {ArrayDecl{"a", {8, 8}, 4}, ArrayDecl{"b", {8, 8}, 2}};
+  k.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
+  k.body = {makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1)}),
+            makeAccess(1, {AffineExpr::var(1), AffineExpr::var(0)},
+                       AccessType::Write)};
+  const MemoryLayout layout = MemoryLayout::tight(k, 64);
+  const Trace full = generateTrace(k, layout);
+  for (const std::size_t cap : {0u, 1u, 5u, 128u, 1000u}) {
+    const AccessPattern prefix = generateAccessPattern(k, cap);
+    const Trace t = materializeTrace(prefix, layout);
+    ASSERT_EQ(t.size(), std::min<std::size_t>(cap, full.size()));
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      EXPECT_EQ(t[i], full[i]) << "cap " << cap << " ref " << i;
+    }
+  }
+}
+
+TEST(Kernel, StructuralIdentityIgnoresNamesOnly) {
+  Kernel a;
+  a.name = "one";
+  a.arrays = {ArrayDecl{"x", {8, 8}, 4}};
+  a.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
+  a.body = {makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1)})};
+  Kernel renamed = a;
+  renamed.name = "two";
+  renamed.arrays[0].name = "y";
+  EXPECT_EQ(structuralIdentity(a), structuralIdentity(renamed));
+
+  Kernel shifted = a;
+  shifted.body[0].subscripts[1] = AffineExpr::var(1).plusConstant(-1);
+  Kernel wider = a;
+  wider.arrays[0].elemBytes = 8;
+  Kernel writing = a;
+  writing.body[0].type = AccessType::Write;
+  Kernel shorter = a;
+  shorter.nest = LoopNest::rectangular({{0, 7}, {0, 6}});
+  for (const Kernel* k : {&shifted, &wider, &writing, &shorter}) {
+    EXPECT_NE(structuralIdentity(a), structuralIdentity(*k));
+  }
+}
+
 }  // namespace
 }  // namespace memx

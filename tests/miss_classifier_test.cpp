@@ -74,5 +74,71 @@ TEST(MissClassifier, ConflictRateComputed) {
   EXPECT_DOUBLE_EQ(b.missRate(), 1.0);
 }
 
+TEST(FullyAssocLru, HandTracedLruOrder) {
+  // Two lines of capacity: touching 0 makes 1 the LRU victim of 2.
+  FullyAssocLru twin(dm(16, 8));
+  EXPECT_FALSE(twin.access(0, 0, AccessType::Read));
+  EXPECT_FALSE(twin.access(1, 1, AccessType::Read));
+  EXPECT_TRUE(twin.access(0, 0, AccessType::Read));
+  EXPECT_FALSE(twin.access(2, 2, AccessType::Read));  // evicts 1
+  EXPECT_TRUE(twin.access(0, 0, AccessType::Read));
+  EXPECT_FALSE(twin.access(1, 1, AccessType::Read));  // evicts 2
+  EXPECT_TRUE(twin.access(0, 0, AccessType::Write));
+  EXPECT_FALSE(twin.access(2, 2, AccessType::Read));  // evicts 1
+}
+
+TEST(FullyAssocLru, StraddlingAccessHitsOnlyWhenEveryLineHits) {
+  FullyAssocLru twin(dm(32, 8));
+  EXPECT_FALSE(twin.access(0, 0, AccessType::Read));
+  EXPECT_FALSE(twin.access(0, 1, AccessType::Read));  // line 1 misses
+  EXPECT_TRUE(twin.access(0, 1, AccessType::Read));
+}
+
+TEST(FullyAssocLru, NoWriteAllocateWriteMissLeavesContents) {
+  CacheConfig c = dm(16, 8);
+  c.allocatePolicy = AllocatePolicy::NoWriteAllocate;
+  FullyAssocLru twin(c);
+  EXPECT_FALSE(twin.access(5, 5, AccessType::Write));
+  EXPECT_FALSE(twin.access(5, 5, AccessType::Read));  // still cold
+  EXPECT_TRUE(twin.access(5, 5, AccessType::Write));  // write hit
+  c.allocatePolicy = AllocatePolicy::WriteAllocate;
+  FullyAssocLru allocating(c);
+  EXPECT_FALSE(allocating.access(5, 5, AccessType::Write));
+  EXPECT_TRUE(allocating.access(5, 5, AccessType::Read));
+}
+
+TEST(FullyAssocLru, EvictionKeepsCollidingLinesFindable) {
+  // Many lines cycle through a small table so probe chains wrap and
+  // backward-shift deletion runs on every fill; a line just touched
+  // must always hit.
+  FullyAssocLru twin(dm(32, 4));  // 8 lines
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    const std::uint64_t line = (i * 2654435761u) % 61;
+    (void)twin.access(line, line, AccessType::Read);
+    ASSERT_TRUE(twin.access(line, line, AccessType::Read)) << i;
+  }
+}
+
+TEST(ConflictCounter, CountsStopAtTheBound) {
+  const Trace t = pingPongTrace(0, 64, 20, 0);  // 38 conflicts
+  EXPECT_EQ(countConflicts(dm(64, 8), t, ~std::uint64_t{0}), 38u);
+  EXPECT_EQ(countConflicts(dm(64, 8), t, 38), 38u);
+  EXPECT_EQ(countConflicts(dm(64, 8), t, 5), 5u);
+  EXPECT_EQ(countConflicts(dm(64, 8), t, 0), 0u);
+}
+
+TEST(ConflictCounter, MatchesClassifierOnRandomTraces) {
+  for (const std::uint64_t seed : {3u, 7u, 11u}) {
+    const Trace t = randomTrace(0, 2048, 3000, seed);
+    for (const std::uint32_t ways : {1u, 2u, 4u}) {
+      CacheConfig c = dm(256, 16);
+      c.associativity = ways;
+      EXPECT_EQ(countConflicts(c, t, ~std::uint64_t{0}),
+                classifyMisses(c, t).conflict)
+          << "seed " << seed << " ways " << ways;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace memx

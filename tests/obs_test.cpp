@@ -360,6 +360,12 @@ TEST(ObsIntegration, ExploreWithReportIsBitIdenticalToWithout) {
   EXPECT_GT(report.counter("stackdist.passes"), 0u);
   EXPECT_GE(report.counter("stackdist.accesses"),
             report.counter("trace.accesses"));
+  // Layout certification reports its probe effort once per assignment.
+  EXPECT_GT(report.counter("layout.cache_miss"), 0u);
+  EXPECT_GE(report.counter("layout.candidates_probed"),
+            report.counter("layout.cache_miss"));
+  EXPECT_GE(report.counter("layout.probe_refs"),
+            report.counter("layout.candidates_probed"));
 }
 
 TEST(ObsIntegration, ParallelReportCarriesWorkerSpans) {
