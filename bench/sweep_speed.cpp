@@ -115,9 +115,9 @@ int main() {
   }
 
   // Shared-trace one-pass engine, serial and parallel. Each serial rep
-  // runs on a pristine copy of `grid` (warm layouts, empty trace cache)
-  // so every rep generates the group traces from scratch, like the
-  // baseline regenerates its per-point traces. The serial timing itself
+  // runs on a copy of `grid` with warm layouts and generates the group
+  // traces from scratch, like the baseline regenerates its per-point
+  // traces. The serial timing itself
   // happens in the interleaved backend loop below so the backend
   // speedups pair measurements taken under the same machine conditions.
   double sharedSec = 1e30;
@@ -253,7 +253,7 @@ int main() {
   // seesaw on a busy machine even at best-of-9.
   auto timeExplore = [&](const Explorer& g, double& best,
                          std::vector<DesignPoint>& pts) {
-    const Explorer fresh = g;  // warm layouts, empty trace cache
+    const Explorer fresh = g;  // warm layouts
     const auto t0 = std::chrono::steady_clock::now();
     ExplorationResult r = fresh.explore(kernel);
     const double sec = seconds(t0, std::chrono::steady_clock::now());

@@ -25,30 +25,36 @@ MultiCacheSim::MultiCacheSim(const std::vector<CacheConfig>& configs,
   }
 }
 
-void MultiCacheSim::access(const MemRef& ref) {
-  MEMX_EXPECTS(ref.size > 0, "access size must be positive");
-  const std::uint64_t last = ref.addr + ref.size - 1;
-  for (const LineGroup& group : groups_) {
-    const std::uint64_t firstLine = ref.addr >> group.lineShift;
-    const std::uint64_t lastLine = last >> group.lineShift;
-    for (const std::size_t i : group.members) {
-      sims_[i].accessLinesFast(firstLine, lastLine, ref.type);
-    }
-  }
+void MultiCacheSim::run(const Trace& trace) {
+  feed(trace.refs().data(), trace.size());
 }
 
-void MultiCacheSim::run(const Trace& trace) {
-  // Blocked schedule: decompose the trace into line spans once per
+std::size_t MultiCacheSim::run(TraceSource& source, std::size_t chunkRefs) {
+  MEMX_EXPECTS(chunkRefs > 0, "chunkRefs must be positive");
+  std::vector<MemRef> chunk;
+  chunk.reserve(chunkRefs);
+  std::size_t fed = 0;
+  while (fillChunk(source, chunk, chunkRefs) > 0) {
+    feed(chunk.data(), chunk.size());
+    fed += chunk.size();
+  }
+  return fed;
+}
+
+void MultiCacheSim::feed(const MemRef* refs, std::size_t count) {
+  // Blocked schedule: decompose the block into line spans once per
   // distinct line size, then replay the spans member by member. The
   // members are independent, so this ordering is statistics-identical to
-  // the per-reference interleaving of access(), but each member's tag
-  // array stays cache-hot for the whole trace instead of the bank's
-  // combined footprint being touched on every reference.
+  // a per-reference interleaving (and to any split of the stream into
+  // blocks), but each member's tag array stays cache-hot for the whole
+  // block instead of the bank's combined footprint being touched on
+  // every reference.
   std::vector<LineSpan> spans;
-  spans.reserve(trace.size());
+  spans.reserve(count);
   for (const LineGroup& group : groups_) {
     spans.clear();
-    for (const MemRef& ref : trace) {
+    for (std::size_t r = 0; r < count; ++r) {
+      const MemRef& ref = refs[r];
       MEMX_EXPECTS(ref.size > 0, "access size must be positive");
       spans.push_back(LineSpan{ref.addr >> group.lineShift,
                                (ref.addr + ref.size - 1) >> group.lineShift,
@@ -56,32 +62,6 @@ void MultiCacheSim::run(const Trace& trace) {
     }
     for (const std::size_t i : group.members) {
       sims_[i].replaySpans(spans.data(), spans.size());
-    }
-  }
-}
-
-void MultiCacheSim::run(TraceSource& source, std::size_t chunkRefs) {
-  MEMX_EXPECTS(chunkRefs > 0, "chunkRefs must be positive");
-  std::vector<MemRef> chunk;
-  chunk.reserve(chunkRefs);
-  std::vector<LineSpan> spans;
-  spans.reserve(chunkRefs);
-  while (fillChunk(source, chunk, chunkRefs) > 0) {
-    // Same blocked schedule as run(Trace), per chunk: members are
-    // independent, so chunking does not change any member's probe
-    // sequence and the statistics stay bit-identical.
-    for (const LineGroup& group : groups_) {
-      spans.clear();
-      for (const MemRef& ref : chunk) {
-        MEMX_EXPECTS(ref.size > 0, "access size must be positive");
-        spans.push_back(
-            LineSpan{ref.addr >> group.lineShift,
-                     (ref.addr + ref.size - 1) >> group.lineShift,
-                     ref.type});
-      }
-      for (const std::size_t i : group.members) {
-        sims_[i].replaySpans(spans.data(), spans.size());
-      }
     }
   }
 }

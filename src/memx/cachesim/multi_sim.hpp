@@ -7,8 +7,7 @@
 // run() computes it once per distinct line size in the bank and replays
 // the resulting spans member by member — a blocked schedule that keeps
 // each member's tag array cache-hot for the whole trace instead of
-// touching the bank's combined footprint on every reference. access()
-// offers the per-reference interleaving for streaming use.
+// touching the bank's combined footprint on every reference.
 //
 // Statistics are bit-identical to running each CacheSim independently:
 // members receive exactly the same probe sequence they would see alone,
@@ -31,9 +30,6 @@ public:
   explicit MultiCacheSim(const std::vector<CacheConfig>& configs,
                          std::uint64_t rngSeed = 1);
 
-  /// Present one reference to every member.
-  void access(const MemRef& ref);
-
   /// Run a whole trace through the bank (one pass over `trace`).
   void run(const Trace& trace);
 
@@ -41,10 +37,11 @@ public:
   /// references, so out-of-core traces replay in bounded memory. Each
   /// chunk uses the same blocked schedule as run(Trace) — members are
   /// independent, so the result is bit-identical to materializing the
-  /// stream first. Callable repeatedly; cache state persists, which is
-  /// how the streamed drivers split warmup from counted references.
-  void run(TraceSource& source,
-           std::size_t chunkRefs = kDefaultTraceChunkRefs);
+  /// stream first. Callable repeatedly (as is run(Trace)); cache state
+  /// persists, which is how streamed trace sweeps split warmup from
+  /// counted references. Returns the number of references drained.
+  std::size_t run(TraceSource& source,
+                  std::size_t chunkRefs = kDefaultTraceChunkRefs);
 
   /// Drop all contents and statistics (configurations are kept).
   void reset();
@@ -56,9 +53,12 @@ public:
   [[nodiscard]] const CacheStats& stats(std::size_t i) const {
     return sims_[i].stats();
   }
-  [[nodiscard]] const CacheSim& sim(std::size_t i) const { return sims_[i]; }
 
 private:
+  /// The one replay core behind both run() overloads: one block of
+  /// references through every member, on the blocked schedule.
+  void feed(const MemRef* refs, std::size_t count);
+
   /// Members sharing one line size, so one access decomposition serves
   /// all of them.
   struct LineGroup {

@@ -1,15 +1,18 @@
 #include "memx/core/explorer.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 #include <utility>
 
 #include "memx/cachesim/bus_monitor.hpp"
 #include "memx/cachesim/cache_sim.hpp"
-#include "memx/cachesim/multi_sim.hpp"
+#include "memx/core/config_bank.hpp"
+#include "memx/core/parallel_explorer.hpp"
 #include "memx/layout/offchip_assign.hpp"
 #include "memx/loopir/trace_gen.hpp"
 #include "memx/obs/recorder.hpp"
-#include "memx/stackdist/stackdist_sim.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 #include "memx/util/numeric_io.hpp"
@@ -36,6 +39,48 @@ SweepBackend parseSweepBackend(const std::string& name) {
   if (name == "stackdist") return SweepBackend::StackDist;
   throw ContractViolation("unknown sweep backend \"" + name +
                           "\" (expected auto, multisim or stackdist)");
+}
+
+namespace {
+
+/// True iff a sweep with this replacement policy can run analytically.
+/// configFor() always leaves allocatePolicy at WriteAllocate, so the
+/// replacement policy is the whole domain check: LRU sweeps read a
+/// Hill-Smith stack-distance profile, FIFO and tree-PLRU sweeps read a
+/// single-pass policy-grid profile, and only Random (whose victims come
+/// from a simulator-owned rng stream) must simulate. Every statistic
+/// the models read is exact for both write policies: write-through
+/// memWrites are one word store per write probe, and write-back
+/// writebacks fall out of each profile's dirty accounting, so
+/// includeWriteEnergy never forces simulation.
+bool analyticDomain(ReplacementPolicy replacement) noexcept {
+  return replacement != ReplacementPolicy::Random;
+}
+
+}  // namespace
+
+SweepBackend resolveBackend(const ExploreOptions& options) noexcept {
+  if (options.backend != SweepBackend::Auto) return options.backend;
+  return analyticDomain(options.replacement) ? SweepBackend::StackDist
+                                             : SweepBackend::MultiSim;
+}
+
+DesignPoint foldPoint(const ExploreOptions& options,
+                      const CycleModel& cycleModel,
+                      const CacheConfig& config, std::uint32_t tiling,
+                      const CacheStats& stats, double addBs) {
+  const CacheEnergyModel energyModel(config, options.energy, addBs);
+  DesignPoint point;
+  point.key = ConfigKey{config.sizeBytes, config.lineBytes,
+                        config.associativity, tiling};
+  point.accesses = stats.accesses();
+  point.missRate = stats.missRate();
+  point.cycles = cycleModel.cycles(stats, config, tiling);
+  point.energyNj = options.includeWriteEnergy
+                       ? energyModel.totalIncludingWritesNj(stats)
+                       : energyModel.totalNj(stats);
+  point.energyNj += energyModel.leakageNj(point.cycles);
+  return point;
 }
 
 std::string canonicalRangesKey(const ExploreRanges& r) {
@@ -98,13 +143,7 @@ std::string canonicalModelKey(const ExploreOptions& options) {
   // Auto collapses to its resolution so an Auto run and the equivalent
   // forced run share cache entries (their points are bit-identical by
   // the golden forced-backend equality gates).
-  SweepBackend backend = options.backend;
-  if (backend == SweepBackend::Auto) {
-    backend = options.replacement != ReplacementPolicy::Random
-                  ? SweepBackend::StackDist
-                  : SweepBackend::MultiSim;
-  }
-  key += "backend=" + toString(backend);
+  key += "backend=" + toString(resolveBackend(options));
   return key;
 }
 
@@ -281,25 +320,11 @@ Explorer::Explorer(ExploreOptions options)
 }
 
 bool Explorer::stackDistEligible() const noexcept {
-  // configFor() always leaves allocatePolicy at WriteAllocate, so the
-  // replacement policy is the whole domain check: LRU sweeps read a
-  // Hill-Smith stack-distance profile, FIFO and tree-PLRU sweeps read
-  // a single-pass policy-grid profile, and only Random (whose victims
-  // come from a simulator-owned rng stream) must simulate. Every
-  // statistic the models read is exact for both write policies:
-  // write-through memWrites are one word store per write probe, and
-  // write-back writebacks fall out of each profile's dirty accounting,
-  // so includeWriteEnergy never forces simulation.
-  return options_.replacement != ReplacementPolicy::Random;
+  return analyticDomain(options_.replacement);
 }
 
 SweepBackend Explorer::resolvedBackend() const noexcept {
-  if (options_.backend == SweepBackend::MultiSim) return SweepBackend::MultiSim;
-  if (options_.backend == SweepBackend::StackDist) {
-    return SweepBackend::StackDist;  // eligibility enforced at construction
-  }
-  return stackDistEligible() ? SweepBackend::StackDist
-                             : SweepBackend::MultiSim;
+  return resolveBackend(options_);
 }
 
 std::string Explorer::kernelTag(const Kernel& kernel) const {
@@ -357,24 +382,6 @@ double Explorer::addrActivityFor(const Trace& trace) const {
                                      : kDefaultAddrSwitchesPerAccess;
 }
 
-DesignPoint Explorer::makePoint(const CacheConfig& config,
-                                std::uint32_t tiling,
-                                const CacheStats& stats,
-                                double addBs) const {
-  const CacheEnergyModel energyModel(config, options_.energy, addBs);
-  DesignPoint point;
-  point.key = ConfigKey{config.sizeBytes, config.lineBytes,
-                        config.associativity, tiling};
-  point.accesses = stats.accesses();
-  point.missRate = stats.missRate();
-  point.cycles = cycleModel_.cycles(stats, config, tiling);
-  point.energyNj = options_.includeWriteEnergy
-                       ? energyModel.totalIncludingWritesNj(stats)
-                       : energyModel.totalNj(stats);
-  point.energyNj += energyModel.leakageNj(point.cycles);
-  return point;
-}
-
 DesignPoint Explorer::evaluate(const Kernel& kernel,
                                const CacheConfig& cache,
                                std::uint32_t tiling) const {
@@ -398,7 +405,8 @@ DesignPoint Explorer::evaluate(const Kernel& kernel,
       tiled ? generateTrace(*tiled, layout) : generateTrace(kernel, layout);
 
   const CacheStats stats = simulateTrace(config, trace);
-  return makePoint(config, tiling, stats, addrActivityFor(trace));
+  return foldPoint(options_, cycleModel_, config, tiling, stats,
+                   addrActivityFor(trace));
 }
 
 std::vector<ConfigKey> Explorer::sweepKeys() const {
@@ -516,100 +524,117 @@ void Explorer::evaluateGroup(const SweepPlan::Group& group,
   for (const std::size_t idx : group.keyIndices) {
     configs.push_back(configFor(keys[idx]));
   }
-  if (group.backend == SweepBackend::StackDist) {
-    StackDistSim bank(configs);
-    bank.run(trace);
-    for (std::size_t j = 0; j < group.keyIndices.size(); ++j) {
-      const std::size_t idx = group.keyIndices[j];
-      out[idx] = makePoint(configs[j], keys[idx].tiling, bank.stats(j),
-                           addrActivity);
-    }
-    if (recorder_ != nullptr) {
-      recorder_->counter("sweep.groups").add();
-      recorder_->counter("sweep.groups_stackdist").add();
-      recorder_->counter("sweep.points").add(group.keyIndices.size());
-      recorder_->counter("stackdist.passes").add(bank.passCount());
-      // FIFO/PLRU groups run as single-pass grid simulations; count
-      // those passes and the (sets, ways) cells they cover so sweep
-      // reports show how much of the run the grid engine carried.
-      recorder_->counter("stackdist.grid_passes").add(bank.gridPassCount());
-      recorder_->counter("stackdist.grid_cells").add(bank.gridCellCount());
-      // Trace references actually profiled (one pass per line size),
-      // versus the trace.size() * configs a simulating backend pays.
-      recorder_->counter("stackdist.accesses")
-          .add(trace.size() * bank.passCount());
-      // Dirty evictions the analytic pass charged across the group's
-      // member configs (0 for write-through runs, where lines never
-      // dirty) — the write-back traffic the energy model sees.
-      std::uint64_t dirtyEvictions = 0;
-      for (std::size_t j = 0; j < group.keyIndices.size(); ++j) {
-        dirtyEvictions += bank.stats(j).writebacks;
-      }
-      recorder_->counter("stackdist.dirty_evictions").add(dirtyEvictions);
-    }
-    return;
-  }
-  MultiCacheSim bank(configs);
+  ConfigBank bank(group.backend, configs);
   bank.run(trace);
+  bank.record(recorder_);
   for (std::size_t j = 0; j < group.keyIndices.size(); ++j) {
     const std::size_t idx = group.keyIndices[j];
-    out[idx] =
-        makePoint(configs[j], keys[idx].tiling, bank.stats(j), addrActivity);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->counter("sweep.groups").add();
-    recorder_->counter("sweep.groups_multisim").add();
-    recorder_->counter("sweep.points").add(group.keyIndices.size());
-    recorder_->counter("sim.accesses")
-        .add(trace.size() * group.keyIndices.size());
+    out[idx] = foldPoint(options_, cycleModel_, configs[j], keys[idx].tiling,
+                         bank.stats(j), addrActivity);
   }
 }
 
-const Explorer::TraceEntry& Explorer::traceFor(
-    const Kernel& kernel, const SweepPlan::Group& group,
-    PatternCache& patterns) const {
-  auto it = traceCache_.find(group.traceKey);
-  if (it == traceCache_.end()) {
-    if (recorder_ != nullptr) recorder_->counter("trace.cache_miss").add();
-    TraceEntry entry;
-    entry.trace = buildGroupTrace(kernel, group, patterns);
-    entry.addrActivity = addrActivityFor(entry.trace);
-    it = traceCache_.emplace(group.traceKey, std::move(entry)).first;
-  } else if (recorder_ != nullptr) {
-    recorder_->counter("trace.cache_hit").add();
-    recorder_->counter("trace.cache_hit_bytes")
-        .add(it->second.trace.size() * sizeof(MemRef));
+namespace {
+
+/// The one sweep loop behind explore() and exploreParallel(): plan on
+/// the calling thread (it fills the layout memo the group pointers
+/// alias), then drain the group queue with `threads` workers — on the
+/// calling thread itself when threads == 1. Each group's trace is
+/// materialized, evaluated and dropped; patterns are memoized per
+/// worker, so the nest walk happens at most once per distinct tiling
+/// per worker.
+ExplorationResult drainSweep(const Explorer& grid, const Kernel& kernel,
+                             unsigned threads) {
+  obs::Recorder* const recorder = grid.recorder();
+  const SweepPlan plan = grid.planSweep(kernel, grid.sweepKeys());
+  threads = std::min<unsigned>(
+      threads, static_cast<unsigned>(std::max<std::size_t>(
+                   1, plan.groups.size())));
+  if (recorder != nullptr) {
+    recorder->counter("parallel.workers").add(threads);
   }
-  return it->second;
+
+  std::vector<DesignPoint> points(plan.keys.size());
+  std::atomic<std::size_t> nextGroup{0};
+  std::atomic<bool> failed{false};
+  const auto drain = [&] {
+    // One span per worker covering its whole queue drain: the exported
+    // timeline shows each worker's share of the group queue, and the
+    // report folds these into per-worker busy time and utilization.
+    const obs::ScopedSpan span(recorder, "worker.drain");
+    Explorer::PatternCache patterns;
+    for (;;) {
+      const std::size_t g = nextGroup.fetch_add(1, std::memory_order_relaxed);
+      if (g >= plan.groups.size() || failed.load(std::memory_order_relaxed)) {
+        break;
+      }
+      if (recorder != nullptr) {
+        recorder->counter("parallel.groups_claimed").add();
+      }
+      const SweepPlan::Group& group = plan.groups[g];
+      const Trace trace = grid.buildGroupTrace(kernel, group, patterns);
+      grid.evaluateGroup(group, trace, grid.addrActivityFor(trace),
+                         plan.keys, points);
+    }
+  };
+
+  if (threads == 1) {
+    drain();
+  } else {
+    // Exceptions are captured per worker and the first is rethrown on
+    // the calling thread after all workers joined, so none reaches a
+    // thread boundary.
+    std::vector<std::exception_ptr> errors(threads);
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        try {
+          drain();
+        } catch (...) {
+          errors[t] = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
+  }
+
+  ExplorationResult result;
+  result.workload = kernel.name;
+  result.points = std::move(points);
+  return result;
 }
+
+}  // namespace
 
 ExplorationResult Explorer::explore(const Kernel& kernel) const {
   const obs::ScopedSpan span(recorder_, "explore");
-  const SweepPlan plan = planSweep(kernel, sweepKeys());
-  ExplorationResult result;
-  result.workload = kernel.name;
-  result.points.resize(plan.keys.size());
-  PatternCache patterns;
-  for (const SweepPlan::Group& group : plan.groups) {
-    const TraceEntry& entry = traceFor(kernel, group, patterns);
-    evaluateGroup(group, entry.trace, entry.addrActivity, plan.keys,
-                  result.points);
+  return drainSweep(*this, kernel, 1);
+}
+
+ExplorationResult exploreParallel(const Kernel& kernel,
+                                  const ExploreOptions& options,
+                                  unsigned threads) {
+  const Explorer grid(options);
+  return exploreParallel(grid, kernel, threads);
+}
+
+ExplorationResult exploreParallel(const Explorer& grid, const Kernel& kernel,
+                                  unsigned threads) {
+  const obs::ScopedSpan span(grid.recorder(), "exploreParallel");
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  return result;
+  return drainSweep(grid, kernel, threads);
 }
 
 void Explorer::clearCaches() noexcept {
   layoutCache_.clear();
-  traceCache_.clear();
   ++cacheGeneration_;
-}
-
-std::size_t Explorer::traceCacheBytes() const noexcept {
-  std::size_t bytes = 0;
-  for (const auto& [key, entry] : traceCache_) {
-    bytes += key.size() + entry.trace.size() * sizeof(MemRef);
-  }
-  return bytes;
 }
 
 }  // namespace memx

@@ -12,17 +12,17 @@
 // tiled) kernel under the chosen off-chip layout, then run through the
 // paper's cycle and energy models.
 //
-// The sweep hot path is trace-reusing and one-pass: the reference trace
-// of a design point depends only on the tiling B and the memory layout,
-// so explore() groups the (T, L, S, B) grid by (B, layout signature),
-// generates each distinct trace once (cached in a TraceCache keyed like
-// the layout memo), and evaluates every configuration of a group against
-// the shared immutable trace in a single pass. Two backends exist for
-// that pass: a MultiCacheSim bank (simulates every config; any policy)
-// and StackDistSim (one stack-distance profile per line size serves all
-// (T, S) at once; LRU/write-allocate only). SweepBackend::Auto picks
-// StackDist whenever the run's policies allow it. Results are
-// bit-identical to evaluating each point in isolation either way.
+// Every sweep surface runs one pipeline: source -> plan -> bank -> fold.
+// The trace of a design point depends only on the tiling B and the memory
+// layout, so planSweep() groups the (T, L, S, B) grid by (B, layout
+// signature); explore() and exploreParallel() drain the groups, feeding
+// each group's trace once through a ConfigBank (core/config_bank.hpp)
+// and dropping it. Fixed-trace sweeps (core/trace_explorer.hpp) feed the
+// same bank. foldPoint() turns every member's statistics into a point.
+// The bank's engine is resolveBackend(options): simulation, or one
+// stack-distance / policy-grid profile per line size serving every
+// (T, S) at once (LRU, FIFO and tree-PLRU, both write policies). Results
+// are bit-identical to evaluating each point in isolation either way.
 #pragma once
 
 #include <cstdint>
@@ -110,6 +110,23 @@ struct ExploreOptions {
   /// its domain is rejected at Explorer construction.
   SweepBackend backend = SweepBackend::Auto;
 };
+
+/// The engine a sweep under `options` runs on: explicit choices pass
+/// through; Auto resolves to StackDist when the replacement policy is in
+/// the analytic domain (anything but Random), else MultiSim. The one
+/// backend resolution: Explorer, the trace sweeps and canonicalModelKey
+/// all call it, and a ConfigBank is built from its answer.
+[[nodiscard]] SweepBackend resolveBackend(const ExploreOptions& options) noexcept;
+
+/// Fold one configuration's statistics into a DesignPoint through the
+/// paper's cycle and energy models: cycles with the tiling term B,
+/// energy with write traffic when options.includeWriteEnergy, plus
+/// leakage over those cycles. Every sweep surface folds through this.
+[[nodiscard]] DesignPoint foldPoint(const ExploreOptions& options,
+                                    const CycleModel& cycleModel,
+                                    const CacheConfig& config,
+                                    std::uint32_t tiling,
+                                    const CacheStats& stats, double addBs);
 
 /// Stable text form of the sweep bounds alone. Part of
 /// canonicalExploreKey; exposed separately so the serve result store
@@ -265,7 +282,9 @@ public:
                                      std::uint32_t tiling = 1) const;
 
   /// Run the full MemExplore sweep over `kernel` on the shared-trace
-  /// one-pass engine. Bit-identical to calling evaluate() per sweep key.
+  /// one-pass engine: the serial case of exploreParallel's group drain,
+  /// on the calling thread. Bit-identical to calling evaluate() per
+  /// sweep key.
   [[nodiscard]] ExplorationResult explore(const Kernel& kernel) const;
 
   /// Multi-objective NSGA-II search over the joint design space,
@@ -297,8 +316,9 @@ public:
                                       PatternCache& patterns) const;
 
   /// Evaluate every key of `group` against its shared trace in one
-  /// MultiCacheSim pass, writing results into `out` at the keys'
-  /// positions. Touches no mutable Explorer state (thread-safe).
+  /// ConfigBank pass on the group's engine, writing results into `out`
+  /// at the keys' positions. Touches no mutable Explorer state
+  /// (thread-safe).
   void evaluateGroup(const SweepPlan::Group& group, const Trace& trace,
                      double addrActivity,
                      const std::vector<ConfigKey>& keys,
@@ -312,8 +332,7 @@ public:
   /// write-energy sweeps stay analytic too.
   [[nodiscard]] bool stackDistEligible() const noexcept;
 
-  /// The engine sweeps will actually use: Auto resolves to StackDist
-  /// when eligible, else MultiSim; explicit choices pass through.
+  /// The engine sweeps will actually use: resolveBackend(options()).
   [[nodiscard]] SweepBackend resolvedBackend() const noexcept;
 
   /// Add_bs for `trace` under the configured measurement option.
@@ -322,16 +341,12 @@ public:
   /// CacheConfig for a sweep key with this run's policies applied.
   [[nodiscard]] CacheConfig configFor(const ConfigKey& key) const;
 
-  /// Drop the memoized layouts and traces and bump the cache
-  /// generation: outstanding SweepPlans become stale and every
+  /// Drop the memoized layouts and bump the cache generation:
+  /// outstanding SweepPlans become stale and every
   /// buildGroupTrace/evaluateGroup call on them throws a
   /// ContractViolation (re-plan with planSweep() to continue). The
-  /// caches only ever grow otherwise; see traceCacheBytes() for the
-  /// footprint.
+  /// layout memo only ever grows otherwise.
   void clearCaches() noexcept;
-
-  /// Approximate heap footprint of the trace cache in bytes.
-  [[nodiscard]] std::size_t traceCacheBytes() const noexcept;
 
   /// Attach an observability recorder (nullptr detaches). Not owned;
   /// must outlive every exploration call made through this Explorer.
@@ -364,25 +379,6 @@ private:
                                 std::uint32_t traceTiling,
                                 PatternCache& probes) const;
 
-  /// A shared immutable trace plus its measured bus activity.
-  struct TraceEntry {
-    Trace trace;
-    double addrActivity = 0.0;
-  };
-
-  /// Memoized trace per SweepPlan::Group::traceKey (serial use only;
-  /// the parallel explorer materializes worker-local traces instead).
-  const TraceEntry& traceFor(const Kernel& kernel,
-                             const SweepPlan::Group& group,
-                             PatternCache& patterns) const;
-
-  /// Fold simulated stats into a DesignPoint via the paper's cycle and
-  /// energy models (the shared tail of both evaluation paths).
-  [[nodiscard]] DesignPoint makePoint(const CacheConfig& config,
-                                      std::uint32_t tiling,
-                                      const CacheStats& stats,
-                                      double addBs) const;
-
   ExploreOptions options_;
   CycleModel cycleModel_;
   obs::Recorder* recorder_ = nullptr;
@@ -390,7 +386,6 @@ private:
   /// cleared, so tags stay stable across clearCaches().
   mutable std::map<std::string, std::size_t> kernelIds_;
   mutable std::map<std::string, MemoryLayout> layoutCache_;
-  mutable std::map<std::string, TraceEntry> traceCache_;
   /// Bumped by clearCaches(); plans stamped with an older generation
   /// are rejected before their dangling layout pointers can be read.
   mutable std::uint64_t cacheGeneration_ = 0;

@@ -5,8 +5,9 @@
 // trace. Workers claim whole groups from a shared counter; each worker
 // materializes the group's trace once (with a worker-local access-pattern
 // cache) and evaluates the group's configuration bank against it in a
-// single MultiCacheSim pass. Results are identical to the serial sweep,
-// in the same key order.
+// single ConfigBank pass. Explorer::explore() is the same drain with one
+// worker on the calling thread, so results are identical to the serial
+// sweep, in the same key order.
 //
 // Exceptions thrown inside a worker (for example a contract violation
 // while generating a kernel's trace) are captured per worker and the

@@ -1,28 +1,14 @@
 #include "memx/core/trace_explorer.hpp"
 
+#include <utility>
+
 #include "memx/cachesim/bus_monitor.hpp"
-#include "memx/cachesim/cache_sim.hpp"
-#include "memx/cachesim/multi_sim.hpp"
-#include "memx/stackdist/stackdist_sim.hpp"
+#include "memx/core/config_bank.hpp"
 #include "memx/timing/cycle_model.hpp"
 
 namespace memx {
 
 namespace {
-
-DesignPoint foldTracePoint(const CacheConfig& config, const CacheStats& stats,
-                           double addBs, const ExploreOptions& options,
-                           const CycleModel& cycleModel) {
-  const CacheEnergyModel energyModel(config, options.energy, addBs);
-  DesignPoint point;
-  point.key = ConfigKey{config.sizeBytes, config.lineBytes,
-                        config.associativity, 1};
-  point.accesses = stats.accesses();
-  point.missRate = stats.missRate();
-  point.cycles = cycleModel.cycles(stats, config, 1);
-  point.energyNj = energyModel.totalNj(stats);
-  return point;
-}
 
 /// Tees every delivered reference into a BusMonitor (when measuring bus
 /// activity) on its way to the replay loop, so the streamed path gets
@@ -46,35 +32,45 @@ private:
   BusMonitor* bus_;
 };
 
-/// Counted-region results of one streamed replay.
-struct StreamedReplay {
-  std::vector<CacheStats> stats;  ///< per-member, warmup excluded
-  double addBs = 0.0;             ///< counted-region Add_bs
+/// What a replay leaves besides the bank's state: each member's
+/// counted statistics are its bank stats minus `base`.
+struct Replay {
+  std::vector<CacheStats> base;  ///< per-member warmup-boundary snapshot
+  double addBs = 0.0;            ///< counted-region Add_bs
 };
 
-/// Drive `bank` (MultiCacheSim or StackDistSim — same run/stats
-/// interface) from `source` under `window`. Warmup exclusion is a
+/// Replay an in-memory trace through `bank`: no copy, no per-reference
+/// pull.
+Replay replayTrace(ConfigBank& bank, const Trace& trace,
+                   const ExploreOptions& options) {
+  bank.run(trace);
+  return {std::vector<CacheStats>(bank.size()),
+          options.measureBusActivity ? measureAddrActivity(trace)
+                                     : kDefaultAddrSwitchesPerAccess};
+}
+
+/// Drive `bank` from `source` under `window`. Warmup exclusion is a
 /// snapshot subtraction: every CacheStats and BusStats field is an
 /// additive accumulator, so counted = end - warmup boundary.
-template <typename Bank>
-StreamedReplay replayStreamed(Bank& bank, std::size_t members,
-                              TraceSource& source, const TraceWindow& window,
-                              bool measureBus, std::size_t chunkRefs,
-                              obs::Recorder* recorder) {
+Replay replayStreamed(ConfigBank& bank, TraceSource& source,
+                      const TraceWindow& window,
+                      const ExploreOptions& options, std::size_t chunkRefs,
+                      obs::Recorder* recorder) {
   obs::ScopedSpan ingestSpan(recorder, "trace.ingest");
   const IngestStats ingestBase = source.ingest();
 
   WindowedSource windowed(source, window);
   BusMonitor bus;
-  MeterSource metered(windowed, measureBus ? &bus : nullptr);
+  MeterSource metered(windowed,
+                      options.measureBusActivity ? &bus : nullptr);
 
-  std::vector<CacheStats> base(members);
+  std::vector<CacheStats> base(bank.size());
   BusStats busBase;
   if (window.warmup > 0) {
     obs::ScopedSpan warmSpan(recorder, "trace.warmup");
     WindowedSource warm(metered, TraceWindow{0, 0, window.warmup});
     bank.run(warm, chunkRefs);
-    for (std::size_t i = 0; i < members; ++i) base[i] = bank.stats(i);
+    for (std::size_t i = 0; i < bank.size(); ++i) base[i] = bank.stats(i);
     busBase = bus.stats();
   }
   {
@@ -88,12 +84,13 @@ StreamedReplay replayStreamed(Bank& bank, std::size_t members,
         .add(ingestEnd.bytesRead - ingestBase.bytesRead);
     recorder->counter("trace.refs_decoded")
         .add(ingestEnd.refsDecoded - ingestBase.refsDecoded);
+    bank.record(recorder);
   }
 
-  StreamedReplay out;
-  out.stats.reserve(members);
-  for (std::size_t i = 0; i < members; ++i) {
-    out.stats.push_back(bank.stats(i) - base[i]);
+  Replay out{std::move(base), 0.0};
+  if (!options.measureBusActivity) {
+    out.addBs = kDefaultAddrSwitchesPerAccess;
+    return out;
   }
   const BusStats busEnd = bus.stats();
   const std::uint64_t busAccesses = busEnd.accesses - busBase.accesses;
@@ -109,59 +106,76 @@ StreamedReplay replayStreamed(Bank& bank, std::size_t members,
   return out;
 }
 
-}  // namespace
+/// Replay through one bank over `configs` on `backend` and fold every
+/// member. Tiling is not applicable to a fixed trace: B = 1.
+template <typename Feed>
+std::vector<DesignPoint> foldTrace(const ExploreOptions& options,
+                                   SweepBackend backend,
+                                   const std::vector<CacheConfig>& configs,
+                                   Feed&& feed) {
+  ConfigBank bank(backend, configs);
+  const Replay replay = feed(bank);
+  const CycleModel cycleModel(options.timing);
+  std::vector<DesignPoint> points;
+  points.reserve(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    points.push_back(foldPoint(options, cycleModel, configs[i], 1,
+                               bank.stats(i) - replay.base[i],
+                               replay.addBs));
+  }
+  return points;
+}
 
-DesignPoint evaluateTracePoint(const Trace& trace, const CacheConfig& cache,
-                               const ExploreOptions& options) {
+/// One configuration with the run's policies applied, evaluated by a
+/// one-member simulation bank (the same default seed a standalone
+/// simulateTrace uses).
+template <typename Feed>
+DesignPoint evaluatePoint(const CacheConfig& cache,
+                          const ExploreOptions& options, Feed&& feed) {
   cache.validate();
   options.energy.validate();
-
   CacheConfig config = cache;
   config.writePolicy = options.writePolicy;
   config.replacement = options.replacement;
-
-  const CacheStats stats = simulateTrace(config, trace);
-  const double addBs = options.measureBusActivity
-                           ? measureAddrActivity(trace)
-                           : kDefaultAddrSwitchesPerAccess;
-  const CycleModel cycleModel(options.timing);
-  return foldTracePoint(config, stats, addBs, options, cycleModel);
+  return foldTrace(options, SweepBackend::MultiSim, {config}, feed).front();
 }
 
-ExplorationResult exploreTrace(const std::string& name, const Trace& trace,
-                               const ExploreOptions& options) {
+/// Every (T, L, S) of `options.ranges` as one bank on the resolved
+/// backend: a single replay, with the bus activity measured once
+/// instead of per point.
+template <typename Feed>
+ExplorationResult sweepTrace(const std::string& name,
+                             const ExploreOptions& options, Feed&& feed) {
   ExploreOptions o = options;
   o.ranges.sweepTiling = false;
   const Explorer grid(o);  // reuse the sweep-key generator; validates
 
-  // The trace is fixed, so the whole (T, L, S) grid is one config bank:
-  // a single trace pass, with the bus activity measured once instead of
-  // per point. The bank honors the same backend resolution explore()
-  // uses (stack-distance profiles for LRU/write-allocate runs,
-  // MultiCacheSim otherwise).
-  const std::vector<ConfigKey> keys = grid.sweepKeys();
-  std::vector<CacheConfig> configs;
-  configs.reserve(keys.size());
-  for (const ConfigKey& key : keys) configs.push_back(grid.configFor(key));
-
   ExplorationResult result;
   result.workload = name;
-  if (keys.empty()) return result;
-
-  const std::vector<CacheStats> stats =
-      grid.resolvedBackend() == SweepBackend::StackDist
-          ? stackDistStats(configs, trace)
-          : simulateTraceMulti(configs, trace);
-  const double addBs = o.measureBusActivity
-                           ? measureAddrActivity(trace)
-                           : kDefaultAddrSwitchesPerAccess;
-  const CycleModel cycleModel(o.timing);
-  result.points.reserve(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    result.points.push_back(
-        foldTracePoint(configs[i], stats[i], addBs, o, cycleModel));
+  std::vector<CacheConfig> configs;
+  for (const ConfigKey& key : grid.sweepKeys()) {
+    configs.push_back(grid.configFor(key));
+  }
+  if (!configs.empty()) {
+    result.points = foldTrace(o, grid.resolvedBackend(), configs, feed);
   }
   return result;
+}
+
+}  // namespace
+
+DesignPoint evaluateTracePoint(const Trace& trace, const CacheConfig& cache,
+                               const ExploreOptions& options) {
+  return evaluatePoint(cache, options, [&](ConfigBank& bank) {
+    return replayTrace(bank, trace, options);
+  });
+}
+
+ExplorationResult exploreTrace(const std::string& name, const Trace& trace,
+                               const ExploreOptions& options) {
+  return sweepTrace(name, options, [&](ConfigBank& bank) {
+    return replayTrace(bank, trace, options);
+  });
 }
 
 DesignPoint evaluateTracePoint(TraceSource& source, const CacheConfig& cache,
@@ -169,25 +183,10 @@ DesignPoint evaluateTracePoint(TraceSource& source, const CacheConfig& cache,
                                const TraceWindow& window,
                                std::size_t chunkRefs,
                                obs::Recorder* recorder) {
-  cache.validate();
-  options.energy.validate();
-
-  CacheConfig config = cache;
-  config.writePolicy = options.writePolicy;
-  config.replacement = options.replacement;
-
-  // A one-member MultiCacheSim bank replays exactly as simulateTrace
-  // does (same default seed), so the trivial-window result matches the
-  // Trace overload bit for bit.
-  MultiCacheSim bank({config});
-  const StreamedReplay replay =
-      replayStreamed(bank, 1, source, window, options.measureBusActivity,
-                     chunkRefs, recorder);
-  const double addBs = options.measureBusActivity
-                           ? replay.addBs
-                           : kDefaultAddrSwitchesPerAccess;
-  const CycleModel cycleModel(options.timing);
-  return foldTracePoint(config, replay.stats[0], addBs, options, cycleModel);
+  return evaluatePoint(cache, options, [&](ConfigBank& bank) {
+    return replayStreamed(bank, source, window, options, chunkRefs,
+                          recorder);
+  });
 }
 
 ExplorationResult exploreTrace(const std::string& name, TraceSource& source,
@@ -195,41 +194,10 @@ ExplorationResult exploreTrace(const std::string& name, TraceSource& source,
                                const TraceWindow& window,
                                std::size_t chunkRefs,
                                obs::Recorder* recorder) {
-  ExploreOptions o = options;
-  o.ranges.sweepTiling = false;
-  const Explorer grid(o);  // reuse the sweep-key generator; validates
-
-  const std::vector<ConfigKey> keys = grid.sweepKeys();
-  std::vector<CacheConfig> configs;
-  configs.reserve(keys.size());
-  for (const ConfigKey& key : keys) configs.push_back(grid.configFor(key));
-
-  ExplorationResult result;
-  result.workload = name;
-  if (keys.empty()) return result;
-
-  // One bank, one pass over the stream, same backend resolution as the
-  // Trace overload. The two bank types share the run/stats interface,
-  // so one driver serves both.
-  StreamedReplay replay;
-  if (grid.resolvedBackend() == SweepBackend::StackDist) {
-    StackDistSim bank(configs);
-    replay = replayStreamed(bank, configs.size(), source, window,
-                            o.measureBusActivity, chunkRefs, recorder);
-  } else {
-    MultiCacheSim bank(configs);
-    replay = replayStreamed(bank, configs.size(), source, window,
-                            o.measureBusActivity, chunkRefs, recorder);
-  }
-  const double addBs = o.measureBusActivity ? replay.addBs
-                                            : kDefaultAddrSwitchesPerAccess;
-  const CycleModel cycleModel(o.timing);
-  result.points.reserve(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    result.points.push_back(
-        foldTracePoint(configs[i], replay.stats[i], addBs, o, cycleModel));
-  }
-  return result;
+  return sweepTrace(name, options, [&](ConfigBank& bank) {
+    return replayStreamed(bank, source, window, options, chunkRefs,
+                          recorder);
+  });
 }
 
 }  // namespace memx

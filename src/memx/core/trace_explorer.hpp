@@ -41,8 +41,13 @@ namespace memx {
 // stats are end-of-run minus the warmup-boundary snapshot.
 //
 // `recorder`, when non-null, receives `trace.bytes_read` /
-// `trace.refs_decoded` counter deltas (from the source's IngestStats)
-// and `trace.ingest` / `trace.warmup` / `trace.replay` spans.
+// `trace.refs_decoded` counter deltas (from the source's IngestStats),
+// the bank's `sweep.*` and engine counters (see ConfigBank::record), and
+// `trace.ingest` / `trace.warmup` / `trace.replay` spans.
+//
+// Every overload replays through one ConfigBank and folds with
+// foldPoint(), so write energy, leakage and timing apply exactly as in
+// a kernel sweep.
 
 /// Streamed single-configuration evaluation (simulation backend).
 [[nodiscard]] DesignPoint evaluateTracePoint(
@@ -51,9 +56,8 @@ namespace memx {
     std::size_t chunkRefs = kDefaultTraceChunkRefs,
     obs::Recorder* recorder = nullptr);
 
-/// Streamed (T, L, S) sweep. Honors the same backend resolution as the
-/// Trace overload: one stack-distance pass for LRU/write-allocate
-/// sweeps, a MultiCacheSim bank otherwise.
+/// Streamed (T, L, S) sweep on the same bank as the Trace overload
+/// (resolveBackend(options)).
 [[nodiscard]] ExplorationResult exploreTrace(
     const std::string& name, TraceSource& source,
     const ExploreOptions& options, const TraceWindow& window = {},

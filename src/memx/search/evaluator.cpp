@@ -26,6 +26,17 @@ SearchEvaluator::SearchEvaluator(Kernel kernel, const DesignSpace& space,
       base_(std::move(base)),
       recorder_(recorder) {
   base_.ranges = space_.options().ranges;
+  // L2 genes fold through evaluateHierarchyPoint, which has no write or
+  // leakage term; accepting either option would put points from two
+  // energy models on one front.
+  if (!space_.options().l2CapacityBytes.empty()) {
+    MEMX_EXPECTS(!base_.includeWriteEnergy,
+                 "a search space with L2 capacities cannot use "
+                 "includeWriteEnergy (no two-level write-energy model)");
+    MEMX_EXPECTS(base_.energy.leakagePjPerBytePerCycle == 0.0,
+                 "a search space with L2 capacities cannot use a nonzero "
+                 "leakagePjPerBytePerCycle (no two-level leakage model)");
+  }
 }
 
 SearchEvaluator::ComboState& SearchEvaluator::comboFor(const Genome& g) {

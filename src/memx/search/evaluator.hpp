@@ -6,7 +6,9 @@
 // evaluateGroup machinery, so LRU combos are served analytically by
 // the StackDist backend and every combo shares traces across
 // generations through a per-combo trace cache. Two-level genomes reuse
-// the same shared group trace and go through evaluateHierarchyPoint.
+// the same shared group trace and go through evaluateHierarchyPoint,
+// which models neither write energy nor leakage, so a space with L2
+// capacities rejects both options.
 //
 // Results archive into per-(combo, L2 choice) ExplorationResults whose
 // sorted find-index grows incrementally with the archive — the
@@ -43,7 +45,9 @@ public:
   /// timing models, bus-activity measurement, write-energy accounting
   /// and the sweep backend. A forced MultiSim backend is honored
   /// everywhere; Auto (and a forced StackDist) resolve per combo, so
-  /// LRU combos stay analytic while others simulate.
+  /// LRU combos stay analytic while others simulate. Throws a
+  /// ContractViolation when `space` has L2 capacities and `base` asks
+  /// for write energy or a nonzero leakage coefficient.
   SearchEvaluator(Kernel kernel, const DesignSpace& space,
                   ExploreOptions base, obs::Recorder* recorder = nullptr);
 

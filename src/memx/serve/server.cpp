@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "memx/core/parallel_explorer.hpp"
 #include "memx/core/selection.hpp"
 #include "memx/core/trace_explorer.hpp"
 #include "memx/kernels/registry.hpp"
@@ -239,12 +238,8 @@ JsonValue Server::handleExplore(const Request& request) {
         }
         if (use.value == nullptr) {
           const obs::ScopedSpan compute(&recorder, "serve.compute");
-          // One worker drops each group's trace once it is evaluated;
-          // explore() would keep every trace in this request's Explorer,
-          // which dies unused with the request, and concurrent misses
-          // would hold whole sweeps of traces at once.
           auto computed = std::make_shared<ExplorationResult>(
-              exploreParallel(explorer, resolved.kernel, 1));
+              explorer.explore(resolved.kernel));
           computed->buildIndex();
           auto stored = std::make_shared<StoredResult>();
           stored->explore = std::move(computed);

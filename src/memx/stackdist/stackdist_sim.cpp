@@ -36,94 +36,66 @@ StackDistSim::StackDistSim(const std::vector<CacheConfig>& configs)
     }
     it->members.push_back(i);
   }
-  for (const LineGroup& group : groups_) {
-    if (group.policy == ReplacementPolicy::LRU) continue;
-    ++gridPasses_;
-    gridCells_ += group.cells.size();
-  }
   stats_.resize(configs_.size());
-}
-
-void StackDistSim::buildProfiles() {
-  if (!profileIndex_.empty()) return;
-  profileIndex_.reserve(groups_.size());
+  profiles_.reserve(groups_.size());
   for (const LineGroup& group : groups_) {
     if (group.policy == ReplacementPolicy::LRU) {
-      profileIndex_.push_back(lruProfiles_.size());
-      lruProfiles_.emplace_back(group.lineBytes, group.maxSets,
-                                group.maxAssoc);
-    } else {
-      profileIndex_.push_back(gridProfiles_.size());
-      gridProfiles_.emplace_back(group.policy, group.lineBytes,
-                                 group.maxSets, group.maxAssoc);
-      // FIFO/PLRU cells are independent, so the pass only needs the
-      // geometries this bank actually queries — on a typical sweep
-      // that is a thin diagonal of the full lattice, and skipping the
-      // rest is what keeps the grid backend ahead of per-config
-      // simulation.
-      gridProfiles_.back().restrictCells(group.cells);
+      profiles_.emplace_back(std::in_place_type<AllAssocProfile>,
+                             group.lineBytes, group.maxSets, group.maxAssoc);
+      continue;
     }
+    auto& grid = std::get<PolicyGridProfile>(profiles_.emplace_back(
+        std::in_place_type<PolicyGridProfile>, group.policy, group.lineBytes,
+        group.maxSets, group.maxAssoc));
+    // FIFO/PLRU cells are independent, so the pass only needs the
+    // geometries this bank actually queries — on a typical sweep that is
+    // a thin diagonal of the full lattice, and skipping the rest is what
+    // keeps the grid backend ahead of per-config simulation.
+    grid.restrictCells(group.cells);
+    ++gridPasses_;
+    gridCells_ += group.cells.size();
   }
 }
 
 void StackDistSim::run(const Trace& trace) {
-  MEMX_EXPECTS(!ran_, "StackDistSim profiles are per-trace; "
-                      "construct a new bank to run another trace");
-  ran_ = true;
-  buildProfiles();
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (groups_[g].policy == ReplacementPolicy::LRU) {
-      lruProfiles_[profileIndex_[g]].feed(trace);
-    } else {
-      gridProfiles_[profileIndex_[g]].feed(trace);
-    }
-  }
+  feed(trace.refs().data(), trace.size());
   refreshStats();
 }
 
-void StackDistSim::run(TraceSource& source, std::size_t chunkRefs) {
+std::size_t StackDistSim::run(TraceSource& source, std::size_t chunkRefs) {
   MEMX_EXPECTS(chunkRefs > 0, "chunkRefs must be positive");
-  MEMX_EXPECTS(!ran_ || streaming_,
-               "cannot stream into a bank after a whole-trace run(); "
-               "construct a new bank");
-  buildProfiles();
-  ran_ = true;
-  streaming_ = true;
-
-  // One pass over the stream feeds every group — unlike run(Trace)'s
-  // per-group passes, the stream cannot be rewound.
   std::vector<MemRef> chunk;
   chunk.reserve(chunkRefs);
+  std::size_t fed = 0;
   while (fillChunk(source, chunk, chunkRefs) > 0) {
-    for (AllAssocProfile& profile : lruProfiles_) {
-      profile.feed(chunk.data(), chunk.size());
-    }
-    for (PolicyGridProfile& profile : gridProfiles_) {
-      profile.feed(chunk.data(), chunk.size());
-    }
+    feed(chunk.data(), chunk.size());
+    fed += chunk.size();
   }
   refreshStats();
+  return fed;
+}
+
+void StackDistSim::feed(const MemRef* refs, std::size_t count) {
+  for (Profile& profile : profiles_) {
+    std::visit([&](auto& p) { p.feed(refs, count); }, profile);
+  }
 }
 
 void StackDistSim::refreshStats() {
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    const LineGroup& group = groups_[g];
-    for (const std::size_t i : group.members) {
+    for (const std::size_t i : groups_[g].members) {
       const CacheConfig& config = configs_[i];
-      stats_[i] =
-          group.policy == ReplacementPolicy::LRU
-              ? lruProfiles_[profileIndex_[g]].stats(
-                    config.numSets(), config.associativity,
-                    config.writePolicy)
-              : gridProfiles_[profileIndex_[g]].stats(
-                    config.numSets(), config.associativity,
-                    config.writePolicy);
+      stats_[i] = std::visit(
+          [&](const auto& p) {
+            return p.stats(config.numSets(), config.associativity,
+                           config.writePolicy);
+          },
+          profiles_[g]);
     }
   }
 }
 
 const CacheStats& StackDistSim::stats(std::size_t i) const {
-  MEMX_EXPECTS(ran_, "stats() requires a completed run()");
   return stats_[i];
 }
 

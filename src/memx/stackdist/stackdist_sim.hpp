@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "memx/cachesim/cache_config.hpp"
@@ -53,26 +54,26 @@ public:
            config.allocatePolicy == AllocatePolicy::WriteAllocate;
   }
 
-  /// Profile `trace` once per distinct (line size, policy) and fill
-  /// every member's statistics. Single-shot: a second call throws
-  /// (profiles are per-trace; build a new bank per trace).
+  /// Feed `trace` to every (line size, policy) profile and refresh
+  /// every member's statistics.
   void run(const Trace& trace);
 
-  /// Drain `source` through streaming profiles in chunks of `chunkRefs`
-  /// references: one pass over the stream feeds every group, so
+  /// Drain `source` through the same profiles in chunks of `chunkRefs`
+  /// references: one pass over the stream feeds every profile, so
   /// out-of-core traces profile in bounded memory with bit-identical
-  /// statistics to the whole-trace run. Callable repeatedly — profile
-  /// state persists and stats() reflects everything streamed so far,
-  /// which is how the streamed drivers split warmup from counted
-  /// references. Cannot be mixed with run(Trace) on the same bank.
-  void run(TraceSource& source,
-           std::size_t chunkRefs = kDefaultTraceChunkRefs);
+  /// statistics to the whole-trace run. Both overloads are callable
+  /// repeatedly and in any mix — profile state persists and stats()
+  /// reflects everything fed so far, which is how streamed trace sweeps
+  /// split warmup from counted references. Returns the number of
+  /// references drained.
+  std::size_t run(TraceSource& source,
+                  std::size_t chunkRefs = kDefaultTraceChunkRefs);
 
   [[nodiscard]] std::size_t size() const noexcept { return configs_.size(); }
   [[nodiscard]] const CacheConfig& config(std::size_t i) const {
     return configs_[i];
   }
-  /// Statistics of member `i`; only valid after run().
+  /// Statistics of member `i` over everything fed so far.
   [[nodiscard]] const CacheStats& stats(std::size_t i) const;
 
   /// Number of trace passes run() makes (= distinct (line size,
@@ -105,26 +106,23 @@ private:
     std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
   };
 
+  /// The one replay core behind both run() overloads: one block of
+  /// references into every profile.
+  void feed(const MemRef* refs, std::size_t count);
   /// Re-derive every member's statistics from its group's profile
-  /// (valid at any chunk boundary — the profiles are incremental).
+  /// (valid at any block boundary — the profiles are incremental).
   void refreshStats();
-  void buildProfiles();
 
   std::vector<CacheConfig> configs_;
   std::vector<LineGroup> groups_;
   std::vector<CacheStats> stats_;
-  /// Incremental profiles, parallel to groups_ (exactly one per group
-  /// is engaged, by the group's policy); built lazily by the first
-  /// run() call. run(Trace) feeds them whole, run(TraceSource&) in
-  /// chunks — the state is identical either way.
-  std::vector<AllAssocProfile> lruProfiles_;
-  std::vector<PolicyGridProfile> gridProfiles_;
-  /// Per-group index into lruProfiles_ or gridProfiles_.
-  std::vector<std::size_t> profileIndex_;
+  using Profile = std::variant<AllAssocProfile, PolicyGridProfile>;
+  /// Incremental profiles, parallel to groups_. run(Trace) feeds them
+  /// whole, run(TraceSource&) in chunks — the state is identical either
+  /// way.
+  std::vector<Profile> profiles_;
   std::size_t gridPasses_ = 0;
   std::size_t gridCells_ = 0;
-  bool ran_ = false;
-  bool streaming_ = false;
 };
 
 /// Convenience: evaluate `trace` against every config analytically,

@@ -330,15 +330,6 @@ TEST(Explorer, UntileableKernelPlansOneLayoutPerGeometry) {
             keys.size() - geoms.size());
 }
 
-TEST(Explorer, TraceCacheGrowsAndClears) {
-  Explorer ex(smallSweep());
-  EXPECT_EQ(ex.traceCacheBytes(), 0u);
-  (void)ex.explore(dequantKernel(8));
-  EXPECT_GT(ex.traceCacheBytes(), 0u);
-  ex.clearCaches();
-  EXPECT_EQ(ex.traceCacheBytes(), 0u);
-}
-
 TEST(Explorer, OptimizedLayoutNeverWorseOnCompress) {
   ExploreOptions opt = smallSweep();
   ExploreOptions unopt = smallSweep();

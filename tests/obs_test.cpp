@@ -345,9 +345,8 @@ TEST(ObsIntegration, ExploreWithReportIsBitIdenticalToWithout) {
   EXPECT_EQ(report.counter("plan.keys"), bare.points.size());
   EXPECT_GT(report.counter("plan.groups"), 0u);
   EXPECT_EQ(report.counter("sweep.groups"), report.counter("plan.groups"));
-  // The serial path goes through the trace cache: every group misses
-  // once, and there are no repeat visits in a single explore().
-  EXPECT_EQ(report.counter("trace.cache_miss"),
+  // Every group's trace is built exactly once.
+  EXPECT_EQ(report.phase("trace.build")->count,
             report.counter("plan.groups"));
   EXPECT_GT(report.counter("trace.accesses"), 0u);
   // Default options are LRU/write-allocate, so the sweep resolves to the

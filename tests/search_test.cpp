@@ -242,6 +242,36 @@ TEST(Evaluator, InBatchDuplicatesCountAsHits) {
   EXPECT_EQ(objs[1], objs[3]);
 }
 
+TEST(Evaluator, L2SpaceRejectsWriteEnergyAndLeakage) {
+  // L2 genes fold through a model with no write or leakage term, so a
+  // space with L2 capacities must refuse both options up front rather
+  // than put two energy models on one front.
+  const DesignSpace joint(smallJointSpace());
+  const Kernel kernel = matrixAddKernel(6, 1);
+  ExploreOptions writes;
+  writes.includeWriteEnergy = true;
+  EXPECT_THROW(SearchEvaluator(kernel, joint, writes), ContractViolation);
+  ExploreOptions leaky;
+  leaky.energy.leakagePjPerBytePerCycle = 0.01;
+  EXPECT_THROW(SearchEvaluator(kernel, joint, leaky), ContractViolation);
+  try {
+    SearchEvaluator(kernel, joint, leaky);
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("leakagePjPerBytePerCycle"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Single-level spaces fold every point through the one model and
+  // accept both.
+  DesignSpaceOptions single = smallJointSpace();
+  single.l2CapacityBytes.clear();
+  const DesignSpace flat(single);
+  writes.energy.leakagePjPerBytePerCycle = 0.01;
+  SearchEvaluator evaluator(kernel, flat, writes);
+  EXPECT_EQ(evaluator.evaluate({flat.enumerate().front()}).size(), 1u);
+}
+
 SearchOptions quickSearch(std::uint64_t seed) {
   SearchOptions o;
   o.seed = seed;

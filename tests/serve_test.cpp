@@ -158,6 +158,26 @@ TEST(Protocol, CanonicalKeySplitsIntoRangesAndModel) {
   EXPECT_NE(canonicalModelKey(em), canonicalModelKey(a));
 }
 
+TEST(Protocol, CanonicalModelKeysArePinnedPerBackend) {
+  // Store keys outlive a build: these strings must not move when the
+  // backend resolution is refactored, or every cached result misses.
+  ExploreOptions lru;
+  EXPECT_EQ(canonicalModelKey(lru),
+            "alpha=1;beta=2;gamma=20;dact=0.5;em=4.9500000000000002;"
+            "mainbpa=1;tag=0;abits=32;leak=0;"
+            "hit=1,1.1000000000000001,1.1200000000000001,"
+            "1.1399999999999999,;miss=40,40,42,44,48,56,72,;layout=1;bus=1;"
+            "wenergy=0;wp=write-back;repl=LRU;backend=stackdist");
+  ExploreOptions random;
+  random.replacement = ReplacementPolicy::Random;
+  EXPECT_EQ(canonicalModelKey(random),
+            "alpha=1;beta=2;gamma=20;dact=0.5;em=4.9500000000000002;"
+            "mainbpa=1;tag=0;abits=32;leak=0;"
+            "hit=1,1.1000000000000001,1.1200000000000001,"
+            "1.1399999999999999,;miss=40,40,42,44,48,56,72,;layout=1;bus=1;"
+            "wenergy=0;wp=write-back;repl=random;backend=multisim");
+}
+
 // --------------------------------------------------------- result store
 
 TEST(ResultStore, SingleFlightSharesOneComputation) {
@@ -374,6 +394,20 @@ TEST(Server, SearchResponseIsBitIdenticalToDirectCall) {
   EXPECT_EQ(field(v, "evaluations").asNumber(),
             static_cast<double>(direct.evaluations));
   EXPECT_EQ(field(v, "exact").asBool(), direct.exact);
+}
+
+TEST(Server, JointSearchWithWriteEnergyIsRejected) {
+  // The joint space carries an L2 gene, which has no write-energy
+  // model: the request fails cleanly instead of mixing energy models.
+  Server server;
+  const JsonValue v = response(
+      server, std::string(R"({"id":1,"op":"search","workload":"matadd",)") +
+                  R"("options":{"write_energy":true,)" + kSmallRanges +
+                  R"(},"search":{"joint":true}})");
+  EXPECT_FALSE(okOf(v)) << v.dump();
+  EXPECT_NE(field(v, "error").asString().find("includeWriteEnergy"),
+            std::string::npos)
+      << v.dump();
 }
 
 TEST(Server, TraceResponseIsBitIdenticalToDirectCall) {

@@ -702,13 +702,24 @@ TEST(StackDistSim, MatchesMultiCacheSimAcrossRandomGridBanks) {
   }
 }
 
-TEST(StackDistSim, IsSingleShot) {
+TEST(StackDistSim, RepeatedRunsContinueOneStream) {
+  // Like MultiCacheSim, the bank is incremental: nothing fed reads as
+  // zero, and running the same trace twice equals one run of the trace
+  // followed by itself.
   StackDistSim bank({randomLruCacheConfig(3)});
-  EXPECT_THROW((void)bank.stats(0), ContractViolation);  // before run()
+  EXPECT_EQ(bank.stats(0).accesses(), 0u);
   const Trace trace = randomCheckTrace(3, 50, 100);
   bank.run(trace);
-  (void)bank.stats(0);
-  EXPECT_THROW(bank.run(trace), ContractViolation);
+  bank.run(trace);
+  Trace twice = trace;
+  twice.append(trace);
+  const CacheStats want = simulateTrace(bank.config(0), twice);
+  const CacheStats& got = bank.stats(0);
+  EXPECT_EQ(got.readMisses, want.readMisses);
+  EXPECT_EQ(got.writeMisses, want.writeMisses);
+  EXPECT_EQ(got.readHits, want.readHits);
+  EXPECT_EQ(got.writeHits, want.writeHits);
+  EXPECT_EQ(got.writebacks, want.writebacks);
 }
 
 TEST(StackDistSim, ConvenienceWrapperPreservesInputOrder) {

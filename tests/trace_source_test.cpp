@@ -380,12 +380,26 @@ TEST(ChunkedReplay, StackDistSimAccumulatesAcrossRunCalls) {
   }
 }
 
-TEST(ChunkedReplay, StackDistSimRejectsMixingModes) {
-  const Trace trace = mixedTrace(100, 31);
-  StackDistSim bank(sweepBank());
-  bank.run(trace);
-  VectorTraceSource source(trace);
-  EXPECT_THROW(bank.run(source), ContractViolation);
+TEST(ChunkedReplay, StackDistSimMixesModesAsOneStream) {
+  // Both run() overloads feed the same incremental profiles, so a
+  // whole-trace run followed by a streamed run is one stream.
+  const Trace trace = mixedTrace(300, 31);
+  Trace head;
+  Trace tail;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    (i < 100 ? head : tail).push(trace[i]);
+  }
+  const std::vector<CacheConfig> configs = sweepBank();
+  StackDistSim whole(configs);
+  whole.run(trace);
+  StackDistSim mixed(configs);
+  mixed.run(head);
+  VectorTraceSource source(tail);
+  EXPECT_EQ(mixed.run(source, 13), tail.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    expectSameStats(mixed.stats(i), whole.stats(i),
+                    "member " + std::to_string(i));
+  }
 }
 
 TEST(AllAssocProfile, FeedSplitsAreInvariant) {
@@ -569,6 +583,11 @@ TEST(StreamedExplore, RecordsIngestCountersAndSpans) {
   EXPECT_EQ(recorder.counterValue("trace.bytes_read"),
             toDinString(trace).size());
   EXPECT_GE(recorder.spanCount(), 3u);  // ingest + warmup + replay
+  // The point's one-member simulation bank reports its workload,
+  // warmup references included.
+  EXPECT_EQ(recorder.counterValue("sweep.groups_multisim"), 1u);
+  EXPECT_EQ(recorder.counterValue("sweep.points"), 1u);
+  EXPECT_EQ(recorder.counterValue("sim.accesses"), trace.size());
   std::remove(path.c_str());
 }
 
