@@ -238,20 +238,15 @@ bool CacheSim::probeLineIndex(std::uint64_t lineIndex, AccessType type,
 
 AccessOutcome CacheSim::access(const MemRef& ref) {
   MEMX_EXPECTS(ref.size > 0, "access size must be positive");
-  return accessLines(ref.addr >> lineShift_,
-                     (ref.addr + ref.size - 1) >> lineShift_, ref.type);
-}
-
-AccessOutcome CacheSim::accessLines(std::uint64_t firstLine,
-                                    std::uint64_t lastLine,
-                                    AccessType type) {
   AccessOutcome outcome;
   bool allHit = true;
-  for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
-    allHit &= probeLineIndex(line, type, &outcome);
+  const std::uint64_t lastLine = (ref.addr + ref.size - 1) >> lineShift_;
+  for (std::uint64_t line = ref.addr >> lineShift_; line <= lastLine;
+       ++line) {
+    allHit &= probeLineIndex(line, ref.type, &outcome);
   }
   outcome.hit = allHit;
-  countAccess(allHit, type);
+  countAccess(allHit, ref.type);
   return outcome;
 }
 

@@ -47,17 +47,11 @@ public:
   /// Present one reference; updates state and statistics.
   AccessOutcome access(const MemRef& ref);
 
-  /// Present one reference whose line span has already been computed
-  /// (firstLine/lastLine are line indices, i.e. addr / lineBytes). This
-  /// is the hook MultiCacheSim uses to decompose an access once per
-  /// distinct line size and share the result across a config bank.
-  AccessOutcome accessLines(std::uint64_t firstLine, std::uint64_t lastLine,
-                            AccessType type);
-
-  /// Statistics-only variant of accessLines: identical state and counter
-  /// updates, but skips assembling the per-access AccessOutcome (whose
-  /// evicted-line list only matters to multi-level consumers). The sweep
-  /// hot paths use this. Returns true when the whole access hit.
+  /// Statistics-only access to a pre-decomposed line span
+  /// (firstLine/lastLine are line indices, i.e. addr / lineBytes):
+  /// identical state and counter updates to access(), but no
+  /// AccessOutcome (whose evicted-line list only matters to multi-level
+  /// consumers). Returns true when the whole access hit.
   bool accessLinesFast(std::uint64_t firstLine, std::uint64_t lastLine,
                        AccessType type);
 
@@ -106,7 +100,7 @@ private:
   /// update identically either way).
   bool probeLineIndex(std::uint64_t lineIndex, AccessType type,
                       AccessOutcome* outcome);
-  /// Shared tail of accessLines/accessLinesFast: per-access counters.
+  /// Shared tail of access/accessLinesFast: per-access counters.
   void countAccess(bool allHit, AccessType type);
   [[nodiscard]] std::size_t victimWay(std::uint32_t setIndex);
 

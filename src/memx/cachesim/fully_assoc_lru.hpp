@@ -26,7 +26,7 @@ public:
   explicit FullyAssocLru(const CacheConfig& config);
 
   /// Present one access covering line indices [firstLine, lastLine],
-  /// probing the lines in order like CacheSim::accessLines. Returns true
+  /// probing the lines in order like CacheSim::access. Returns true
   /// when every line hit.
   bool access(std::uint64_t firstLine, std::uint64_t lastLine,
               AccessType type) {

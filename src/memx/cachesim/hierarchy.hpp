@@ -27,11 +27,26 @@ struct HierarchyStats {
                   : static_cast<double>(l2.misses()) /
                         static_cast<double>(n);
   }
-  /// L2 hit rate among L1 misses (local miss rate complement).
-  [[nodiscard]] double l2LocalMissRate() const noexcept {
-    return l2.missRate();
-  }
 };
+
+/// The one statement of what the L2 sees: for an L1 access `ref` with
+/// outcome `l1Out`, append each dirty L1 victim as a write of one L1
+/// line, then, if the access missed, a read of `ref`'s bytes. The L2
+/// never back-invalidates the L1, so for a fixed L1 the stream is the
+/// same whatever the L2 is.
+void appendL2Refs(const MemRef& ref, const AccessOutcome& l1Out,
+                  std::uint32_t l1LineBytes, std::vector<MemRef>& out);
+
+/// Throws unless `l2`'s lines and capacity are at least `l1`'s.
+void checkInclusion(const CacheConfig& l1, const CacheConfig& l2);
+
+/// One pass of `trace` through a fresh `l1`: its statistics and the L2
+/// stream it produced, ready for any number of L2 candidates.
+struct L1Filter {
+  CacheStats l1;
+  Trace l2Stream;
+};
+[[nodiscard]] L1Filter filterL1(const CacheConfig& l1, const Trace& trace);
 
 /// An L1 + L2 data-cache stack. L2 line size must be >= L1 line size and
 /// L2 capacity >= L1 capacity (inclusive hierarchy).
@@ -53,17 +68,12 @@ public:
   [[nodiscard]] const HierarchyStats& stats() const noexcept {
     return stats_;
   }
-  [[nodiscard]] const CacheConfig& l1Config() const noexcept {
-    return l1_.config();
-  }
-  [[nodiscard]] const CacheConfig& l2Config() const noexcept {
-    return l2_.config();
-  }
 
 private:
   CacheSim l1_;
   CacheSim l2_;
   HierarchyStats stats_;
+  std::vector<MemRef> l2Refs_;  ///< the current access's L2 stream
 };
 
 /// Cycle model for a two-level stack: per-access cycles

@@ -11,6 +11,7 @@
 #include "memx/cachesim/set_sampling.hpp"
 #include "memx/check/random_gen.hpp"
 #include "memx/check/ref_cache_sim.hpp"
+#include "memx/core/config_bank.hpp"
 #include "memx/stackdist/stackdist_sim.hpp"
 
 namespace memx {
@@ -129,14 +130,21 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
   }
 
   // Path 4: two-level hierarchy against the oracle's re-statement of
-  // the inclusive protocol.
+  // the inclusive protocol — both the access-by-access CacheHierarchy
+  // and the sweep path (one L1 filter pass, its recorded L2 stream
+  // replayed through a MultiSim ConfigBank).
   {
     CacheHierarchy hier(c.config, c.l2);
     hier.run(trace);
     const RefHierarchyStats want =
         refSimulateHierarchy(c.config, c.l2, trace);
+    const L1Filter filtered = filterL1(c.config, trace);
+    ConfigBank bank(SweepBackend::MultiSim, {c.l2});
+    bank.run(filtered.l2Stream);
     std::string d = diffStats("Hierarchy.l1", want.l1, hier.stats().l1);
     if (d.empty()) d = diffStats("Hierarchy.l2", want.l2, hier.stats().l2);
+    if (d.empty()) d = diffStats("L1Filter.l1", want.l1, filtered.l1);
+    if (d.empty()) d = diffStats("L2Bank", want.l2, bank.stats(0));
     if (!d.empty()) return d;
     if (want.mainReads != hier.stats().mainReads ||
         want.mainWrites != hier.stats().mainWrites) {

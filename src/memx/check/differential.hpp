@@ -3,7 +3,8 @@
 // Each seeded case replays one generated reference stream through every
 // production simulation path — CacheSim's bulk fast path, its
 // per-access outcome path, a MultiCacheSim bank, the two-level
-// CacheHierarchy, the set-sampling estimator, the stack-distance bank
+// CacheHierarchy and the sweep's L1-filter + L2 ConfigBank path, the
+// set-sampling estimator, the stack-distance bank
 // (StackDistSim on an always-in-domain LRU config plus its
 // fully-associative and direct-mapped siblings) and the policy-grid
 // bank (the same sibling scheme on a seed-pure FIFO or tree-PLRU

@@ -1,8 +1,7 @@
 #include "memx/core/hierarchy_explorer.hpp"
 
-#include <sstream>
-
 #include "memx/cachesim/bus_monitor.hpp"
+#include "memx/core/config_bank.hpp"
 #include "memx/energy/energy_model.hpp"
 #include "memx/obs/recorder.hpp"
 #include "memx/util/assert.hpp"
@@ -12,9 +11,7 @@
 namespace memx {
 
 std::string HierarchyPoint::label() const {
-  std::ostringstream os;
-  os << "L1:" << l1.label() << "+L2:" << l2.label();
-  return os.str();
+  return "L1:" + l1.label() + "+L2:" + l2.label();
 }
 
 void HierarchyRanges::validate() const {
@@ -29,42 +26,43 @@ void HierarchyRanges::validate() const {
                "L2 lines must be at least L1 lines");
 }
 
-HierarchyPoint evaluateHierarchyPoint(const Trace& trace,
-                                      const CacheConfig& l1,
-                                      const CacheConfig& l2,
-                                      const EnergyParams& energy,
-                                      const HierarchyTiming& timing) {
-  return evaluateHierarchyPoint(trace, l1, l2, energy, timing,
-                                measureAddrActivity(trace));
-}
+namespace {
 
-HierarchyPoint evaluateHierarchyPoint(const Trace& trace,
-                                      const CacheConfig& l1,
-                                      const CacheConfig& l2,
-                                      const EnergyParams& energy,
-                                      const HierarchyTiming& timing,
-                                      double addBs) {
-  CacheHierarchy stack(l1, l2);
-  stack.run(trace);
-  const HierarchyStats& s = stack.stats();
-
+/// The two-level fold: every access reads the L1 array, every L2 access
+/// the L2 array, and every L2 miss pays the L2 line's I/O + main memory.
+HierarchyPoint foldHierarchyPoint(const CacheConfig& l1, const CacheConfig& l2,
+                                  const HierarchyStats& s,
+                                  const EnergyParams& energy,
+                                  const HierarchyTiming& timing, double addBs) {
   const CacheEnergyModel l1Model(l1, energy, addBs);
   const CacheEnergyModel l2Model(l2, energy, addBs);
-
-  HierarchyPoint point;
-  point.l1 = l1;
-  point.l2 = l2;
-  point.l1MissRate = s.l1.missRate();
-  point.globalMissRate = s.globalMissRate();
-  point.cycles = timing.cycles(s);
-  // Every access reads the L1 array; L1 misses read the L2 array; L2
-  // misses pay the L2 line's I/O + main-memory cost.
-  point.energyNj =
+  return HierarchyPoint{
+      l1, l2, s.l1.missRate(), s.globalMissRate(), timing.cycles(s),
       static_cast<double>(s.l1.accesses()) * l1Model.hitEnergyNj() +
-      static_cast<double>(s.l2.accesses()) * l2Model.hitEnergyNj() +
-      static_cast<double>(s.l2.misses()) *
-          (l2Model.ioEnergyNj() + l2Model.mainEnergyNj());
-  return point;
+          static_cast<double>(s.l2.accesses()) * l2Model.hitEnergyNj() +
+          static_cast<double>(s.l2.misses()) *
+              (l2Model.ioEnergyNj() + l2Model.mainEnergyNj())};
+}
+
+}  // namespace
+
+std::vector<HierarchyPoint> evaluateHierarchy(
+    const Trace& trace, const CacheConfig& l1,
+    const std::vector<CacheConfig>& l2s, const EnergyParams& energy,
+    const HierarchyTiming& timing, double addBs, obs::Recorder* recorder) {
+  for (const CacheConfig& l2 : l2s) checkInclusion(l1, l2);
+  const L1Filter filtered = filterL1(l1, trace);
+  // Simulated, not analytic: see docs/MODELS.md §8 for the measurement.
+  ConfigBank bank(SweepBackend::MultiSim, l2s);
+  bank.run(filtered.l2Stream);
+  bank.record(recorder);
+  std::vector<HierarchyPoint> points;
+  for (std::size_t i = 0; i < l2s.size(); ++i) {
+    points.push_back(foldHierarchyPoint(l1, l2s[i],
+                                        {filtered.l1, bank.stats(i)},
+                                        energy, timing, addBs));
+  }
+  return points;
 }
 
 std::vector<HierarchyPoint> exploreHierarchy(const Trace& trace,
@@ -79,20 +77,18 @@ std::vector<HierarchyPoint> exploreHierarchy(const Trace& trace,
   std::vector<HierarchyPoint> points;
   for (const std::uint64_t s1 :
        pow2Range(ranges.minL1Bytes, ranges.maxL1Bytes)) {
+    std::vector<CacheConfig> l2s;
     for (const std::uint64_t s2 :
          pow2Range(ranges.minL2Bytes, ranges.maxL2Bytes)) {
       if (s2 < s1) continue;
-      CacheConfig l1;
-      l1.sizeBytes = static_cast<std::uint32_t>(s1);
-      l1.lineBytes = ranges.l1LineBytes;
-      CacheConfig l2;
-      l2.sizeBytes = static_cast<std::uint32_t>(s2);
-      l2.lineBytes = ranges.l2LineBytes;
-      l2.associativity = ranges.l2Associativity;
-      const obs::ScopedSpan pointSpan(recorder, "hierarchy.point");
-      points.push_back(
-          evaluateHierarchyPoint(trace, l1, l2, energy, timing, addBs));
+      l2s.push_back(CacheConfig{static_cast<std::uint32_t>(s2),
+                                ranges.l2LineBytes, ranges.l2Associativity});
     }
+    if (l2s.empty()) continue;
+    const CacheConfig l1{static_cast<std::uint32_t>(s1), ranges.l1LineBytes};
+    const std::vector<HierarchyPoint> row =
+        evaluateHierarchy(trace, l1, l2s, energy, timing, addBs, recorder);
+    points.insert(points.end(), row.begin(), row.end());
   }
   if (recorder != nullptr) {
     recorder->counter("hierarchy.points").add(points.size());

@@ -47,22 +47,20 @@ struct HierarchyRanges {
   void validate() const;
 };
 
-/// Evaluate one (l1, l2) pair on `trace`.
-[[nodiscard]] HierarchyPoint evaluateHierarchyPoint(
-    const Trace& trace, const CacheConfig& l1, const CacheConfig& l2,
-    const EnergyParams& energy = {}, const HierarchyTiming& timing = {});
+/// Every two-level point: `l1` paired with each of `l2s` (in order) on
+/// `trace`, whose bus activity is `addBs`. One filterL1 pass, one MultiSim
+/// ConfigBank of the L2s over its stream (counters to `recorder`), one
+/// fold per pair. Throws on empty `l2s` or a non-inclusive pair.
+[[nodiscard]] std::vector<HierarchyPoint> evaluateHierarchy(
+    const Trace& trace, const CacheConfig& l1,
+    const std::vector<CacheConfig>& l2s, const EnergyParams& energy,
+    const HierarchyTiming& timing, double addBs,
+    obs::Recorder* recorder = nullptr);
 
-/// Same, with the trace's address-bus activity supplied by the caller so
-/// a sweep measures it once instead of re-walking the trace per point.
-[[nodiscard]] HierarchyPoint evaluateHierarchyPoint(
-    const Trace& trace, const CacheConfig& l1, const CacheConfig& l2,
-    const EnergyParams& energy, const HierarchyTiming& timing,
-    double addBs);
-
-/// Sweep every valid (L1, L2) pair (L2 >= L1) over `trace`. `recorder`
-/// (optional) collects an "exploreHierarchy" span, per-point
-/// "hierarchy.point" spans, and hierarchy.points / hierarchy.accesses
-/// counters; results are identical with or without it.
+/// Sweep every valid (L1, L2) pair (L2 >= L1) over `trace`, one
+/// evaluateHierarchy per L1 size. `recorder` (optional) collects an
+/// "exploreHierarchy" span and the hierarchy.* and bank counters;
+/// results are identical with or without it.
 [[nodiscard]] std::vector<HierarchyPoint> exploreHierarchy(
     const Trace& trace, const HierarchyRanges& ranges,
     const EnergyParams& energy = {}, const HierarchyTiming& timing = {},

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "memx/cachesim/hierarchy.hpp"
 #include "memx/core/hierarchy_explorer.hpp"
 #include "memx/energy/area_model.hpp"
 #include "memx/obs/recorder.hpp"
@@ -26,7 +25,7 @@ SearchEvaluator::SearchEvaluator(Kernel kernel, const DesignSpace& space,
       base_(std::move(base)),
       recorder_(recorder) {
   base_.ranges = space_.options().ranges;
-  // L2 genes fold through evaluateHierarchyPoint, which has no write or
+  // L2 genes fold through the two-level fold, which has no write or
   // leakage term; accepting either option would put points from two
   // energy models on one front.
   if (!space_.options().l2CapacityBytes.empty()) {
@@ -63,11 +62,7 @@ SearchEvaluator::ComboState& SearchEvaluator::comboFor(const Genome& g) {
 
 Objectives SearchEvaluator::toObjectives(const DesignPoint& point,
                                          const JointPoint& decoded) const {
-  CacheConfig l1;
-  l1.sizeBytes = decoded.key.cacheBytes;
-  l1.lineBytes = decoded.key.lineBytes;
-  l1.associativity = decoded.key.associativity;
-  double sizeRbe = estimateArea(l1).totalRbe();
+  double sizeRbe = estimateArea(point.cacheConfig()).totalRbe();
   if (decoded.l2) sizeRbe += estimateArea(*decoded.l2).totalRbe();
   return Objectives{point.energyNj, point.cycles, sizeRbe};
 }
@@ -154,12 +149,13 @@ std::vector<Objectives> SearchEvaluator::evaluate(
       const Trace& trace = traceIt->second.first;
       const double activity = traceIt->second.second;
 
+      // Two-level genes: one evaluateHierarchy per distinct L1 key.
       SweepPlan::Group singleLevel = group;
       singleLevel.keyIndices.clear();
-      std::vector<std::size_t> twoLevel;
+      std::map<ConfigKey, std::vector<std::size_t>> twoLevel;
       for (const std::size_t idx : group.keyIndices) {
         if (pending[idx].decoded.l2) {
-          twoLevel.push_back(idx);
+          twoLevel[plan.keys[idx]].push_back(idx);
         } else {
           singleLevel.keyIndices.push_back(idx);
         }
@@ -168,19 +164,19 @@ std::vector<Objectives> SearchEvaluator::evaluate(
         state.explorer->evaluateGroup(singleLevel, trace, activity,
                                       plan.keys, points);
       }
-      for (const std::size_t idx : twoLevel) {
-        const JointPoint& decoded = pending[idx].decoded;
-        const CacheConfig l1 = state.explorer->configFor(plan.keys[idx]);
-        const HierarchyPoint hp =
-            evaluateHierarchyPoint(trace, l1, *decoded.l2, base_.energy,
-                                   HierarchyTiming{}, activity);
-        DesignPoint point;
-        point.key = plan.keys[idx];
-        point.accesses = trace.size();
-        point.missRate = hp.globalMissRate;
-        point.cycles = hp.cycles;
-        point.energyNj = hp.energyNj;
-        points[idx] = point;
+      for (const auto& [key, indices] : twoLevel) {
+        std::vector<CacheConfig> l2s;
+        for (const std::size_t idx : indices) {
+          l2s.push_back(*pending[idx].decoded.l2);
+        }
+        const std::vector<HierarchyPoint> hps = evaluateHierarchy(
+            trace, state.explorer->configFor(key), l2s, base_.energy,
+            HierarchyTiming{}, activity, recorder_);
+        for (std::size_t j = 0; j < indices.size(); ++j) {
+          points[indices[j]] =
+              DesignPoint{key, trace.size(), hps[j].globalMissRate,
+                          hps[j].cycles, hps[j].energyNj};
+        }
       }
     }
 

@@ -6,9 +6,9 @@
 // evaluateGroup machinery, so LRU combos are served analytically by
 // the StackDist backend and every combo shares traces across
 // generations through a per-combo trace cache. Two-level genomes reuse
-// the same shared group trace and go through evaluateHierarchyPoint,
-// which models neither write energy nor leakage, so a space with L2
-// capacities rejects both options.
+// the shared group trace, one evaluateHierarchy (L1 filter, L2 bank)
+// per distinct L1 key; its fold models neither write energy nor
+// leakage, so a space with L2 capacities rejects both options.
 //
 // Results archive into per-(combo, L2 choice) ExplorationResults whose
 // sorted find-index grows incrementally with the archive — the
@@ -68,9 +68,6 @@ public:
 
   [[nodiscard]] const DesignSpace& space() const noexcept { return space_; }
   [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }
-  [[nodiscard]] const ExploreOptions& baseOptions() const noexcept {
-    return base_;
-  }
 
   /// The archive a combo/L2 choice accumulates results in (nullptr when
   /// nothing of that slice was evaluated yet). Exposed so tests can

@@ -80,12 +80,13 @@ SplitResult evaluateSplit(const Kernel& kernel, const ScratchpadConfig& spm,
                            ? measureAddrActivity(trace)
                            : kDefaultAddrSwitchesPerAccess;
 
-  const CycleModel cycleModel(options.base.timing);
-  const CacheEnergyModel energyModel(config, options.base.energy, addBs);
-
-  result.cacheMissRate = stats.missRate();
-  result.cycles = spmCycles + cycleModel.cycles(stats, config, 1);
-  result.energyNj = spmEnergy + energyModel.totalNj(stats);
+  // The cache half folds like every (untiled) sweep point.
+  const DesignPoint cachePoint =
+      foldPoint(options.base, CycleModel(options.base.timing), config, 1,
+                stats, addBs);
+  result.cacheMissRate = cachePoint.missRate;
+  result.cycles = spmCycles + cachePoint.cycles;
+  result.energyNj = spmEnergy + cachePoint.energyNj;
   return result;
 }
 

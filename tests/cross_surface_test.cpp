@@ -15,16 +15,24 @@
 // served surfaces join the default-timing cases only. Each case draws
 // its kernel from its seed; a failure prints a MEMX_DIFF-style line
 // naming the seed, the options and the surface.
+//
+// Two-level points have two callers, SearchEvaluator's L2 genes and
+// exploreHierarchy; both must return exactly what evaluateHierarchy
+// gives for the same group trace, L1 and L2 (LRU/FIFO/Random x
+// write-back/write-through, default models: L2 spaces reject write
+// energy and leakage).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "memx/core/explorer.hpp"
+#include "memx/core/hierarchy_explorer.hpp"
 #include "memx/core/parallel_explorer.hpp"
 #include "memx/core/trace_explorer.hpp"
 #include "memx/layout/offchip_assign.hpp"
@@ -254,6 +262,79 @@ TEST(CrossSurface, EverySurfaceFoldsTheSameModel) {
           }
         }
       }
+    }
+  }
+}
+
+void checkL2Case(const Case& c) {
+  const Kernel kernel =
+      parseKernel(stencilSource(c.seed), "xs" + std::to_string(c.seed));
+  const ExploreOptions options = optionsFor(c);
+  search::DesignSpaceOptions spaceOptions;
+  spaceOptions.ranges = options.ranges;
+  spaceOptions.replacements = {options.replacement};
+  spaceOptions.writePolicies = {options.writePolicy};
+  spaceOptions.defaultOptimizeLayout = options.optimizeLayout;
+  spaceOptions.l2CapacityBytes = {512};
+  const search::DesignSpace space(spaceOptions);
+  search::SearchEvaluator evaluator(kernel, space, options);
+  const std::vector<search::Genome> genomes = space.enumerate();
+  const std::vector<search::Objectives> objectives =
+      evaluator.evaluate(genomes);
+
+  // Tight layout, no tiling: every genome shares this one group trace.
+  const Trace trace = generateTrace(kernel, sequentialLayout(kernel));
+  const Explorer explorer(options);
+  const double addBs = explorer.addrActivityFor(trace);
+  std::map<ConfigKey, search::Objectives> twoLevel;
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
+    const search::JointPoint decoded = space.decode(genomes[i]);
+    if (!decoded.l2) continue;
+    const HierarchyPoint want =
+        evaluateHierarchy(trace, explorer.configFor(decoded.key),
+                          {*decoded.l2}, options.energy, HierarchyTiming{},
+                          addBs)
+            .front();
+    const std::string where =
+        c.repro("search L2") + " key=" + decoded.key.label();
+    EXPECT_EQ(bitsOf(objectives[i][0]), bitsOf(want.energyNj)) << where;
+    EXPECT_EQ(bitsOf(objectives[i][1]), bitsOf(want.cycles)) << where;
+    twoLevel.emplace(decoded.key, objectives[i]);
+  }
+  ASSERT_FALSE(twoLevel.empty()) << c.repro("search L2");
+
+  // exploreHierarchy's pairs are direct-mapped L8 L1s over a 2-way L16
+  // L2 at the CacheConfig default policies — the search companion of
+  // the same L1 under LRU write-back.
+  if (c.replacement != ReplacementPolicy::LRU ||
+      c.writePolicy != WritePolicy::WriteBack) {
+    return;
+  }
+  HierarchyRanges ranges;
+  ranges.minL1Bytes = 16;
+  ranges.maxL1Bytes = 256;
+  ranges.minL2Bytes = 512;
+  ranges.maxL2Bytes = 512;
+  const std::vector<HierarchyPoint> swept = exploreHierarchy(trace, ranges);
+  ASSERT_EQ(swept.size(), 5u) << c.repro("exploreHierarchy");
+  for (const HierarchyPoint& p : swept) {
+    const ConfigKey key{p.l1.sizeBytes, p.l1.lineBytes, 1, 1};
+    const std::string where =
+        c.repro("exploreHierarchy") + " key=" + key.label();
+    ASSERT_EQ(twoLevel.count(key), 1u) << where;
+    EXPECT_EQ(bitsOf(twoLevel[key][0]), bitsOf(p.energyNj)) << where;
+    EXPECT_EQ(bitsOf(twoLevel[key][1]), bitsOf(p.cycles)) << where;
+  }
+}
+
+TEST(CrossSurface, TwoLevelCallersFoldTheSamePoints) {
+  std::uint64_t seed = 101;
+  for (const WritePolicy wp :
+       {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+    for (const ReplacementPolicy rp :
+         {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+          ReplacementPolicy::Random}) {
+      checkL2Case(Case{seed++, false, false, false, wp, rp});
     }
   }
 }

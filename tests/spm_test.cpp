@@ -133,6 +133,31 @@ TEST(SpmExplorer, AllArraysInSpmMeansNoCacheTraffic) {
   EXPECT_GT(r.energyNj, 0.0);
 }
 
+TEST(SpmExplorer, CacheHalfHonoursWriteEnergyAndLeakage) {
+  // qtab goes to the SPM; the cache half still writes the output array
+  // back line by line, which write energy must charge.
+  const Kernel k = mpegDequantKernel();
+  ScratchpadConfig spm{128};
+  CacheConfig cache;
+  cache.sizeBytes = 64;
+  cache.lineBytes = 8;
+  SpmSplitOptions options;
+  options.base.writePolicy = WritePolicy::WriteBack;
+  const SplitResult plain = evaluateSplit(k, spm, cache, options);
+
+  SpmSplitOptions writes = options;
+  writes.base.includeWriteEnergy = true;
+  const SplitResult withWrites = evaluateSplit(k, spm, cache, writes);
+  EXPECT_GT(withWrites.energyNj, plain.energyNj);
+  EXPECT_EQ(withWrites.cycles, plain.cycles);
+
+  SpmSplitOptions leaky = options;
+  leaky.base.energy.leakagePjPerBytePerCycle = 0.01;
+  const SplitResult withLeakage = evaluateSplit(k, spm, cache, leaky);
+  EXPECT_GT(withLeakage.energyNj, plain.energyNj);
+  EXPECT_EQ(withLeakage.cycles, plain.cycles);
+}
+
 TEST(SpmExplorer, BudgetSweepContainsCacheOnlyBaseline) {
   const auto results = exploreBudgetSplits(dequantKernel(), 256, 8);
   ASSERT_FALSE(results.empty());
