@@ -1,11 +1,77 @@
 #include "memx/cachesim/cache_sim.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <utility>
 
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 
 namespace memx {
+
+namespace {
+
+/// Zeroed allocations at least this large are mapped, not heap-allocated.
+/// calloc alone is not enough: glibc raises its mmap threshold after the
+/// first large free, so later multi-MiB callocs come from the heap and
+/// are memset, committing every page.
+constexpr std::size_t kMapThresholdBytes = std::size_t{64} << 10;
+
+void* allocateZeroed(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
+  if (bytes >= kMapThresholdBytes) {
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return p;
+  }
+  void* p = std::calloc(bytes, 1);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void releaseZeroed(void* p, std::size_t bytes) noexcept {
+  if (bytes >= kMapThresholdBytes) {
+    ::munmap(p, bytes);
+  } else {
+    std::free(p);
+  }
+}
+
+}  // namespace
+
+CacheSim::LineArray::LineArray(std::size_t size)
+    : data_(static_cast<Line*>(allocateZeroed(size * sizeof(Line)))),
+      size_(size) {}
+
+CacheSim::LineArray::LineArray(const LineArray& other)
+    : LineArray(other.size_) {
+  if (size_ != 0) std::memcpy(data_, other.data_, size_ * sizeof(Line));
+}
+
+CacheSim::LineArray::LineArray(LineArray&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+CacheSim::LineArray& CacheSim::LineArray::operator=(LineArray other) noexcept {
+  std::swap(data_, other.data_);
+  std::swap(size_, other.size_);
+  return *this;
+}
+
+CacheSim::LineArray::~LineArray() {
+  releaseZeroed(data_, size_ * sizeof(Line));
+}
+
+void CacheSim::LineArray::clear() noexcept {
+  if (size_ != 0) {
+    std::memset(static_cast<void*>(data_), 0, size_ * sizeof(Line));
+  }
+}
 
 CacheSim::CacheSim(const CacheConfig& config, std::uint64_t rngSeed)
     : config_(config), rng_(rngSeed) {
@@ -19,9 +85,11 @@ CacheSim::CacheSim(const CacheConfig& config, std::uint64_t rngSeed)
   lineShift_ = log2Exact(config_.lineBytes);
   setShift_ = log2Exact(config_.numSets());
   setMask_ = config_.numSets() - 1;
-  lines_.resize(static_cast<std::size_t>(config_.numSets()) *
-                config_.associativity);
-  plruBits_.assign(config_.numSets(), 0);
+  lines_ = LineArray(static_cast<std::size_t>(config_.numSets()) *
+                     config_.associativity);
+  if (config_.replacement == ReplacementPolicy::TreePLRU) {
+    plruBits_.assign(config_.numSets(), 0);
+  }
 }
 
 void CacheSim::plruTouch(std::uint32_t setIndex, std::size_t way) {
@@ -309,7 +377,7 @@ void CacheSim::run(const Trace& trace) {
 }
 
 void CacheSim::reset() {
-  std::fill(lines_.begin(), lines_.end(), Line{});
+  lines_.clear();
   std::fill(plruBits_.begin(), plruBits_.end(), 0u);
   clock_ = 0;
   stats_ = CacheStats{};

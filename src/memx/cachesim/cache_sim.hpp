@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "memx/cachesim/cache_config.hpp"
@@ -93,6 +94,36 @@ private:
     bool valid = false;
     bool dirty = false;
   };
+  // LineArray relies on all-zero bytes being Line{} and on byte copies
+  // being valid copies.
+  static_assert(std::is_trivially_copyable_v<Line>);
+
+  /// Owning array of Lines that starts all-zero, i.e. all Line{}.
+  /// Arrays of at least 64 KiB are anonymous mappings, so pages the
+  /// simulation never touches are never committed: a 2 MiB L2 with
+  /// 8-byte lines holds 6 MiB of lines, of which a short L2 stream
+  /// touches a few pages. Smaller arrays come from calloc. Copies
+  /// allocate and memcpy; moves steal the pointer.
+  class LineArray {
+  public:
+    LineArray() = default;
+    explicit LineArray(std::size_t size);
+    LineArray(const LineArray& other);
+    LineArray(LineArray&& other) noexcept;
+    LineArray& operator=(LineArray other) noexcept;
+    ~LineArray();
+
+    Line& operator[](std::size_t i) noexcept { return data_[i]; }
+    const Line& operator[](std::size_t i) const noexcept { return data_[i]; }
+    [[nodiscard]] const Line* begin() const noexcept { return data_; }
+    [[nodiscard]] const Line* end() const noexcept { return data_ + size_; }
+    /// Invalidate every line (zero-fill in place).
+    void clear() noexcept;
+
+  private:
+    Line* data_ = nullptr;
+    std::size_t size_ = 0;
+  };
 
   /// Probe one line-sized piece of an access, keyed by line index
   /// (addr >> lineShift_). Returns true on hit. `outcome` may be null to
@@ -115,8 +146,9 @@ private:
   unsigned lineShift_ = 0;   ///< log2(lineBytes)
   unsigned setShift_ = 0;    ///< log2(numSets)
   std::uint64_t setMask_ = 0;  ///< numSets - 1
-  std::vector<Line> lines_;  ///< numSets * associativity, set-major
-  std::vector<std::uint64_t> plruBits_;  ///< one tree per set (<= 64 ways)
+  LineArray lines_;  ///< numSets * associativity, set-major
+  /// One tree per set (<= 64 ways); empty unless the policy is TreePLRU.
+  std::vector<std::uint64_t> plruBits_;
   std::uint64_t clock_ = 0;
   CacheStats stats_;
   std::mt19937_64 rng_;

@@ -29,8 +29,13 @@ std::vector<std::size_t> bruteForceFront(std::span<const Objectives> points) {
   return front;
 }
 
-std::vector<std::size_t> nonDominatedFront(
-    std::span<const Objectives> points) {
+namespace {
+
+/// Indices of `points` in lexicographic order, ties by index. If a
+/// dominates b then a <= b componentwise with a != b, so a sorts
+/// strictly before b: scanning in this order, every dominator of a
+/// point has already been seen.
+std::vector<std::size_t> lexOrder(std::span<const Objectives> points) {
   std::vector<std::size_t> order(points.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
@@ -38,12 +43,17 @@ std::vector<std::size_t> nonDominatedFront(
               if (points[a] != points[b]) return points[a] < points[b];
               return a < b;
             });
-  // If a dominates b then a <= b componentwise with a != b, so a sorts
-  // strictly before b lexicographically: scanning in lex order, every
-  // potential dominator of a candidate is already in `front`, and no
-  // accepted point can be dominated by a later one.
+  return order;
+}
+
+}  // namespace
+
+std::vector<std::size_t> nonDominatedFront(
+    std::span<const Objectives> points) {
+  // Every potential dominator of a candidate is already in `front`, and
+  // no accepted point can be dominated by a later one.
   std::vector<std::size_t> front;
-  for (const std::size_t i : order) {
+  for (const std::size_t i : lexOrder(points)) {
     bool dominated = false;
     for (const std::size_t j : front) {
       if (dominates(points[j], points[i])) {
@@ -57,7 +67,7 @@ std::vector<std::size_t> nonDominatedFront(
   return front;
 }
 
-std::vector<std::uint32_t> nonDominatedRanks(
+std::vector<std::uint32_t> bruteForceRanks(
     std::span<const Objectives> points) {
   const std::size_t n = points.size();
   std::vector<std::uint32_t> rank(n, 0);
@@ -89,6 +99,56 @@ std::vector<std::uint32_t> nonDominatedRanks(
     }
     current = std::move(next);
     ++level;
+  }
+  return rank;
+}
+
+std::vector<std::uint32_t> nonDominatedRanks(
+    std::span<const Objectives> points) {
+  const std::size_t n = points.size();
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> rank(n, 0);
+  // Each front is a list threaded through `older`, newest member first:
+  // head[f] is front f's newest member, older[i] the member added just
+  // before i. A recent member sits close to the next point in lex
+  // order, so it is the likeliest dominator and is tried first.
+  std::vector<std::uint32_t> head;
+  head.reserve(n);
+  std::vector<std::uint32_t> older(n, kNone);
+  const auto frontDominates = [&](std::uint32_t f, const Objectives& p) {
+    for (std::uint32_t j = head[f]; j != kNone; j = older[j]) {
+      if (dominates(points[j], p)) return true;
+    }
+    return false;
+  };
+  const std::vector<std::size_t> order = lexOrder(points);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = order[k];
+    // Equal vectors have the same dominators, hence the same rank; a
+    // copy never needs to join the front (its original answers for it).
+    if (k > 0 && points[i] == points[order[k - 1]]) {
+      rank[i] = rank[order[k - 1]];
+      continue;
+    }
+    // A point's dominators all precede it, so its rank is the first
+    // front with no member dominating it. That predicate is monotone in
+    // the front index (a dominator in front f is itself dominated by a
+    // member of front f - 1, which then dominates the point too), so a
+    // binary search over the fronts finds it.
+    std::uint32_t lo = 0;
+    auto hi = static_cast<std::uint32_t>(head.size());
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      if (frontDominates(mid, points[i])) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo == head.size()) head.push_back(kNone);
+    older[i] = head[lo];
+    head[lo] = static_cast<std::uint32_t>(i);
+    rank[i] = lo;
   }
   return rank;
 }

@@ -1,8 +1,8 @@
 // Pareto dominance over the search objectives, plus the machinery
-// NSGA-II needs on top of it: front extraction (a brute-force oracle
-// and a sort-accelerated production extractor that must agree bit for
-// bit), non-dominated sorting, crowding distances, and an exact 3-D
-// hypervolume for the bench gate.
+// NSGA-II needs on top of it: front extraction and non-dominated
+// sorting (each a quadratic brute-force oracle plus a presorted
+// production version that must agree bit for bit), crowding
+// distances, and an exact 3-D hypervolume for the bench gate.
 //
 // All objectives minimize. Dominance is strict: a dominates b iff a is
 // <= b in every objective and < in at least one, so it is a strict
@@ -37,8 +37,23 @@ using Objectives = std::array<double, 3>;
 [[nodiscard]] std::vector<std::size_t> nonDominatedFront(
     std::span<const Objectives> points);
 
-/// Fast non-dominated sort: rank[i] = 0 for the first front, 1 for the
-/// front once rank-0 points are removed, and so on.
+/// Non-dominated sort by dominator counting (Deb et al.): rank[i] = 0
+/// for the first front, 1 for the front once rank-0 points are removed,
+/// and so on. O(M * n^2) time and a list per point; this is the oracle
+/// nonDominatedRanks is differentially checked against.
+[[nodiscard]] std::vector<std::uint32_t> bruteForceRanks(
+    std::span<const Objectives> points);
+
+/// Same ranks as bruteForceRanks (asserted by tests), computed by
+/// efficient non-dominated sort with binary search (ENS-BS, Zhang et
+/// al., IEEE TEVC 2015) over the lexicographic presort: a copy of its
+/// lex predecessor takes the predecessor's rank; every other point
+/// joins the first front none of whose members dominates it, found by
+/// binary search over the fronts. O(n log n) to sort, then at most
+/// ceil(log2(F + 1)) front scans per point for F fronts: O(M * n log n)
+/// dominance work when fronts are small, O(M * n^2) only when one front
+/// holds most points. Four flat buffers per call (sort order, ranks,
+/// front heads, front links), none per point.
 [[nodiscard]] std::vector<std::uint32_t> nonDominatedRanks(
     std::span<const Objectives> points);
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "memx/obs/recorder.hpp"
@@ -88,19 +90,30 @@ std::vector<Genome> NsgaSearch::initialPopulation(std::mt19937_64& rng) {
 }
 
 void NsgaSearch::rankPopulation(std::vector<Individual>& pop) const {
+  const obs::ScopedSpan span(recorder_, "search.rank");
   std::vector<Objectives> objs;
   objs.reserve(pop.size());
   for (const Individual& ind : pop) objs.push_back(ind.objectives);
   const std::vector<std::uint32_t> ranks = nonDominatedRanks(objs);
-  std::map<std::uint32_t, std::vector<std::size_t>> fronts;
+  // Bucket the population by rank (a counting sort, so each front lists
+  // its members in ascending index order), then crowd front by front.
+  const std::uint32_t fronts =
+      ranks.empty() ? 0 : *std::max_element(ranks.begin(), ranks.end()) + 1;
+  std::vector<std::size_t> bounds(fronts + 1, 0);
+  for (const std::uint32_t r : ranks) ++bounds[r + 1];
+  std::partial_sum(bounds.begin(), bounds.end(), bounds.begin());
+  std::vector<std::size_t> members(pop.size());
+  std::vector<std::size_t> cursor(bounds.begin(), bounds.end() - 1);
   for (std::size_t i = 0; i < pop.size(); ++i) {
     pop[i].rank = ranks[i];
-    fronts[ranks[i]].push_back(i);
+    members[cursor[ranks[i]]++] = i;
   }
-  for (const auto& [rank, members] : fronts) {
-    const std::vector<double> crowd = crowdingDistances(objs, members);
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      pop[members[m]].crowding = crowd[m];
+  for (std::uint32_t f = 0; f < fronts; ++f) {
+    const std::span<const std::size_t> front(members.data() + bounds[f],
+                                             bounds[f + 1] - bounds[f]);
+    const std::vector<double> crowd = crowdingDistances(objs, front);
+    for (std::size_t m = 0; m < front.size(); ++m) {
+      pop[front[m]].crowding = crowd[m];
     }
   }
 }
@@ -114,7 +127,7 @@ std::size_t NsgaSearch::tournament(const std::vector<Individual>& pop,
     if (pop[a].crowding != pop[b].crowding) {
       return pop[a].crowding > pop[b].crowding;
     }
-    return space_.packed(pop[a].genome) < space_.packed(pop[b].genome);
+    return pop[a].key < pop[b].key;
   };
   std::size_t best = static_cast<std::size_t>(rng() % pop.size());
   for (std::uint32_t k = 1; k < options_.tournamentSize; ++k) {
@@ -205,10 +218,10 @@ SearchResult NsgaSearch::run() {
     std::vector<Individual> out;
     out.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      out.push_back(Individual{batch[i], objs[i], 0, 0.0});
+      const std::uint64_t key = space_.packed(batch[i]);
+      out.push_back(Individual{batch[i], key, objs[i], 0, 0.0});
       visited.try_emplace(
-          space_.packed(batch[i]),
-          SearchPoint{batch[i], space_.decode(batch[i]), objs[i]});
+          key, SearchPoint{batch[i], space_.decode(batch[i]), objs[i]});
     }
     return out;
   };
@@ -243,7 +256,7 @@ SearchResult NsgaSearch::run() {
               [&](const Individual& x, const Individual& y) {
                 if (x.rank != y.rank) return x.rank < y.rank;
                 if (x.crowding != y.crowding) return x.crowding > y.crowding;
-                return space_.packed(x.genome) < space_.packed(y.genome);
+                return x.key < y.key;
               });
     if (pop.size() > options_.populationSize) {
       pop.resize(options_.populationSize);

@@ -102,6 +102,9 @@ public:
 private:
   struct Individual {
     Genome genome{};
+    /// DesignSpace::packed(genome), the deterministic last tie-break of
+    /// both tournament and environmental selection.
+    std::uint64_t key = 0;
     Objectives objectives{};
     std::uint32_t rank = 0;
     double crowding = 0.0;

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "memx/cachesim/cache_sim.hpp"
+#include "memx/check/ref_cache_sim.hpp"
 #include "memx/trace/generators.hpp"
 #include "memx/util/assert.hpp"
 
@@ -232,6 +238,127 @@ TEST(CacheSim, SimulateTraceConvenience) {
   const CacheStats s = simulateTrace(dm(64, 8), stridedTrace(0, 16, 8));
   EXPECT_EQ(s.accesses(), 16u);
   EXPECT_EQ(s.misses(), 16u);  // stride = line size: all cold
+}
+
+// Line storage. The line array starts zeroed (a lazily committed
+// mapping for large arrays); copies, moves and reset() must keep plain
+// value semantics on it.
+
+/// Reads, writes and line-straddling reads spread over `spanBytes`.
+Trace mixedTrace(std::uint64_t spanBytes, std::size_t count,
+                 std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<MemRef> refs;
+  refs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t addr = (rng() % spanBytes) & ~std::uint64_t{3};
+    switch (rng() % 4) {
+      case 0:
+        refs.push_back(writeRef(addr));
+        break;
+      case 1:
+        refs.push_back(MemRef{addr + 2, 8, AccessType::Read});
+        break;
+      default:
+        refs.push_back(readRef(addr));
+    }
+  }
+  return Trace(std::move(refs));
+}
+
+void expectSameStats(const CacheStats& a, const CacheStats& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.reads, b.reads) << what;
+  EXPECT_EQ(a.writes, b.writes) << what;
+  EXPECT_EQ(a.readHits, b.readHits) << what;
+  EXPECT_EQ(a.readMisses, b.readMisses) << what;
+  EXPECT_EQ(a.writeHits, b.writeHits) << what;
+  EXPECT_EQ(a.writeMisses, b.writeMisses) << what;
+  EXPECT_EQ(a.lineFills, b.lineFills) << what;
+  EXPECT_EQ(a.writebacks, b.writebacks) << what;
+  EXPECT_EQ(a.memWrites, b.memWrites) << what;
+}
+
+/// A 2 MiB L2 with 8-byte lines: a 6 MiB line array, far past the
+/// size at which line arrays become mappings.
+CacheConfig bigL2(ReplacementPolicy replacement) {
+  CacheConfig c = sa(2u << 20, 8, 4);
+  c.replacement = replacement;
+  return c;
+}
+
+/// Reads and writes to 64 tags in each of 64 sets of bigL2() (whose
+/// sets repeat every 512 KiB): heavy conflict traffic, so lines, dirty
+/// ones included, keep getting evicted.
+Trace bigL2ConflictTrace(std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<MemRef> refs;
+  refs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t addr = ((rng() % 64) << 19) | ((rng() % 64) << 3);
+    refs.push_back(rng() % 3 == 0 ? writeRef(addr) : readRef(addr));
+  }
+  return Trace(std::move(refs));
+}
+
+/// Direct-mapped, 4-way tree-PLRU (the only policy with PLRU bits),
+/// and the big L2 under tree-PLRU.
+std::vector<CacheConfig> storageConfigs() {
+  CacheConfig plru = sa(4096, 16, 4);
+  plru.replacement = ReplacementPolicy::TreePLRU;
+  return {dm(1024, 16), plru, bigL2(ReplacementPolicy::TreePLRU)};
+}
+
+TEST(CacheSimLines, CopyOfAWarmedSimContinuesIdentically) {
+  for (const CacheConfig& config : storageConfigs()) {
+    const std::uint64_t span = 4 * config.sizeBytes;
+    CacheSim sim(config);
+    sim.run(mixedTrace(span, 4000, 1));
+    CacheSim copy = sim;
+    CacheSim assigned(dm(64, 8));
+    assigned = sim;
+    const Trace next = mixedTrace(span, 4000, 2);
+    sim.run(next);
+    copy.run(next);
+    CacheSim moved = std::move(assigned);
+    moved.run(next);
+    for (const CacheSim* other : {&copy, &moved}) {
+      expectSameStats(other->stats(), sim.stats(), config.label());
+      EXPECT_EQ(other->validLineCount(), sim.validLineCount())
+          << config.label();
+    }
+  }
+}
+
+TEST(CacheSimLines, ResetEqualsAFreshSim) {
+  for (const CacheConfig& config : storageConfigs()) {
+    const std::uint64_t span = 4 * config.sizeBytes;
+    CacheSim sim(config);
+    sim.run(mixedTrace(span, 4000, 3));
+    sim.reset();
+    EXPECT_EQ(sim.validLineCount(), 0u) << config.label();
+    CacheSim fresh(config);
+    const Trace next = mixedTrace(span, 4000, 4);
+    sim.run(next);
+    fresh.run(next);
+    expectSameStats(sim.stats(), fresh.stats(), config.label());
+    EXPECT_EQ(sim.validLineCount(), fresh.validLineCount()) << config.label();
+  }
+}
+
+TEST(CacheSimLines, BigL2MatchesTheReferenceSimulator) {
+  for (const ReplacementPolicy replacement :
+       {ReplacementPolicy::LRU, ReplacementPolicy::TreePLRU}) {
+    const CacheConfig config = bigL2(replacement);
+    // A short stream, as a search L2 sees, and a long conflict stream.
+    for (const Trace& trace :
+         {mixedTrace(1u << 16, 100, 5), bigL2ConflictTrace(20000, 6)}) {
+      CacheSim sim(config);
+      sim.run(trace);
+      expectSameStats(sim.stats(), refSimulateTrace(config, trace),
+                      config.label());
+    }
+  }
 }
 
 TEST(CacheStats, RatesComputed) {

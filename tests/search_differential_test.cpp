@@ -2,16 +2,22 @@
 // joint spaces (<= 512 genomes), exact search vs brute-force front,
 // bit-identical objectives. Failures print a one-line
 // `MEMX_SEARCH_DIFF repro:` that reconstructs the minimized case from
-// the seed and shrink-step list alone.
+// the seed and shrink-step list alone. A second sweep checks the
+// presorted non-dominated ranking against the dominator-count oracle
+// on seeded objective sets of up to 300 points.
 //
-// MEMX_SEARCH_DIFF_CASES overrides the case count (the nightly-depth
-// CI job runs 512; the default keeps `ctest` whole-seconds fast).
+// MEMX_SEARCH_DIFF_CASES overrides the case count of both sweeps (the
+// nightly-depth CI job runs 512; the default keeps `ctest`
+// whole-seconds fast).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "memx/search/dominance.hpp"
 #include "memx/search/search_diff.hpp"
+#include "ranking_cases.hpp"
 
 namespace memx::search {
 namespace {
@@ -29,6 +35,18 @@ TEST(SearchDifferential, ExactSearchMatchesBruteForceFront) {
   EXPECT_EQ(summary.casesRun, caseCount());
   for (const std::string& failure : summary.failures) {
     ADD_FAILURE() << failure;
+  }
+}
+
+TEST(SearchDifferential, RanksMatchBruteForce) {
+  for (std::size_t c = 0; c < caseCount(); ++c) {
+    const auto shape = static_cast<RankingShape>(c % kRankingShapes);
+    const std::uint64_t seed = 1000 + c;
+    const std::size_t n = static_cast<std::size_t>(seed * 7919 % 301);
+    const std::vector<Objectives> points = rankingCase(shape, n, seed);
+    EXPECT_EQ(nonDominatedRanks(points), bruteForceRanks(points))
+        << "case " << c << ": shape " << static_cast<int>(shape) << " n "
+        << n << " seed " << seed;
   }
 }
 

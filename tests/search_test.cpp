@@ -6,6 +6,7 @@
 // golden_front_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "memx/search/nsga.hpp"
 #include "memx/search/search_diff.hpp"
 #include "memx/util/assert.hpp"
+#include "ranking_cases.hpp"
 
 namespace memx::search {
 namespace {
@@ -154,6 +156,29 @@ TEST(Dominance, RankZeroIsTheFront) {
       }
     }
     EXPECT_TRUE(covered) << "point " << i << " rank " << ranks[i];
+  }
+}
+
+TEST(Dominance, RanksMatchBruteForce) {
+  for (int s = 0; s < kRankingShapes; ++s) {
+    const auto shape = static_cast<RankingShape>(s);
+    for (const std::size_t n : {0, 1, 2, 3, 5, 16, 64, 255, 300}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::vector<Objectives> points = rankingCase(shape, n, seed);
+        const std::vector<std::uint32_t> ranks = nonDominatedRanks(points);
+        EXPECT_EQ(ranks, bruteForceRanks(points))
+            << "shape " << s << " n " << n << " seed " << seed;
+        // The shapes produce the front structure they are named for.
+        const std::uint32_t deepest =
+            ranks.empty() ? 0 : *std::max_element(ranks.begin(), ranks.end());
+        if (shape == RankingShape::AntiCorrelated) {
+          EXPECT_EQ(deepest, 0u);
+        }
+        if (shape == RankingShape::StrictChain && n > 0) {
+          EXPECT_EQ(deepest, n - 1);
+        }
+      }
+    }
   }
 }
 
@@ -354,6 +379,10 @@ TEST(Search, RecorderSeesSearchCountersAndSpans) {
   const obs::PhaseStat* gen = report.phase("search.generation");
   ASSERT_NE(gen, nullptr);
   EXPECT_EQ(gen->count, r.generations);
+  // Each generation ranks the parents, then parents plus offspring.
+  const obs::PhaseStat* rank = report.phase("search.rank");
+  ASSERT_NE(rank, nullptr);
+  EXPECT_EQ(rank->count, 2u * r.generations);
   const obs::PhaseStat* batch = report.phase("search.evaluate_batch");
   ASSERT_NE(batch, nullptr);
   EXPECT_GT(batch->count, 0u);
