@@ -163,43 +163,6 @@ void ExploreRanges::validate() const {
                "the cycle model tabulates line sizes from 4 bytes");
 }
 
-ExplorationResult::ExplorationResult(const ExplorationResult& other)
-    : workload(other.workload), points(other.points) {}
-
-ExplorationResult& ExplorationResult::operator=(
-    const ExplorationResult& other) {
-  if (this != &other) {
-    workload = other.workload;
-    points = other.points;
-    const std::unique_lock lock(indexMutex_);
-    index_.clear();
-    indexBuilt_ = false;
-  }
-  return *this;
-}
-
-ExplorationResult::ExplorationResult(ExplorationResult&& other) noexcept
-    : workload(std::move(other.workload)),
-      points(std::move(other.points)) {
-  // The moved-from index would alias positions in the now-empty points
-  // vector; drop it so a stray find() on the source rebuilds cleanly.
-  other.index_.clear();
-  other.indexBuilt_ = false;
-}
-
-ExplorationResult& ExplorationResult::operator=(
-    ExplorationResult&& other) noexcept {
-  if (this != &other) {
-    workload = std::move(other.workload);
-    points = std::move(other.points);
-    index_.clear();
-    indexBuilt_ = false;
-    other.index_.clear();
-    other.indexBuilt_ = false;
-  }
-  return *this;
-}
-
 const DesignPoint& ExplorationResult::at(const ConfigKey& key) const {
   const DesignPoint* p = find(key);
   MEMX_EXPECTS(p != nullptr,
@@ -207,102 +170,12 @@ const DesignPoint& ExplorationResult::at(const ConfigKey& key) const {
   return *p;
 }
 
-const DesignPoint* ExplorationResult::find(const ConfigKey& key) const {
-  {
-    // Fast path: the index is current, so concurrent lookups share the
-    // lock and never touch mutable state.
-    const std::shared_lock lock(indexMutex_);
-    if (indexCurrentLocked()) {
-      const Lookup r = lookupLocked(key);
-      if (!r.stale) return r.point;
-    }
-  }
-  const std::unique_lock lock(indexMutex_);
-  if (!indexCurrentLocked()) refreshIndexLocked();
-  Lookup r = lookupLocked(key);
-  // Last line of defense against an in-place key rewrite that skipped
-  // invalidateIndex(): the entry must still describe its point. A
-  // mismatch means the index is stale — rebuild once and retry rather
-  // than returning a point whose key is not `key`.
-  if (r.stale) {
-    rebuildIndexLocked();
-    r = lookupLocked(key);
-  }
-  return r.point;
-}
-
-void ExplorationResult::buildIndex() const {
-  const std::unique_lock lock(indexMutex_);
-  if (!indexCurrentLocked()) refreshIndexLocked();
-}
-
-void ExplorationResult::invalidateIndex() noexcept {
-  const std::unique_lock lock(indexMutex_);
-  ++generation_;
-}
-
-std::uint64_t ExplorationResult::indexRebuilds() const noexcept {
-  const std::shared_lock lock(indexMutex_);
-  return indexRebuilds_;
-}
-
-std::uint64_t ExplorationResult::indexAppends() const noexcept {
-  const std::shared_lock lock(indexMutex_);
-  return indexAppends_;
-}
-
-bool ExplorationResult::indexCurrentLocked() const {
-  return indexBuilt_ && indexedGeneration_ == generation_ &&
-         index_.size() == points.size();
-}
-
-void ExplorationResult::refreshIndexLocked() const {
-  if (indexBuilt_ && indexedGeneration_ == generation_ &&
-      index_.size() < points.size()) {
-    appendToIndexLocked();
-  } else {
-    rebuildIndexLocked();
-  }
-}
-
-ExplorationResult::Lookup ExplorationResult::lookupLocked(
-    const ConfigKey& key) const {
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), key,
-      [](const std::pair<ConfigKey, std::size_t>& entry,
-         const ConfigKey& k) { return entry.first < k; });
-  if (it == index_.end() || it->first != key) return {nullptr, false};
-  if (points[it->second].key != key) return {nullptr, true};
-  return {&points[it->second], false};
-}
-
-void ExplorationResult::rebuildIndexLocked() const {
-  index_.clear();
-  index_.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    index_.emplace_back(points[i].key, i);
-  }
-  std::sort(index_.begin(), index_.end());
-  indexedGeneration_ = generation_;
-  indexBuilt_ = true;
-  ++indexRebuilds_;
-}
-
-void ExplorationResult::appendToIndexLocked() const {
-  const std::size_t start = index_.size();
-  index_.reserve(points.size());
-  for (std::size_t i = start; i < points.size(); ++i) {
-    index_.emplace_back(points[i].key, i);
-  }
-  // (key, position) pairs: sorting the tail and merging keeps equal
-  // keys ordered by position, exactly like a full rebuild, so find()
-  // still returns the first occurrence.
-  std::sort(index_.begin() + static_cast<std::ptrdiff_t>(start),
-            index_.end());
-  std::inplace_merge(index_.begin(),
-                     index_.begin() + static_cast<std::ptrdiff_t>(start),
-                     index_.end());
-  ++indexAppends_;
+const DesignPoint* ExplorationResult::find(
+    const ConfigKey& key) const noexcept {
+  const auto it =
+      std::find_if(points.begin(), points.end(),
+                   [&](const DesignPoint& p) { return p.key == key; });
+  return it == points.end() ? nullptr : &*it;
 }
 
 Explorer::Explorer(ExploreOptions options)

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -149,90 +148,17 @@ struct ExploreOptions {
 /// (doubles via %.17g-equivalent round-trip formatting).
 [[nodiscard]] std::string canonicalExploreKey(const ExploreOptions& options);
 
-/// All evaluated points for one workload.
-///
-/// Thread-safety: concurrent find()/at()/buildIndex() calls on a shared
-/// result are safe — the lazily built lookup index is guarded by a
-/// shared mutex, so logically-const reads never race on its
-/// construction (the serve result store hands one cached result to many
-/// workers at once). Mutating `workload`/`points` (or calling
-/// invalidateIndex()) still requires external synchronization, like any
-/// non-const use.
+/// All evaluated points for one workload. A plain value: lookups are
+/// linear scans, and callers with heavier lookup traffic keep their own
+/// index (the search fitness cache, the serve subset walk).
 struct ExplorationResult {
   std::string workload;
   std::vector<DesignPoint> points;
 
-  ExplorationResult() = default;
-  /// Copies and moves carry the data, not the index: the destination
-  /// rebuilds lazily on first find(). (The index is position-relative,
-  /// and dropping it keeps these members safe against concurrent
-  /// lookups on the source.)
-  ExplorationResult(const ExplorationResult& other);
-  ExplorationResult& operator=(const ExplorationResult& other);
-  ExplorationResult(ExplorationResult&& other) noexcept;
-  ExplorationResult& operator=(ExplorationResult&& other) noexcept;
-
   /// Point with the given key; throws when the sweep did not visit it.
   [[nodiscard]] const DesignPoint& at(const ConfigKey& key) const;
-  /// Point with the given key, if visited. Backed by a lazily built
-  /// sorted index, so repeated lookups over a full sweep are O(log n)
-  /// instead of a linear scan. Not noexcept: the rebuild allocates.
-  /// When `points` only grew since the last lookup, the new tail is
-  /// sorted and merged into the index instead of rebuilding it from
-  /// scratch — incremental archives (searchPareto evaluates in many
-  /// small batches) stay O(new + merge) per batch, not O(n log n).
-  /// A full rebuild happens when invalidateIndex() was called, when
-  /// `points` shrank, or when an indexed entry no longer matches its
-  /// point (in-place key mutation is detected on lookup rather than
-  /// silently returning the wrong point).
-  [[nodiscard]] const DesignPoint* find(const ConfigKey& key) const;
-
-  /// Precompute the lookup index now (idempotent). Publishers that
-  /// share a result across threads call this once at publish time so
-  /// every subsequent concurrent find() takes only the shared lock.
-  void buildIndex() const;
-
-  /// Declare the index stale after mutating `points` in place (for
-  /// example rewriting a point's key). Size changes are picked up
-  /// automatically; same-size mutations need this call so the next
-  /// find() rebuilds instead of consulting stale entries.
-  void invalidateIndex() noexcept;
-
-  /// Full index rebuilds performed so far (diagnostic: a growing
-  /// archive should append, not rebuild — see the regression test).
-  [[nodiscard]] std::uint64_t indexRebuilds() const noexcept;
-  /// Incremental merges of appended points into the index.
-  [[nodiscard]] std::uint64_t indexAppends() const noexcept;
-
-private:
-  struct Lookup {
-    const DesignPoint* point = nullptr;
-    bool stale = false;  ///< an indexed entry no longer matches its point
-  };
-
-  /// True when the index mirrors `points` at the current generation.
-  [[nodiscard]] bool indexCurrentLocked() const;
-  /// Rebuild or append as appropriate; requires the unique lock.
-  void refreshIndexLocked() const;
-  void rebuildIndexLocked() const;
-  /// Index only the points appended since the index was built and
-  /// merge them in (requires a current index that is a prefix view).
-  void appendToIndexLocked() const;
-  [[nodiscard]] Lookup lookupLocked(const ConfigKey& key) const;
-
-  /// Guards every index_* member below. find() takes it shared on the
-  /// built-index fast path and exclusive to (re)build.
-  mutable std::shared_mutex indexMutex_;
-  /// (key, position) pairs sorted lexicographically; duplicate keys keep
-  /// their points order so find() returns the first occurrence.
-  mutable std::vector<std::pair<ConfigKey, std::size_t>> index_;
-  /// Bumped by invalidateIndex(); the index remembers the generation it
-  /// was built at and rebuilds on mismatch.
-  std::uint64_t generation_ = 0;
-  mutable std::uint64_t indexedGeneration_ = 0;
-  mutable bool indexBuilt_ = false;
-  mutable std::uint64_t indexRebuilds_ = 0;
-  mutable std::uint64_t indexAppends_ = 0;
+  /// First point with the given key, or nullptr when not visited.
+  [[nodiscard]] const DesignPoint* find(const ConfigKey& key) const noexcept;
 };
 
 /// A sweep restructured for shared-trace evaluation: the key grid plus

@@ -1,5 +1,7 @@
 #include "memx/mpeg/composite.hpp"
 
+#include <algorithm>
+
 #include "memx/kernels/mpeg_kernels.hpp"
 #include "memx/util/assert.hpp"
 
@@ -38,14 +40,32 @@ ExplorationResult combineResults(
     totalTrips += static_cast<double>(t);
   }
 
-  // The grid of the first result defines the combined grid; every other
-  // result must contain each key (same sweep ranges).
-  for (const DesignPoint& head : perKernel.front().points) {
+  // The first result's key sequence defines the combined grid; every
+  // other result must list the same keys in the same order (same sweep
+  // ranges), so the fold walks all of them by position.
+  const std::vector<DesignPoint>& grid = perKernel.front().points;
+  const auto keyAt = [](const std::vector<DesignPoint>& points,
+                        std::size_t i) {
+    return i < points.size() ? points[i].key.label() : "no point";
+  };
+  for (std::size_t j = 1; j < perKernel.size(); ++j) {
+    const std::vector<DesignPoint>& points = perKernel[j].points;
+    const std::size_t n = std::min(grid.size(), points.size());
+    std::size_t i = 0;
+    while (i < n && points[i].key == grid[i].key) ++i;
+    MEMX_EXPECTS(i == grid.size() && i == points.size(),
+                 "per-kernel result " + std::to_string(j) +
+                     " leaves the first result's key sequence at position " +
+                     std::to_string(i) + ": expected " + keyAt(grid, i) +
+                     ", found " + keyAt(points, i));
+  }
+  out.points.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
     DesignPoint combined;
-    combined.key = head.key;
+    combined.key = grid[i].key;
     double weightedMiss = 0.0;
     for (std::size_t j = 0; j < perKernel.size(); ++j) {
-      const DesignPoint& p = perKernel[j].at(head.key);
+      const DesignPoint& p = perKernel[j].points[i];
       const double w = static_cast<double>(trips[j]);
       weightedMiss += p.missRate * w;
       combined.cycles += p.cycles * w;

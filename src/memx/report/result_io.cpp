@@ -141,8 +141,12 @@ ExplorationResult readResultCsv(std::istream& is) {
     MEMX_EXPECTS(cells.size() == 9, "exploration-CSV row " +
                                         std::to_string(lineNo) +
                                         " has wrong column count");
+    if (result.points.empty()) result.workload = cells[0];
+    MEMX_EXPECTS(cells[0] == result.workload,
+                 "exploration-CSV row " + std::to_string(lineNo) +
+                     " has workload \"" + cells[0] + "\", not \"" +
+                     result.workload + "\" like the first row");
     DesignPoint p;
-    if (result.workload.empty()) result.workload = cells[0];
     constexpr std::uint64_t kU32 = 0xffffffffull;
     constexpr std::uint64_t kU64 = ~0ull;
     p.key.cacheBytes = static_cast<std::uint32_t>(

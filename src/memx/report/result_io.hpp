@@ -19,7 +19,8 @@ void writeResultCsv(std::ostream& os, const ExplorationResult& result);
 
 /// Parse the CSV produced by writeResultCsv, honoring quoted fields.
 /// Throws memx::ContractViolation naming the offending line number on
-/// malformed input (wrong header, bad quoting, wrong column count).
+/// malformed input (wrong header, bad quoting, wrong column count, a
+/// workload differing from the first row's).
 [[nodiscard]] ExplorationResult readResultCsv(std::istream& is);
 
 /// Write `result` as a JSON object

@@ -67,17 +67,6 @@ Objectives SearchEvaluator::toObjectives(const DesignPoint& point,
   return Objectives{point.energyNj, point.cycles, sizeRbe};
 }
 
-const ExplorationResult* SearchEvaluator::archive(
-    std::uint8_t replacementIdx, std::uint8_t writePolicyIdx,
-    std::uint8_t layoutIdx, std::uint8_t l2Idx) const {
-  const auto combo =
-      combos_.find(ComboKey{replacementIdx, writePolicyIdx, layoutIdx});
-  if (combo == combos_.end()) return nullptr;
-  const auto arch = combo->second.archives.find(l2Idx);
-  if (arch == combo->second.archives.end()) return nullptr;
-  return &arch->second;
-}
-
 std::vector<Objectives> SearchEvaluator::evaluate(
     const std::vector<Genome>& genomes) {
   const obs::ScopedSpan span(recorder_, "search.evaluate_batch");
@@ -101,18 +90,12 @@ std::vector<Objectives> SearchEvaluator::evaluate(
     MEMX_EXPECTS(space_.isValid(g),
                  "SearchEvaluator::evaluate requires valid genomes "
                  "(repair before evaluating)");
-    JointPoint decoded = space_.decode(g);
-    ComboState& state = comboFor(g);
-    const std::uint8_t l2Idx = geneOf(g, Gene::L2);
-    const auto arch = state.archives.find(l2Idx);
-    if (arch != state.archives.end()) {
-      if (const DesignPoint* p = arch->second.find(decoded.key)) {
-        results[i] = toObjectives(*p, decoded);
-        ++hits;
-        continue;
-      }
-    }
     const std::uint64_t packed = space_.packed(g);
+    if (const auto hit = fitness_.find(packed); hit != fitness_.end()) {
+      results[i] = hit->second;
+      ++hits;
+      continue;
+    }
     const auto [seen, inserted] = firstSeen.try_emplace(packed, i);
     if (!inserted) {
       duplicates.emplace_back(i, seen->second);
@@ -122,12 +105,12 @@ std::vector<Objectives> SearchEvaluator::evaluate(
     const ComboKey key{geneOf(g, Gene::Replacement),
                        geneOf(g, Gene::WritePolicy),
                        geneOf(g, Gene::Layout)};
-    work[key].push_back(Pending{i, g, std::move(decoded)});
+    work[key].push_back(Pending{i, g, space_.decode(g)});
     ++fresh;
   }
 
   for (auto& [comboKey, pending] : work) {
-    ComboState& state = combos_.at(comboKey);
+    ComboState& state = comboFor(pending.front().genome);
     std::vector<ConfigKey> keys;
     keys.reserve(pending.size());
     for (const Pending& p : pending) keys.push_back(p.decoded.key);
@@ -182,11 +165,8 @@ std::vector<Objectives> SearchEvaluator::evaluate(
 
     for (std::size_t j = 0; j < pending.size(); ++j) {
       const Pending& p = pending[j];
-      ExplorationResult& archive =
-          state.archives[geneOf(p.genome, Gene::L2)];
-      if (archive.workload.empty()) archive.workload = kernel_.name;
-      archive.points.push_back(points[j]);
       results[p.outIdx] = toObjectives(points[j], p.decoded);
+      fitness_.emplace(space_.packed(p.genome), results[p.outIdx]);
     }
   }
 

@@ -10,16 +10,15 @@
 // per distinct L1 key; its fold models neither write energy nor
 // leakage, so a space with L2 capacities rejects both options.
 //
-// Results archive into per-(combo, L2 choice) ExplorationResults whose
-// sorted find-index grows incrementally with the archive — the
-// fitness cache is the archive, keyed by the canonical genome, and a
-// re-evaluated genome is a pure index lookup.
+// Objectives are cached by packed genome: a re-evaluated genome is one
+// hash lookup, answered before its combo is touched.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,7 +51,7 @@ public:
                   ExploreOptions base, obs::Recorder* recorder = nullptr);
 
   /// Objectives for each genome (all must be valid), in input order.
-  /// Previously seen genomes are archive lookups; the rest are
+  /// Previously seen genomes are fitness-cache lookups; the rest are
   /// evaluated in per-combo batches.
   [[nodiscard]] std::vector<Objectives> evaluate(
       const std::vector<Genome>& genomes);
@@ -61,20 +60,14 @@ public:
   [[nodiscard]] std::uint64_t evaluations() const noexcept {
     return evaluations_;
   }
-  /// Archive hits served so far (includes duplicates within a batch).
+  /// Fitness-cache hits served so far (includes duplicates within a
+  /// batch).
   [[nodiscard]] std::uint64_t cacheHits() const noexcept {
     return cacheHits_;
   }
 
   [[nodiscard]] const DesignSpace& space() const noexcept { return space_; }
   [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }
-
-  /// The archive a combo/L2 choice accumulates results in (nullptr when
-  /// nothing of that slice was evaluated yet). Exposed so tests can
-  /// assert the find-index stays coherent while the archive grows.
-  [[nodiscard]] const ExplorationResult* archive(
-      std::uint8_t replacementIdx, std::uint8_t writePolicyIdx,
-      std::uint8_t layoutIdx, std::uint8_t l2Idx) const;
 
 private:
   /// (replacement, write, layout) gene indices — one Explorer each.
@@ -86,9 +79,6 @@ private:
     /// Shared group traces with their measured bus activity, keyed by
     /// SweepPlan::Group::traceKey; persists across generations.
     std::map<std::string, std::pair<Trace, double>> traces;
-    /// One growing result archive per L2 gene index (ConfigKeys would
-    /// collide across L2 choices in a single archive).
-    std::map<std::uint8_t, ExplorationResult> archives;
   };
 
   ComboState& comboFor(const Genome& g);
@@ -100,6 +90,8 @@ private:
   ExploreOptions base_;
   obs::Recorder* recorder_ = nullptr;
   std::map<ComboKey, ComboState> combos_;
+  /// Objectives of every genome evaluated so far, by packed genome.
+  std::unordered_map<std::uint64_t, Objectives> fitness_;
   std::uint64_t evaluations_ = 0;
   std::uint64_t cacheHits_ = 0;
 };

@@ -194,7 +194,7 @@ SearchResult NsgaSearch::run() {
   /// Every distinct genome evaluated this run, in packed order.
   std::map<std::uint64_t, SearchPoint> visited;
 
-  // Drop fresh genomes beyond the remaining budget (archive hits and
+  // Drop fresh genomes beyond the remaining budget (cache hits and
   // in-batch duplicates are free and always kept), so the evaluator
   // never exceeds `budget` fresh evaluations.
   const auto trimToBudget = [&](std::vector<Genome> batch) {

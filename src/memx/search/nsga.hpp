@@ -4,10 +4,10 @@
 // arithmetic crossover, per-gene mutation, elitist environmental
 // selection — with two twists that matter here:
 //
-//   * Every distinct genome ever evaluated lands in the evaluator's
-//     archive, and the returned front is extracted over the archive,
-//     not the final population: the search can only gain from points it
-//     paid for.
+//   * Every distinct genome the run evaluates lands in its `visited`
+//     set, and the returned front is extracted over that set, not the
+//     final population: the search can only gain from points it paid
+//     for. The evaluator's fitness cache makes re-visits free.
 //   * When the remaining evaluation budget covers every not-yet-visited
 //     genome, the engine finishes exhaustively ("budget mop-up"). A
 //     budget of at least the space size therefore guarantees the
@@ -49,7 +49,7 @@ struct SearchOptions {
   std::uint32_t tournamentSize = 2;
   double crossoverRate = 0.9;   ///< probability a pair recombines
   double mutationRate = 0.15;   ///< per-gene mutation probability
-  /// Hard cap on *fresh* evaluations (archive hits are free). 0 means
+  /// Hard cap on *fresh* evaluations (cache hits are free). 0 means
   /// populationSize * (generations + 1).
   std::uint64_t maxEvaluations = 0;
   /// Finish exhaustively when the remaining budget covers every
@@ -63,7 +63,7 @@ struct SearchOptions {
   void validate() const;
 };
 
-/// One archived design with its objectives.
+/// One evaluated design with its objectives.
 struct SearchPoint {
   Genome genome{};
   JointPoint decoded;
@@ -77,7 +77,7 @@ struct SearchResult {
   /// order (deterministic).
   std::vector<SearchPoint> front;
   std::uint64_t evaluations = 0;   ///< fresh evaluations spent
-  std::uint64_t cacheHits = 0;     ///< archive hits along the way
+  std::uint64_t cacheHits = 0;     ///< fitness-cache hits along the way
   std::uint32_t generations = 0;   ///< generational loops executed
   std::uint64_t spaceSize = 0;     ///< valid genomes in the space
   /// True iff every valid genome was evaluated: the front is the exact
@@ -92,8 +92,8 @@ public:
              SearchOptions options, obs::Recorder* recorder = nullptr);
 
   /// Run the configured search once. Repeated calls restart from the
-  /// seed but keep the warm evaluator archive (same front, zero fresh
-  /// evaluations the second time).
+  /// seed but keep the evaluator's warm fitness cache (same front, zero
+  /// fresh evaluations the second time).
   [[nodiscard]] SearchResult run();
 
   [[nodiscard]] const DesignSpace& space() const noexcept { return space_; }

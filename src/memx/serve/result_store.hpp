@@ -18,12 +18,12 @@
 //     workload + model) whose sweep bounds contain the request's. The
 //     leader can then re-select from the parent's points instead of
 //     re-simulating. The containment check here is a conservative
-//     filter; the server verifies every sweep key against the parent
-//     before trusting it.
+//     filter; the server's ordered walk over the parent must find every
+//     sweep key of the request before it trusts the parent.
 //
 // Values are shared_ptr<const ...>: once published they are immutable
-// and may be read by any number of workers concurrently (which is what
-// forced ExplorationResult::find to become thread-safe).
+// plain values and may be read by any number of workers concurrently
+// without locking.
 #pragma once
 
 #include <cstdint>

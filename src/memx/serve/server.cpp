@@ -207,27 +207,25 @@ JsonValue Server::handleExplore(const Request& request) {
     } else {
       try {
         if (outcome.parent != nullptr && outcome.parent->explore != nullptr) {
-          // Covering-range candidate: verify every sweep key of this
-          // request exists in the parent, then re-select instead of
-          // re-simulating. Bit-identical by the canonical-key contract
+          // Covering-range candidate: re-select instead of re-simulating.
+          // Both key lists are in sweepKeys() order, so one ordered walk
+          // over the parent finds every key of this request, or shows
+          // one missing. Bit-identical by the canonical-key contract
           // (equal model keys => equal points per sweep key).
           const obs::ScopedSpan select(&recorder, "serve.reselect");
-          const ExplorationResult& parent = *outcome.parent->explore;
+          const std::vector<DesignPoint>& parent =
+              outcome.parent->explore->points;
           const std::vector<ConfigKey> keys = explorer.sweepKeys();
           auto sliced = std::make_shared<ExplorationResult>();
           sliced->workload = resolved.kernel.name;
           sliced->points.reserve(keys.size());
-          bool complete = true;
+          auto next = parent.begin();
           for (const ConfigKey& k : keys) {
-            const DesignPoint* p = parent.find(k);
-            if (p == nullptr) {
-              complete = false;
-              break;
-            }
-            sliced->points.push_back(*p);
+            while (next != parent.end() && next->key != k) ++next;
+            if (next == parent.end()) break;
+            sliced->points.push_back(*next++);
           }
-          if (complete) {
-            sliced->buildIndex();
+          if (sliced->points.size() == keys.size()) {
             auto stored = std::make_shared<StoredResult>();
             stored->explore = std::move(sliced);
             use = {stored, false, true};
@@ -240,7 +238,6 @@ JsonValue Server::handleExplore(const Request& request) {
           const obs::ScopedSpan compute(&recorder, "serve.compute");
           auto computed = std::make_shared<ExplorationResult>(
               explorer.explore(resolved.kernel));
-          computed->buildIndex();
           auto stored = std::make_shared<StoredResult>();
           stored->explore = std::move(computed);
           use = {stored, false, false};
@@ -377,7 +374,6 @@ JsonValue Server::handleTrace(const Request& request) {
         auto computed = std::make_shared<ExplorationResult>(
             exploreTrace(request.tracePath, source, request.options,
                          request.window, kDefaultTraceChunkRefs, &recorder));
-        computed->buildIndex();
         auto stored = std::make_shared<StoredResult>();
         stored->explore = std::move(computed);
         use = {stored, false, false};

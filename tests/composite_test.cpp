@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "memx/core/selection.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/mpeg/composite.hpp"
@@ -70,6 +73,39 @@ TEST(Composite, SingleKernelWithUnitTripMatchesPlain) {
 
 TEST(Composite, CombineResultsValidatesShape) {
   EXPECT_THROW(combineResults("x", {}, {}), ContractViolation);
+}
+
+TEST(Composite, CombineResultsRejectsMissingOrReorderedKeys) {
+  const Explorer ex(tinySweep());
+  const ExplorationResult a = ex.explore(matrixAddKernel(8, 4));
+  const ExplorationResult b = ex.explore(dequantKernel(8));
+  ASSERT_GE(b.points.size(), 3u);
+  EXPECT_EQ(combineResults("ok", {a, b}, {1, 1}).points.size(),
+            a.points.size());
+
+  const auto rejects = [&](const ExplorationResult& bad,
+                           std::size_t position) {
+    try {
+      (void)combineResults("x", {a, bad}, {1, 1});
+      FAIL() << "expected ContractViolation";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("position " + std::to_string(position)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(a.points[position].key.label()), std::string::npos)
+          << what;
+    }
+  };
+  ExplorationResult missing = b;
+  missing.points.erase(missing.points.begin() + 1);
+  rejects(missing, 1);
+  ExplorationResult reordered = b;
+  std::swap(reordered.points[1], reordered.points[2]);
+  rejects(reordered, 1);
+  ExplorationResult truncated = b;
+  truncated.points.pop_back();
+  rejects(truncated, truncated.points.size());
 }
 
 TEST(Composite, MpegDecoderAssembles) {

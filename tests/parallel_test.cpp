@@ -94,13 +94,9 @@ TEST(ParallelExplorer, DefaultThreadCount) {
   EXPECT_FALSE(r.points.empty());
 }
 
-// Regression: ExplorationResult::find lazily builds its sorted index
-// through a logically-const call. Before the index was put behind a
-// shared mutex, N threads doing their first find() on a shared result
-// raced on that construction (the serve result store hands one cached
-// result to many workers at once). Run under TSan this test is the
-// tripwire; under any build it verifies concurrent lookups stay
-// correct.
+// The serve result store hands one cached result to many workers at
+// once, so concurrent const lookups on a shared result must be safe and
+// correct. Run under TSan this test is the tripwire.
 TEST(ExplorationResultConcurrency, ConcurrentFindIsSafeAndCorrect) {
   const Kernel k = dequantKernel();
   const ExploreOptions o = smallSweep();
@@ -115,8 +111,7 @@ TEST(ExplorationResultConcurrency, ConcurrentFindIsSafeAndCorrect) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Stagger starting offsets so threads collide on different keys
-      // while the index is still being built.
+      // Stagger starting offsets so threads look up different keys.
       for (std::size_t round = 0; round < 50; ++round) {
         for (std::size_t i = 0; i < keys.size(); ++i) {
           const ConfigKey& key =
@@ -131,32 +126,24 @@ TEST(ExplorationResultConcurrency, ConcurrentFindIsSafeAndCorrect) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-  // All that concurrency amounted to exactly one index construction.
-  EXPECT_EQ(result.indexRebuilds(), 1u);
-  EXPECT_EQ(result.indexAppends(), 0u);
   const ConfigKey missing{3, 3, 3, 3};
   EXPECT_EQ(result.find(missing), nullptr);
 }
 
-// buildIndex() is the publish-time precompute: afterwards every
-// concurrent find() takes only the shared lock, and copies drop the
-// index rather than share it.
+// Repeated lookups on one result return the same point, and a copy
+// answers from its own points rather than the original's.
 TEST(ExplorationResultConcurrency, BuildIndexIsIdempotentAndCopiesDropIt) {
   const Kernel k = dequantKernel();
   const Explorer explorer(smallSweep());
   const ExplorationResult result = explorer.explore(k);
-  result.buildIndex();
-  result.buildIndex();
-  EXPECT_EQ(result.indexRebuilds(), 1u);
   ASSERT_FALSE(result.points.empty());
-  EXPECT_EQ(result.find(result.points.front().key),
-            &result.points.front());
-  EXPECT_EQ(result.indexRebuilds(), 1u);
+  const ConfigKey front = result.points.front().key;
+  EXPECT_EQ(result.find(front), &result.points.front());
+  EXPECT_EQ(result.find(front), &result.points.front());
 
   const ExplorationResult copy(result);
-  EXPECT_EQ(copy.indexRebuilds(), 0u);  // fresh index state
-  EXPECT_EQ(copy.find(copy.points.front().key), &copy.points.front());
-  EXPECT_EQ(copy.indexRebuilds(), 1u);
+  EXPECT_EQ(copy.find(front), &copy.points.front());
+  EXPECT_NE(copy.find(front), result.find(front));
 }
 
 }  // namespace

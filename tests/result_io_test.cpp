@@ -109,6 +109,20 @@ TEST(ResultIo, RangeErrorsNameRowAndColumn) {
   }
 }
 
+TEST(ResultIo, MixedWorkloadsRejectedWithRow) {
+  const std::string header = toCsvString(ExplorationResult{});
+  try {
+    (void)fromCsvString(header + "a,64,8,1,1,10,0.1,100,50\n" +
+                        "a,128,8,1,1,10,0.1,100,50\n" +
+                        "b,256,8,1,1,10,0.1,100,50\n");
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("row 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("workload"), std::string::npos) << what;
+  }
+}
+
 TEST(ResultIo, WorkloadWithCommaRoundTrips) {
   ExplorationResult r;
   r.workload = "mpeg, decode \"fast\"";

@@ -252,6 +252,26 @@ TEST(Evaluator, ArchiveServesRepeatsBitIdentically) {
   EXPECT_EQ(evaluator.evaluations(), 40u) << "repeats must be free";
   EXPECT_EQ(evaluator.cacheHits(), 40u);
   EXPECT_EQ(first, second);
+
+  // Two genomes that differ only in the L2 gene share one ConfigKey but
+  // are two designs: the cache key is the whole genome.
+  const std::vector<Genome> all = space.enumerate();
+  const std::size_t l2 = static_cast<std::size_t>(Gene::L2);
+  std::size_t pair = batch.size();
+  while (pair + 1 < all.size() &&
+         !(all[pair][l2] == 0 && all[pair + 1][l2] == 1)) {
+    ++pair;
+  }
+  ASSERT_LT(pair + 1, all.size());
+  const std::vector<Genome> twins{all[pair], all[pair + 1]};
+  ASSERT_EQ(space.decode(twins[0]).key, space.decode(twins[1]).key);
+  const std::vector<Objectives> fresh = evaluator.evaluate(twins);
+  EXPECT_EQ(evaluator.evaluations(), 42u);
+  EXPECT_EQ(evaluator.cacheHits(), 40u);
+  EXPECT_NE(fresh[0], fresh[1]);
+  EXPECT_EQ(evaluator.evaluate(twins), fresh);
+  EXPECT_EQ(evaluator.evaluations(), 42u);
+  EXPECT_EQ(evaluator.cacheHits(), 42u);
 }
 
 TEST(Evaluator, InBatchDuplicatesCountAsHits) {

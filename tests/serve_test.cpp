@@ -500,6 +500,48 @@ TEST(Server, CacheHitStress) {
   EXPECT_EQ(counters.hits, static_cast<std::uint64_t>(kWide + kNarrow - 1));
 }
 
+TEST(Server, SubsetReselectionAcrossRangeShapes) {
+  // One wide sweep answers narrower requests of every range shape the
+  // covering check admits, each bit-identical to a direct exploration.
+  Server server;
+  ASSERT_TRUE(okOf(response(
+      server, std::string(R"({"id":"wide","op":"explore","workload":"matadd",)"
+                          R"("options":{)") +
+                  kSmallRanges + "}}")));
+
+  struct Shape {
+    const char* name;
+    const char* bound;  ///< one more "ranges" field on kSmallRanges
+    void (*narrow)(ExploreRanges&);
+  };
+  const Shape shapes[] = {
+      {"direct-mapped only", R"("sweep_associativity":false)",
+       [](ExploreRanges& r) { r.sweepAssociativity = false; }},
+      {"untiled only", R"("sweep_tiling":false)",
+       [](ExploreRanges& r) { r.sweepTiling = false; }},
+      {"raised min cache", R"("min_cache_bytes":64)",
+       [](ExploreRanges& r) { r.minCacheBytes = 64; }},
+  };
+  for (const Shape& shape : shapes) {
+    std::string ranges = kSmallRanges;
+    ranges.back() = ',';  // reopen the "ranges" object
+    const JsonValue v = response(
+        server,
+        std::string(R"({"id":"narrow","op":"explore","workload":"matadd",)"
+                    R"("options":{)") +
+            ranges + shape.bound + R"(}},"include_points":true})");
+    ASSERT_TRUE(okOf(v)) << shape.name << ": " << v.dump();
+    EXPECT_TRUE(field(v, "subset").asBool()) << shape.name;
+    ExploreOptions o = smallOptions();
+    shape.narrow(o.ranges);
+    EXPECT_EQ(field(v, "csv").asString(),
+              toCsvString(Explorer(o).explore(registeredKernel("matadd"))))
+        << shape.name;
+  }
+  EXPECT_EQ(server.store().counters().misses, 1u);
+  EXPECT_EQ(server.store().counters().subsetHits, std::size(shapes));
+}
+
 TEST(Server, BoundsChangeReselectsWithoutRecomputing) {
   Server server;
   const std::string base =
