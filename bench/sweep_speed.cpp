@@ -4,16 +4,14 @@
 // and exploreParallel()), plus an instrumented parallel run with an
 // obs::Recorder attached to measure the observability layer's overhead
 // (budget: the median of paired, interleaved instrumented/plain ratios
-// over samples of >= 200 ms stays <= 5%), plus two backend comparisons — the same serial
-// shared-trace sweep forced onto SweepBackend::MultiSim versus
-// SweepBackend::StackDist (the sweep is LRU-only, so the analytic
-// backend applies; budget: >= 2x points/sec), once on the paper's
-// read-only energy metric and once with write-back + write energy on
-// (exact writebacks via dirty-stack accounting; same >= 2x budget,
-// and Auto must resolve that sweep to StackDist), plus the same
-// comparison on FIFO and tree-PLRU sweeps (served by the single-pass
-// policy-grid engine; same bit-identity requirement and >= 2x
-// points/sec budget, and Auto must resolve both to StackDist). Asserts
+// over samples of >= 200 ms stays <= 5%), plus engine comparisons —
+// the same serial shared-trace plan drained with every group on
+// SweepBackend::MultiSim versus SweepBackend::StackDist (budget: >= 2x
+// points/sec), on the paper's LRU read-only energy metric, with
+// write-back + write energy on (exact writebacks via dirty-stack
+// accounting), and on FIFO and tree-PLRU sweeps (served by the
+// single-pass policy-grid engine); every one of these sweeps must
+// resolve to StackDist on its own. Asserts
 // every path produces bit-identical DesignPoint vectors, then writes
 // BENCH_sweep_speed.json with points/sec of each path and backend, the
 // speedup (including fifo_*/plru_* fields for the grid engine), the
@@ -74,16 +72,27 @@ bool identical(const std::vector<DesignPoint>& a,
   return true;
 }
 
+/// The serial shared-trace sweep explore() runs, with every group of
+/// the plan evaluated on `engine` instead of the resolved one.
+std::vector<DesignPoint> exploreOn(const Explorer& grid, const Kernel& kernel,
+                                   memx::SweepBackend engine) {
+  memx::SweepPlan plan = grid.planSweep(kernel, grid.sweepKeys());
+  std::vector<DesignPoint> points(plan.keys.size());
+  Explorer::PatternCache patterns;
+  for (memx::SweepPlan::Group& group : plan.groups) {
+    group.backend = engine;
+    const memx::Trace trace = grid.buildGroupTrace(kernel, group, patterns);
+    grid.evaluateGroup(group, trace, grid.addrActivityFor(trace), plan.keys,
+                       points);
+  }
+  return points;
+}
+
 }  // namespace
 
 int main() {
   const Kernel kernel = memx::compressKernel();
-  // The simulating backend is pinned so the baseline/shared/parallel
-  // timings keep measuring what they always measured; the analytic
-  // backend gets its own timed path below.
-  memx::ExploreOptions simOptions = memx::bench::paperOptions();
-  simOptions.backend = memx::SweepBackend::MultiSim;
-  const Explorer grid(simOptions);
+  const Explorer grid(memx::bench::paperOptions());
   const std::vector<ConfigKey> keys = grid.sweepKeys();
 
   memx::bench::section("Sweep-engine speed (" + kernel.name + ", " +
@@ -117,9 +126,10 @@ int main() {
   // Shared-trace one-pass engine, serial and parallel. Each serial rep
   // runs on a copy of `grid` with warm layouts and generates the group
   // traces from scratch, like the baseline regenerates its per-point
-  // traces. The serial timing itself
-  // happens in the interleaved backend loop below so the backend
-  // speedups pair measurements taken under the same machine conditions.
+  // traces. The serial timing (on the simulating engine) itself happens
+  // in the interleaved engine loop below so the engine speedups pair
+  // measurements taken under the same machine conditions. The parallel
+  // and instrumented sweeps run on the engine the sweep resolves to.
   double sharedSec = 1e30;
   std::vector<DesignPoint> sharedPts;
 
@@ -183,82 +193,51 @@ int main() {
     report = recorder.report();
   }
 
-  // Backend comparison: the identical serial shared-trace sweep forced
-  // onto the stack-distance backend (this sweep is LRU/write-allocate
+  // Engine comparisons: the identical serial shared-trace plan drained
+  // on the stack-distance engine (this sweep is LRU/write-allocate
   // throughout, so the analytic engine is exact; the property suite
   // pins bit-equality, re-asserted here), once on the paper's read-only
-  // metric and once with write-back + write energy on. The write-back
-  // sweep — the one the paper's write-energy experiments run, and
-  // ineligible for the analytic backend before dirty-stack accounting —
-  // must additionally be served by StackDist under Auto.
-  memx::ExploreOptions stackOptions = memx::bench::paperOptions();
-  stackOptions.backend = memx::SweepBackend::StackDist;
-  const Explorer stackGrid(stackOptions);
-  (void)stackGrid.planSweep(kernel, keys);  // warm the layout memo too
-
+  // metric and once with write-back + write energy on — the sweep the
+  // paper's write-energy experiments run. The same comparison runs
+  // under FIFO and tree-PLRU replacement, where StackDist means the
+  // single-pass PolicyGridProfile engine instead of the Hill-Smith
+  // profile. Every one of these sweeps must resolve to StackDist.
   memx::ExploreOptions wbOptions = memx::bench::paperOptions();
   wbOptions.includeWriteEnergy = true;  // writePolicy defaults to WriteBack
-  const bool wbAutoIsStackDist =
-      Explorer(wbOptions).resolvedBackend() == memx::SweepBackend::StackDist;
-  if (!wbAutoIsStackDist) {
-    std::cerr << "MISMATCH: Auto backend did not resolve to StackDist for "
-                 "the write-back + write-energy sweep\n";
-  }
-
-  wbOptions.backend = memx::SweepBackend::MultiSim;
-  const Explorer wbSimGrid(wbOptions);
-  (void)wbSimGrid.planSweep(kernel, keys);  // warm the layout memo
-  wbOptions.backend = memx::SweepBackend::StackDist;
-  const Explorer wbStackGrid(wbOptions);
-  (void)wbStackGrid.planSweep(kernel, keys);
-
-  // Policy-grid comparison: the same sweep under FIFO and tree-PLRU
-  // replacement, where StackDist means the single-pass PolicyGridProfile
-  // engine instead of the Hill-Smith profile. Auto must resolve both to
-  // the analytic backend, and the grid must beat per-config simulation
-  // by the same >= 2x floor while staying bit-identical.
+  const Explorer wbGrid(wbOptions);
   memx::ExploreOptions fifoOptions = memx::bench::paperOptions();
   fifoOptions.replacement = memx::ReplacementPolicy::FIFO;
+  const Explorer fifoGrid(fifoOptions);
   memx::ExploreOptions plruOptions = memx::bench::paperOptions();
   plruOptions.replacement = memx::ReplacementPolicy::TreePLRU;
-  const bool gridAutoIsStackDist =
-      Explorer(fifoOptions).resolvedBackend() ==
-          memx::SweepBackend::StackDist &&
-      Explorer(plruOptions).resolvedBackend() ==
-          memx::SweepBackend::StackDist;
-  if (!gridAutoIsStackDist) {
-    std::cerr << "MISMATCH: Auto backend did not resolve to StackDist for "
-                 "the FIFO/PLRU sweeps\n";
+  const Explorer plruGrid(plruOptions);
+  bool resolvesToStackDist = true;
+  for (const Explorer* g : {&grid, &wbGrid, &fifoGrid, &plruGrid}) {
+    resolvesToStackDist = resolvesToStackDist &&
+                          g->resolvedBackend() == memx::SweepBackend::StackDist;
+    (void)g->planSweep(kernel, keys);  // warm the layout memo
+  }
+  if (!resolvesToStackDist) {
+    std::cerr << "MISMATCH: an LRU, write-back + write-energy, FIFO or "
+                 "PLRU sweep did not resolve to StackDist\n";
   }
 
-  fifoOptions.backend = memx::SweepBackend::MultiSim;
-  const Explorer fifoSimGrid(fifoOptions);
-  (void)fifoSimGrid.planSweep(kernel, keys);
-  fifoOptions.backend = memx::SweepBackend::StackDist;
-  const Explorer fifoStackGrid(fifoOptions);
-  (void)fifoStackGrid.planSweep(kernel, keys);
-
-  plruOptions.backend = memx::SweepBackend::MultiSim;
-  const Explorer plruSimGrid(plruOptions);
-  (void)plruSimGrid.planSweep(kernel, keys);
-  plruOptions.backend = memx::SweepBackend::StackDist;
-  const Explorer plruStackGrid(plruOptions);
-  (void)plruStackGrid.planSweep(kernel, keys);
-
-  // The four backend timings are interleaved inside one rep loop: each
+  // The eight engine timings are interleaved inside one rep loop: each
   // speedup pairs two ~10 ms measurements taken back to back, so both
   // sides of a ratio see the same background-load conditions, and the
   // budgets check the median of the per-rep ratios — separate loops
   // (and ratios of independently-taken minima) made the speedups
   // seesaw on a busy machine even at best-of-9.
-  auto timeExplore = [&](const Explorer& g, double& best,
-                         std::vector<DesignPoint>& pts) {
+  constexpr memx::SweepBackend kSim = memx::SweepBackend::MultiSim;
+  constexpr memx::SweepBackend kStack = memx::SweepBackend::StackDist;
+  auto timeExplore = [&](const Explorer& g, memx::SweepBackend engine,
+                         double& best, std::vector<DesignPoint>& pts) {
     const Explorer fresh = g;  // warm layouts
     const auto t0 = std::chrono::steady_clock::now();
-    ExplorationResult r = fresh.explore(kernel);
+    std::vector<DesignPoint> r = exploreOn(fresh, kernel, engine);
     const double sec = seconds(t0, std::chrono::steady_clock::now());
     best = std::min(best, sec);
-    pts = std::move(r.points);
+    pts = std::move(r);
     return sec;
   };
   double stackSec = 1e30, wbSimSec = 1e30, wbStackSec = 1e30;
@@ -269,16 +248,19 @@ int main() {
       plruStackPts;
   std::vector<double> stackRatios, wbRatios, fifoRatios, plruRatios;
   for (int rep = 0; rep < kReps; ++rep) {
-    const double sharedT = timeExplore(grid, sharedSec, sharedPts);
-    const double stackT = timeExplore(stackGrid, stackSec, stackPts);
-    const double wbSimT = timeExplore(wbSimGrid, wbSimSec, wbSimPts);
-    const double wbStackT = timeExplore(wbStackGrid, wbStackSec, wbStackPts);
-    const double fifoSimT = timeExplore(fifoSimGrid, fifoSimSec, fifoSimPts);
+    const double sharedT = timeExplore(grid, kSim, sharedSec, sharedPts);
+    const double stackT = timeExplore(grid, kStack, stackSec, stackPts);
+    const double wbSimT = timeExplore(wbGrid, kSim, wbSimSec, wbSimPts);
+    const double wbStackT =
+        timeExplore(wbGrid, kStack, wbStackSec, wbStackPts);
+    const double fifoSimT =
+        timeExplore(fifoGrid, kSim, fifoSimSec, fifoSimPts);
     const double fifoStackT =
-        timeExplore(fifoStackGrid, fifoStackSec, fifoStackPts);
-    const double plruSimT = timeExplore(plruSimGrid, plruSimSec, plruSimPts);
+        timeExplore(fifoGrid, kStack, fifoStackSec, fifoStackPts);
+    const double plruSimT =
+        timeExplore(plruGrid, kSim, plruSimSec, plruSimPts);
     const double plruStackT =
-        timeExplore(plruStackGrid, plruStackSec, plruStackPts);
+        timeExplore(plruGrid, kStack, plruStackSec, plruStackPts);
     stackRatios.push_back(sharedT / stackT);
     wbRatios.push_back(wbSimT / wbStackT);
     fifoRatios.push_back(fifoSimT / fifoStackT);
@@ -293,7 +275,7 @@ int main() {
                             "writeback+write-energy stackdist") &&
                   identical(fifoSimPts, fifoStackPts, "fifo policy grid") &&
                   identical(plruSimPts, plruStackPts, "plru policy grid") &&
-                  wbAutoIsStackDist && gridAutoIsStackDist;
+                  resolvesToStackDist;
   const double n = static_cast<double>(keys.size());
   const double speedup = baseSec / sharedSec;
   auto medianOf = [](std::vector<double> v) {

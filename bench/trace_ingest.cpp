@@ -1,11 +1,12 @@
 // Out-of-core trace ingestion gate: generates a large synthetic .din.gz
 // on disk, then
-//   1. streams a materializable prefix through both sweep backends and
+//   1. streams a materializable prefix through both sweep engines (an
+//      LRU sweep resolves to StackDist, a Random one to MultiSim) and
 //      asserts the results are bit-identical to the in-memory Trace
 //      path (windowing included),
-//   2. times decode-only draining and full streamed sweeps over the
-//      whole compressed file (StackDist and MultiSim backends, one
-//      instrumented run with the obs sink attached),
+//   2. times decode-only draining, a full streamed StackDist sweep
+//      (instrumented with the obs sink) and a streamed simulated point
+//      (evaluateTracePoint) over the whole compressed file,
 //   3. asserts peak RSS stays under a fixed budget independent of the
 //      trace length — the point of the chunked pipeline.
 // Writes BENCH_trace_ingest.json (+ BENCH_trace_ingest_trace.json
@@ -83,14 +84,16 @@ private:
   std::mt19937_64 rng_{0x1234abcd};
 };
 
-ExploreOptions sweepOptions(SweepBackend backend) {
+/// The sweep's engine follows from `replacement`: Random simulates,
+/// LRU runs on the stack-distance engine.
+ExploreOptions sweepOptions(ReplacementPolicy replacement) {
   ExploreOptions options;
   options.ranges.minCacheBytes = 64;
   options.ranges.maxCacheBytes = 1024;
   options.ranges.minLineBytes = 8;
   options.ranges.maxLineBytes = 32;
   options.ranges.maxAssociativity = 2;
-  options.backend = backend;
+  options.replacement = replacement;
   return options;
 }
 
@@ -171,7 +174,7 @@ int main() {
   bool ok = true;
 
   // --- Phase B: streamed == materialized on a prefix small enough to
-  // hold in memory, for both backends, trivial and shifted windows.
+  // hold in memory, for both engines, trivial and shifted windows.
   const std::uint64_t prefixRefs = std::min<std::uint64_t>(totalRefs, 500'000);
   Trace prefix;
   {
@@ -179,17 +182,16 @@ int main() {
     WindowedSource head(source, TraceWindow{0, 0, prefixRefs});
     prefix = drain(head);
   }
-  for (const SweepBackend backend :
-       {SweepBackend::StackDist, SweepBackend::MultiSim}) {
-    const ExploreOptions options = sweepOptions(backend);
+  for (const ReplacementPolicy replacement :
+       {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+    const ExploreOptions options = sweepOptions(replacement);
     const ExplorationResult inMemory = exploreTrace("w", prefix, options);
     FileTraceSource source(path);
     const ExplorationResult streamed = exploreTrace(
         "w", source, options, TraceWindow{0, 0, prefixRefs});
-    const char* label = backend == SweepBackend::StackDist
-                            ? "prefix stackdist"
-                            : "prefix multisim";
-    ok = identicalPoints(streamed, inMemory, label) && ok;
+    const std::string label =
+        "prefix " + toString(resolveBackend(options));
+    ok = identicalPoints(streamed, inMemory, label.c_str()) && ok;
   }
   {
     // Windowed: skip + limit must equal the in-memory subrange.
@@ -197,7 +199,7 @@ int main() {
     const std::uint64_t limit = prefixRefs / 2;
     Trace sub;
     for (std::uint64_t i = skip; i < skip + limit; ++i) sub.push(prefix[i]);
-    const ExploreOptions options = sweepOptions(SweepBackend::StackDist);
+    const ExploreOptions options = sweepOptions(ReplacementPolicy::LRU);
     const ExplorationResult inMemory = exploreTrace("w", sub, options);
     FileTraceSource source(path);
     const ExplorationResult streamed = exploreTrace(
@@ -225,15 +227,15 @@ int main() {
     ok = false;
   }
 
-  // --- Phase D: full streamed sweeps through both backends; the
-  // StackDist run carries the obs sink (counters + ingest spans).
+  // --- Phase D: a full streamed StackDist sweep, carrying the obs sink
+  // (counters + ingest spans), and a streamed simulated point.
   obs::Recorder recorder;
   const auto tStack0 = clock::now();
   std::uint64_t stackAccesses = 0;
   {
     FileTraceSource source(path);
     const ExplorationResult result =
-        exploreTrace("ingest", source, sweepOptions(SweepBackend::StackDist),
+        exploreTrace("ingest", source, sweepOptions(ReplacementPolicy::LRU),
                      TraceWindow{}, kDefaultTraceChunkRefs, &recorder);
     stackAccesses = result.points.empty() ? 0 : result.points[0].accesses;
   }
@@ -252,7 +254,7 @@ int main() {
     cache.associativity = 2;
     FileTraceSource source(path);
     const DesignPoint p = evaluateTracePoint(
-        source, cache, sweepOptions(SweepBackend::MultiSim));
+        source, cache, sweepOptions(ReplacementPolicy::LRU));
     simAccesses = p.accesses;
   }
   const double simSec = seconds(tSim0, clock::now());

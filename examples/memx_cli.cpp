@@ -1,8 +1,7 @@
 // memx_cli — command-line front end to the exploration library.
 //
 //   memx_cli explore <kernel> [--em <nJ>] [--no-layout] [--csv]
-//                    [--write-energy] [--backend <auto|multisim|stackdist>]
-//                    [--replacement <lru|fifo|plru|random>]
+//                    [--write-energy] [--replacement <lru|fifo|plru|random>]
 //                    [--search [--joint] [--seed <n>] [--pop <n>]
 //                     [--gens <n>] [--budget <n>]]
 //   memx_cli explore --trace <din-file[.gz]> [--skip <n>] [--warmup <n>]
@@ -60,7 +59,6 @@ struct Args {
   bool writeEnergy = false;
   std::optional<std::string> cacheLabel;
   std::uint32_t lineBytes = 8;
-  SweepBackend backend = SweepBackend::Auto;
   ReplacementPolicy replacement = ReplacementPolicy::LRU;
   bool search = false;
   bool joint = false;
@@ -140,8 +138,6 @@ Args parseArgs(int argc, char** argv) {
     } else if (arg == "--line") {
       args.lineBytes =
           static_cast<std::uint32_t>(parseFlagUnsigned(arg, value(), kU32));
-    } else if (arg == "--backend") {
-      args.backend = parseSweepBackend(value());
     } else if (arg == "--replacement") {
       args.replacement = parseReplacementFlag(value());
     } else if (arg == "--search") {
@@ -173,6 +169,8 @@ Args parseArgs(int argc, char** argv) {
       args.window.warmup = parseFlagUnsigned(arg, value(), kU64);
     } else if (arg == "--limit") {
       args.window.limit = parseFlagUnsigned(arg, value(), kU64);
+    } else if (arg.starts_with("--")) {
+      throw std::invalid_argument("unknown flag '" + arg + "'");
     } else {
       args.positional.push_back(arg);
     }
@@ -235,7 +233,6 @@ int cmdExplore(const Args& args) {
     ExploreOptions options;
     options.energy.emNj = args.em;
     options.includeWriteEnergy = args.writeEnergy;
-    options.backend = args.backend;
     options.replacement = args.replacement;
     FileTraceSource source(*args.traceFile);
     const ExplorationResult result =
@@ -253,12 +250,10 @@ int cmdExplore(const Args& args) {
   options.energy.emNj = args.em;
   options.optimizeLayout = !args.noLayout;
   // Write-back is the default write policy, so --write-energy exercises
-  // the writeback-charging metric — served analytically by the
-  // stackdist backend via its dirty-stack accounting.
+  // the writeback-charging metric.
   options.includeWriteEnergy = args.writeEnergy;
-  options.backend = args.backend;
-  // Any deterministic policy may force the analytic backend: LRU rides
-  // the Hill-Smith profile, FIFO/PLRU the single-pass policy grid.
+  // The sweep engine follows from the policy: Random simulates, every
+  // other policy reads an exact stack-distance or policy-grid profile.
   options.replacement = args.replacement;
   const Explorer explorer(options);
   if (args.search) {

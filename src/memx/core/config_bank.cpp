@@ -1,7 +1,6 @@
 #include "memx/core/config_bank.hpp"
 
 #include "memx/obs/recorder.hpp"
-#include "memx/util/assert.hpp"
 
 namespace memx {
 
@@ -11,10 +10,7 @@ ConfigBank::ConfigBank(SweepBackend backend,
                   ? decltype(engine_)(std::in_place_type<StackDistSim>,
                                       configs)
                   : decltype(engine_)(std::in_place_type<MultiCacheSim>,
-                                      configs)) {
-  MEMX_EXPECTS(backend != SweepBackend::Auto,
-               "ConfigBank needs a resolved backend (see resolveBackend)");
-}
+                                      configs)) {}
 
 void ConfigBank::run(const Trace& trace) {
   std::visit([&](auto& engine) { engine.run(trace); }, engine_);

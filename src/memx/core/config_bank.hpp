@@ -1,6 +1,6 @@
 // The configuration bank every sweep surface evaluates through: a set of
 // cache configurations replayed against one reference stream, on the
-// engine a resolved SweepBackend names — a MultiCacheSim (simulates every
+// engine a SweepBackend names — a MultiCacheSim (simulates every
 // member) or a StackDistSim (reads every member off shared profiles).
 // Kernel groups, fixed traces and streamed trace files all feed a bank
 // the same way, so no caller picks an engine and one place emits the
@@ -19,8 +19,8 @@ namespace memx {
 
 class ConfigBank {
 public:
-  /// Build the engine `backend` names over `configs` (resolve Auto with
-  /// resolveBackend() first). Throws on an empty bank, an invalid
+  /// Build the engine `backend` names over `configs` (sweeps pass
+  /// resolveBackend()'s answer). Throws on an empty bank, an invalid
   /// config, or a StackDist bank outside the analytic domain.
   ConfigBank(SweepBackend backend, const std::vector<CacheConfig>& configs);
 

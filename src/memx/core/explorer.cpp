@@ -13,6 +13,7 @@
 #include "memx/layout/offchip_assign.hpp"
 #include "memx/loopir/trace_gen.hpp"
 #include "memx/obs/recorder.hpp"
+#include "memx/stackdist/stackdist_sim.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 #include "memx/util/numeric_io.hpp"
@@ -22,47 +23,17 @@
 namespace memx {
 
 std::string toString(SweepBackend backend) {
-  switch (backend) {
-    case SweepBackend::Auto:
-      return "auto";
-    case SweepBackend::MultiSim:
-      return "multisim";
-    case SweepBackend::StackDist:
-      return "stackdist";
-  }
-  return "auto";
+  return backend == SweepBackend::StackDist ? "stackdist" : "multisim";
 }
-
-SweepBackend parseSweepBackend(const std::string& name) {
-  if (name == "auto") return SweepBackend::Auto;
-  if (name == "multisim") return SweepBackend::MultiSim;
-  if (name == "stackdist") return SweepBackend::StackDist;
-  throw ContractViolation("unknown sweep backend \"" + name +
-                          "\" (expected auto, multisim or stackdist)");
-}
-
-namespace {
-
-/// True iff a sweep with this replacement policy can run analytically.
-/// configFor() always leaves allocatePolicy at WriteAllocate, so the
-/// replacement policy is the whole domain check: LRU sweeps read a
-/// Hill-Smith stack-distance profile, FIFO and tree-PLRU sweeps read a
-/// single-pass policy-grid profile, and only Random (whose victims come
-/// from a simulator-owned rng stream) must simulate. Every statistic
-/// the models read is exact for both write policies: write-through
-/// memWrites are one word store per write probe, and write-back
-/// writebacks fall out of each profile's dirty accounting, so
-/// includeWriteEnergy never forces simulation.
-bool analyticDomain(ReplacementPolicy replacement) noexcept {
-  return replacement != ReplacementPolicy::Random;
-}
-
-}  // namespace
 
 SweepBackend resolveBackend(const ExploreOptions& options) noexcept {
-  if (options.backend != SweepBackend::Auto) return options.backend;
-  return analyticDomain(options.replacement) ? SweepBackend::StackDist
-                                             : SweepBackend::MultiSim;
+  // The run-wide fields of every Explorer::configFor() config; geometry
+  // never decides eligibility.
+  CacheConfig config;
+  config.writePolicy = options.writePolicy;
+  config.replacement = options.replacement;
+  return StackDistSim::supports(config) ? SweepBackend::StackDist
+                                        : SweepBackend::MultiSim;
 }
 
 DesignPoint foldPoint(const ExploreOptions& options,
@@ -140,9 +111,6 @@ std::string canonicalModelKey(const ExploreOptions& options) {
   u("wenergy", options.includeWriteEnergy ? 1 : 0);
   key += "wp=" + toString(options.writePolicy) + ";";
   key += "repl=" + toString(options.replacement) + ";";
-  // Auto collapses to its resolution so an Auto run and the equivalent
-  // forced run share cache entries (their points are bit-identical by
-  // the golden forced-backend equality gates).
   key += "backend=" + toString(resolveBackend(options));
   return key;
 }
@@ -182,18 +150,6 @@ Explorer::Explorer(ExploreOptions options)
     : options_(std::move(options)), cycleModel_(options_.timing) {
   options_.ranges.validate();
   options_.energy.validate();
-  MEMX_EXPECTS(options_.backend != SweepBackend::StackDist ||
-                   stackDistEligible(),
-               "SweepBackend::StackDist requires LRU, FIFO or TreePLRU "
-               "replacement (Random draws from a simulator-owned rng "
-               "stream; write policy and includeWriteEnergy are "
-               "unrestricted — dirty accounting makes write-back "
-               "writeback counts exact for every analytic policy); use "
-               "SweepBackend::Auto to fall back to simulation");
-}
-
-bool Explorer::stackDistEligible() const noexcept {
-  return analyticDomain(options_.replacement);
 }
 
 SweepBackend Explorer::resolvedBackend() const noexcept {
@@ -316,7 +272,6 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
                               std::vector<ConfigKey> keys) const {
   const obs::ScopedSpan span(recorder_, "planSweep");
   SweepPlan plan;
-  plan.generation = cacheGeneration_;
   plan.keys = std::move(keys);
   // Policies are run-global, so every group of this plan resolves to the
   // same engine; stamping each group keeps evaluateGroup self-contained.
@@ -345,9 +300,8 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
     const auto [it, inserted] =
         groupIndex.try_emplace(traceKey, plan.groups.size());
     if (inserted) {
-      plan.groups.push_back(SweepPlan::Group{traceTiling, traceKey,
-                                             &layout, {},
-                                             cacheGeneration_, backend});
+      plan.groups.push_back(
+          SweepPlan::Group{traceTiling, traceKey, &layout, {}, backend});
     }
     plan.groups[it->second].keyIndices.push_back(i);
   }
@@ -361,9 +315,6 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
 Trace Explorer::buildGroupTrace(const Kernel& kernel,
                                 const SweepPlan::Group& group,
                                 PatternCache& patterns) const {
-  MEMX_EXPECTS(group.generation == cacheGeneration_,
-               "stale SweepPlan: Explorer::clearCaches() invalidated this "
-               "plan's layout pointers; re-plan with planSweep()");
   const obs::ScopedSpan span(recorder_, "trace.build");
   auto it = patterns.find(group.traceTiling);
   if (it == patterns.end()) {
@@ -388,9 +339,6 @@ void Explorer::evaluateGroup(const SweepPlan::Group& group,
                              const Trace& trace, double addrActivity,
                              const std::vector<ConfigKey>& keys,
                              std::vector<DesignPoint>& out) const {
-  MEMX_EXPECTS(group.generation == cacheGeneration_,
-               "stale SweepPlan: Explorer::clearCaches() invalidated this "
-               "plan's layout pointers; re-plan with planSweep()");
   const obs::ScopedSpan span(recorder_, "group.evaluate");
   std::vector<CacheConfig> configs;
   configs.reserve(group.keyIndices.size());
@@ -503,11 +451,6 @@ ExplorationResult exploreParallel(const Explorer& grid, const Kernel& kernel,
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
   return drainSweep(grid, kernel, threads);
-}
-
-void Explorer::clearCaches() noexcept {
-  layoutCache_.clear();
-  ++cacheGeneration_;
 }
 
 }  // namespace memx

@@ -67,26 +67,19 @@ struct ExploreRanges {
 };
 
 /// How sweep groups evaluate their configurations against the shared
-/// trace.
+/// trace. A run's engine is not chosen by the caller: resolveBackend()
+/// derives it from the run's policies.
 enum class SweepBackend : std::uint8_t {
-  /// Pick per run: StackDist when the configured policies are in the
-  /// stack-distance domain, MultiSim otherwise.
-  Auto,
-  /// Simulate every configuration (MultiCacheSim bank). Always exact,
-  /// cost scales with the number of configurations.
+  /// Simulate every configuration (MultiCacheSim bank). Cost scales
+  /// with the number of configurations.
   MultiSim,
-  /// Stack-distance analysis (StackDistSim): one profile per line size
-  /// serves every (T, S) at once. Exact for LRU/write-allocate under
-  /// both write policies (dirty-stack accounting covers write-back); an
-  /// Explorer constructed with this backend forced outside that domain
-  /// throws.
+  /// Stack-distance / policy-grid analysis (StackDistSim): one profile
+  /// per line size serves every (T, S) at once, with statistics
+  /// identical to simulation.
   StackDist,
 };
 
 [[nodiscard]] std::string toString(SweepBackend backend);
-/// Parse "auto" / "multisim" / "stackdist" (case-sensitive); throws
-/// memx::ContractViolation on anything else.
-[[nodiscard]] SweepBackend parseSweepBackend(const std::string& name);
 
 /// Everything that parameterizes an exploration run.
 struct ExploreOptions {
@@ -104,17 +97,13 @@ struct ExploreOptions {
   bool includeWriteEnergy = false;
   WritePolicy writePolicy = WritePolicy::WriteBack;
   ReplacementPolicy replacement = ReplacementPolicy::LRU;
-  /// Sweep evaluation engine; Auto resolves per run (see
-  /// Explorer::resolvedBackend). Forcing StackDist with options outside
-  /// its domain is rejected at Explorer construction.
-  SweepBackend backend = SweepBackend::Auto;
 };
 
-/// The engine a sweep under `options` runs on: explicit choices pass
-/// through; Auto resolves to StackDist when the replacement policy is in
-/// the analytic domain (anything but Random), else MultiSim. The one
-/// backend resolution: Explorer, the trace sweeps and canonicalModelKey
-/// all call it, and a ConfigBank is built from its answer.
+/// The engine a sweep under `options` runs on: StackDist exactly when
+/// StackDistSim::supports() accepts the run's configurations (every
+/// policy but Random replacement), else MultiSim. The one backend
+/// resolution: Explorer, the trace sweeps and canonicalModelKey all
+/// call it, and a ConfigBank is built from its answer.
 [[nodiscard]] SweepBackend resolveBackend(const ExploreOptions& options) noexcept;
 
 /// Fold one configuration's statistics into a DesignPoint through the
@@ -135,10 +124,8 @@ struct ExploreOptions {
 
 /// Stable text form of everything in `options` *except* the ranges:
 /// energy and timing coefficients, layout/bus/write-energy flags,
-/// policies, and the *resolved* backend (Auto collapses to what it
-/// would pick, so an Auto run and the equivalent forced run share one
-/// key). Equal model keys mean any sweep key visited by both runs gets
-/// the bit-identical point.
+/// policies, and the resolved backend. Equal model keys mean any sweep
+/// key visited by both runs gets the bit-identical point.
 [[nodiscard]] std::string canonicalModelKey(const ExploreOptions& options);
 
 /// canonicalRangesKey + canonicalModelKey: everything in `options` that
@@ -164,11 +151,9 @@ struct ExplorationResult {
 /// A sweep restructured for shared-trace evaluation: the key grid plus
 /// its partition into trace groups. All keys of one group share a tiling
 /// and a memory layout, hence one reference trace. Group layout pointers
-/// alias the owning Explorer's layout memo: a plan stays valid until
-/// that Explorer is destroyed or clearCaches() is called. Plans carry
-/// the layout-memo generation they were stamped with at planSweep time;
-/// using a group after clearCaches() fails the generation check with a
-/// ContractViolation instead of dereferencing a dangling layout.
+/// alias the owning Explorer's layout memo, which only grows and whose
+/// std::map nodes never move: a plan stays valid for that Explorer's
+/// lifetime.
 struct SweepPlan {
   struct Group {
     /// Tiling applied to the loop nest for this group's trace (1 when
@@ -179,16 +164,12 @@ struct SweepPlan {
     std::string traceKey;
     const MemoryLayout* layout = nullptr;
     std::vector<std::size_t> keyIndices;  ///< indices into `keys`
-    /// Layout-memo generation at planning time; checked by
-    /// buildGroupTrace/evaluateGroup against the owning Explorer.
-    std::uint64_t generation = 0;
-    /// Evaluation engine resolved at planSweep time (never Auto).
+    /// Evaluation engine, resolveBackend() of the planning Explorer.
     SweepBackend backend = SweepBackend::MultiSim;
   };
 
   std::vector<ConfigKey> keys;
   std::vector<Group> groups;
-  std::uint64_t generation = 0;  ///< same stamp, plan-level
 };
 
 /// Drives the sweep and evaluates individual design points.
@@ -219,8 +200,8 @@ public:
   /// single-level (T, L, S, B) range with its configured policies and
   /// layout choice; SearchOptions::space widens it to joint
   /// policy/layout/L2 spaces. Evaluations route through the same
-  /// planSweep machinery as explore(), so fronts are bit-identical
-  /// across sweep backends and deterministic per seed. Defined in
+  /// planSweep machinery as explore(), so fronts are deterministic per
+  /// seed. Defined in
   /// memx/search (link memx_search or the umbrella `memx` target).
   [[nodiscard]] search::SearchResult searchPareto(
       const Kernel& kernel, const search::SearchOptions& options) const;
@@ -250,14 +231,6 @@ public:
                      const std::vector<ConfigKey>& keys,
                      std::vector<DesignPoint>& out) const;
 
-  /// True iff the configured policies are in the analytic domain:
-  /// LRU, FIFO or TreePLRU replacement (configFor always uses
-  /// write-allocate fills); only Random must simulate. Write policy
-  /// and includeWriteEnergy are unrestricted — each profile's dirty
-  /// accounting yields exact write-back writeback counts, so
-  /// write-energy sweeps stay analytic too.
-  [[nodiscard]] bool stackDistEligible() const noexcept;
-
   /// The engine sweeps will actually use: resolveBackend(options()).
   [[nodiscard]] SweepBackend resolvedBackend() const noexcept;
 
@@ -266,13 +239,6 @@ public:
 
   /// CacheConfig for a sweep key with this run's policies applied.
   [[nodiscard]] CacheConfig configFor(const ConfigKey& key) const;
-
-  /// Drop the memoized layouts and bump the cache generation:
-  /// outstanding SweepPlans become stale and every
-  /// buildGroupTrace/evaluateGroup call on them throws a
-  /// ContractViolation (re-plan with planSweep() to continue). The
-  /// layout memo only ever grows otherwise.
-  void clearCaches() noexcept;
 
   /// Attach an observability recorder (nullptr detaches). Not owned;
   /// must outlive every exploration call made through this Explorer.
@@ -308,13 +274,10 @@ private:
   ExploreOptions options_;
   CycleModel cycleModel_;
   obs::Recorder* recorder_ = nullptr;
-  /// Structural identity -> interned number behind kernelTag(); never
-  /// cleared, so tags stay stable across clearCaches().
+  /// Structural identity -> interned number behind kernelTag().
   mutable std::map<std::string, std::size_t> kernelIds_;
+  /// Grows only; SweepPlan::Group::layout points into its nodes.
   mutable std::map<std::string, MemoryLayout> layoutCache_;
-  /// Bumped by clearCaches(); plans stamped with an older generation
-  /// are rejected before their dangling layout pointers can be read.
-  mutable std::uint64_t cacheGeneration_ = 0;
 };
 
 }  // namespace memx

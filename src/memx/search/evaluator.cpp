@@ -48,12 +48,6 @@ SearchEvaluator::ComboState& SearchEvaluator::comboFor(const Genome& g) {
   options.replacement = space_.options().replacements[key[0]];
   options.writePolicy = space_.options().writePolicies[key[1]];
   options.optimizeLayout = space_.decode(g).optimizeLayout;
-  // A forced MultiSim stays forced; Auto and a forced StackDist both
-  // resolve per combo (LRU/FIFO/PLRU combos analytic, Random
-  // simulated) so a Random combo never trips the eligibility check.
-  options.backend = base_.backend == SweepBackend::MultiSim
-                        ? SweepBackend::MultiSim
-                        : SweepBackend::Auto;
   ComboState state;
   state.explorer = std::make_unique<Explorer>(std::move(options));
   state.explorer->setRecorder(recorder_);

@@ -3,8 +3,9 @@
 // Fresh genomes are grouped by their (replacement, write policy,
 // layout) combo — the run-global knobs of an Explorer — and each
 // combo's batch rides the existing planSweep / buildGroupTrace /
-// evaluateGroup machinery, so LRU combos are served analytically by
-// the StackDist backend and every combo shares traces across
+// evaluateGroup machinery, so every combo runs on the engine its
+// policies resolve to (Random combos simulate, the rest are analytic)
+// and every combo shares traces across
 // generations through a per-combo trace cache. Two-level genomes reuse
 // the shared group trace, one evaluateHierarchy (L1 filter, L2 bank)
 // per distinct L1 key; its fold models neither write energy nor
@@ -41,10 +42,8 @@ namespace memx::search {
 class SearchEvaluator {
 public:
   /// `base` supplies everything the space does not sweep: energy and
-  /// timing models, bus-activity measurement, write-energy accounting
-  /// and the sweep backend. A forced MultiSim backend is honored
-  /// everywhere; Auto (and a forced StackDist) resolve per combo, so
-  /// LRU combos stay analytic while others simulate. Throws a
+  /// timing models, bus-activity measurement and write-energy
+  /// accounting. Throws a
   /// ContractViolation when `space` has L2 capacities and `base` asks
   /// for write energy or a nonzero leakage coefficient.
   SearchEvaluator(Kernel kernel, const DesignSpace& space,

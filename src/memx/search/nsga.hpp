@@ -18,7 +18,7 @@
 // every stochastic choice in a fixed order, all containers iterate in
 // deterministic (packed-genome) order, and all evaluation goes through
 // the bit-stable sweep machinery — same seed, same front, bit for bit,
-// across runs and across sweep backends.
+// across runs.
 #pragma once
 
 #include <cstdint>

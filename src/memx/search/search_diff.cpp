@@ -70,10 +70,6 @@ SearchDiffCase makeSearchDiffCase(std::uint64_t seed) {
   SearchDiffCase c;
   c.seed = seed;
   c.kernel = randomStencilKernel(seed);
-  // Alternate the sweep backend so half the cases force MultiSim
-  // everywhere and half resolve per combo (LRU analytic).
-  c.base.backend =
-      seed % 2 == 0 ? SweepBackend::MultiSim : SweepBackend::Auto;
 
   std::mt19937_64 rng(seed ^ 0x5eacd1ff00dull);
   DesignSpaceOptions& s = c.space;

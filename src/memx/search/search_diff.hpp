@@ -49,9 +49,8 @@ inline constexpr std::size_t kSearchShrinkSteps = 8;
 /// The transformed options always stay valid.
 bool applySearchShrinkStep(DesignSpaceOptions& space, std::size_t step);
 
-/// Generate the case for `seed`: kernel from randomStencilKernel, a
-/// seed-derived joint space capped at 512 genomes, and the sweep
-/// backend alternating Auto / forced-MultiSim with seed parity.
+/// Generate the case for `seed`: kernel from randomStencilKernel and a
+/// seed-derived joint space capped at 512 genomes.
 [[nodiscard]] SearchDiffCase makeSearchDiffCase(std::uint64_t seed);
 
 /// One-line reproduction header for `c`. Every failure message starts

@@ -159,14 +159,6 @@ void parseOptions(const JsonValue& value, ExploreOptions& options) {
                "expected \"LRU\", \"FIFO\", \"Random\" or \"TreePLRU\"");
     }
   }
-  if (const JsonValue* v = fields.get("backend")) {
-    const std::string name = requireString(fields, *v, "backend");
-    try {
-      options.backend = parseSweepBackend(name);
-    } catch (const std::exception& e) {
-      badField("options.backend", e.what());
-    }
-  }
   if (const JsonValue* v = fields.get("ranges")) {
     parseRanges(*v, options.ranges);
   }

@@ -13,7 +13,8 @@
 //     nothing request-scoped is shared, so two interleaved requests
 //     can never bleed counters or spans into each other's RunReport.
 //   * Completed results live in a ResultStore keyed by a canonical
-//     hash of (workload, config space, model, backend): identical
+//     hash of (workload, config space, model and the backend the
+//     model resolves to): identical
 //     requests hit cache, concurrent identical requests compute once
 //     (single-flight), and a narrower explore request re-selects from
 //     a cached wider sweep instead of re-simulating.

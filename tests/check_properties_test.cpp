@@ -217,63 +217,49 @@ TEST_P(PropertySweep, StackDistMissesMonotoneInCacheSizeAtFixedWays) {
   }
 }
 
-// --- PR-5 engine contract: forcing the StackDist backend produces a
-// bit-identical ExplorationResult to forcing MultiCacheSim, on the same
+// --- Engine contract: explore() resolves LRU, FIFO and tree-PLRU
+// sweeps to the analytic engine, and its points must be bit-identical
+// to the same plan drained with every group on MultiCacheSim, on the
 // workloads the golden corpus pins (so any drift is double-caught).
-TEST(Properties, StackDistBackendBitIdenticalToMultiSimOnGoldenCorpus) {
-  ExploreOptions options;
-  options.ranges.onChipBytes = 256;
-  options.ranges.maxCacheBytes = 256;
-  options.ranges.minCacheBytes = 16;
-  options.ranges.minLineBytes = 4;
-  options.ranges.maxLineBytes = 32;
-  options.ranges.maxAssociativity = 4;
-  options.ranges.maxTiling = 4;
-
+// The write-energy metric reads memWrites and writebacks, so the
+// write-back + includeWriteEnergy runs pin the dirty-stack and
+// per-cell dirty-bit writeback counts bit for bit through the energy
+// totals; the others are the paper's read-only model.
+void expectAnalyticMatchesSimulatedPlan(const ExploreOptions& options) {
   const Kernel kernels[] = {compressKernel(), matrixAddKernel(8),
                             dequantKernel(16), transposeKernel(16)};
-  // The write-energy metric reads memWrites and writebacks, so the
-  // second pass (write-back + includeWriteEnergy, newly analytic via
-  // dirty-stack accounting) pins the writeback counts bit-for-bit
-  // through the energy totals; the first is the paper's read-only model.
-  for (const bool writeEnergy : {false, true}) {
-    options.includeWriteEnergy = writeEnergy;
-    options.writePolicy = WritePolicy::WriteBack;
-    ExploreOptions stackOptions = options;
-    stackOptions.backend = SweepBackend::StackDist;
-    ExploreOptions simOptions = options;
-    simOptions.backend = SweepBackend::MultiSim;
-
-    for (const Kernel& kernel : kernels) {
-      const ExplorationResult analytic =
-          Explorer(stackOptions).explore(kernel);
-      const ExplorationResult simulated =
-          Explorer(simOptions).explore(kernel);
-      ASSERT_EQ(analytic.points.size(), simulated.points.size());
-      ASSERT_FALSE(analytic.points.empty());
-      for (std::size_t i = 0; i < analytic.points.size(); ++i) {
-        const DesignPoint& a = analytic.points[i];
-        const DesignPoint& s = simulated.points[i];
-        ASSERT_EQ(a.key, s.key) << kernel.name;
-        EXPECT_EQ(a.accesses, s.accesses)
-            << kernel.name << " " << a.label();
-        // Bit-identical, not approximately equal.
-        EXPECT_EQ(a.missRate, s.missRate)
-            << kernel.name << " " << a.label();
-        EXPECT_EQ(a.cycles, s.cycles) << kernel.name << " " << a.label();
-        EXPECT_EQ(a.energyNj, s.energyNj)
-            << kernel.name << " writeEnergy=" << writeEnergy << " "
-            << a.label();
-      }
+  const Explorer explorer(options);
+  ASSERT_EQ(explorer.resolvedBackend(), SweepBackend::StackDist);
+  for (const Kernel& kernel : kernels) {
+    SCOPED_TRACE(toString(options.replacement) + " " +
+                 kernel.name + " writeEnergy=" +
+                 (options.includeWriteEnergy ? "1" : "0"));
+    const ExplorationResult analytic = explorer.explore(kernel);
+    SweepPlan plan = explorer.planSweep(kernel, explorer.sweepKeys());
+    std::vector<DesignPoint> simulated(plan.keys.size());
+    Explorer::PatternCache patterns;
+    for (SweepPlan::Group& group : plan.groups) {
+      group.backend = SweepBackend::MultiSim;
+      const Trace trace = explorer.buildGroupTrace(kernel, group, patterns);
+      explorer.evaluateGroup(group, trace, explorer.addrActivityFor(trace),
+                             plan.keys, simulated);
+    }
+    ASSERT_EQ(analytic.points.size(), simulated.size());
+    ASSERT_FALSE(simulated.empty());
+    for (std::size_t i = 0; i < simulated.size(); ++i) {
+      const DesignPoint& a = analytic.points[i];
+      const DesignPoint& s = simulated[i];
+      ASSERT_EQ(a.key, s.key);
+      EXPECT_EQ(a.accesses, s.accesses) << a.label();
+      // Bit-identical, not approximately equal.
+      EXPECT_EQ(a.missRate, s.missRate) << a.label();
+      EXPECT_EQ(a.cycles, s.cycles) << a.label();
+      EXPECT_EQ(a.energyNj, s.energyNj) << a.label();
     }
   }
 }
 
-// The same golden-corpus bit-equality contract for the policy-grid
-// engine: forcing StackDist on FIFO and tree-PLRU sweeps must produce
-// results indistinguishable from MultiCacheSim, point by point, with
-// write-back dirty accounting exercised through the energy totals.
-TEST(Properties, GridBackendBitIdenticalToMultiSimOnGoldenCorpus) {
+ExploreOptions goldenCorpusSweep() {
   ExploreOptions options;
   options.ranges.onChipBytes = 256;
   options.ranges.maxCacheBytes = 256;
@@ -283,90 +269,55 @@ TEST(Properties, GridBackendBitIdenticalToMultiSimOnGoldenCorpus) {
   options.ranges.maxAssociativity = 4;
   options.ranges.maxTiling = 4;
   options.writePolicy = WritePolicy::WriteBack;
+  return options;
+}
 
-  const Kernel kernels[] = {compressKernel(), matrixAddKernel(8),
-                            dequantKernel(16), transposeKernel(16)};
+TEST(Properties, StackDistBackendBitIdenticalToMultiSimOnGoldenCorpus) {
+  ExploreOptions options = goldenCorpusSweep();
+  for (const bool writeEnergy : {false, true}) {
+    options.includeWriteEnergy = writeEnergy;
+    expectAnalyticMatchesSimulatedPlan(options);
+  }
+}
+
+// The same contract for the policy-grid engine on FIFO and tree-PLRU
+// sweeps.
+TEST(Properties, GridBackendBitIdenticalToMultiSimOnGoldenCorpus) {
+  ExploreOptions options = goldenCorpusSweep();
   for (const ReplacementPolicy rp :
        {ReplacementPolicy::FIFO, ReplacementPolicy::TreePLRU}) {
     options.replacement = rp;
     for (const bool writeEnergy : {false, true}) {
       options.includeWriteEnergy = writeEnergy;
-      ExploreOptions stackOptions = options;
-      stackOptions.backend = SweepBackend::StackDist;
-      ExploreOptions simOptions = options;
-      simOptions.backend = SweepBackend::MultiSim;
-
-      for (const Kernel& kernel : kernels) {
-        const ExplorationResult analytic =
-            Explorer(stackOptions).explore(kernel);
-        const ExplorationResult simulated =
-            Explorer(simOptions).explore(kernel);
-        ASSERT_EQ(analytic.points.size(), simulated.points.size());
-        ASSERT_FALSE(analytic.points.empty());
-        for (std::size_t i = 0; i < analytic.points.size(); ++i) {
-          const DesignPoint& a = analytic.points[i];
-          const DesignPoint& s = simulated.points[i];
-          ASSERT_EQ(a.key, s.key) << kernel.name;
-          EXPECT_EQ(a.accesses, s.accesses)
-              << toString(rp) << " " << kernel.name << " " << a.label();
-          // Bit-identical, not approximately equal: any drift prints
-          // the per-point delta through the gtest failure message.
-          EXPECT_EQ(a.missRate, s.missRate)
-              << toString(rp) << " " << kernel.name << " " << a.label();
-          EXPECT_EQ(a.cycles, s.cycles)
-              << toString(rp) << " " << kernel.name << " " << a.label();
-          EXPECT_EQ(a.energyNj, s.energyNj)
-              << toString(rp) << " " << kernel.name << " writeEnergy="
-              << writeEnergy << " " << a.label();
-        }
-      }
+      expectAnalyticMatchesSimulatedPlan(options);
     }
   }
 }
 
-// An Explorer whose options force StackDist outside its domain must be
-// rejected at construction, not silently fall back — and the domain is
-// now "any deterministic replacement": LRU runs the Hill-Smith
-// profile, FIFO and tree-PLRU the single-pass policy grid, so only a
-// Random sweep (simulator-owned rng stream) still gates.
+// The engine follows from the replacement policy alone: LRU runs the
+// Hill-Smith profile and FIFO and tree-PLRU the single-pass policy
+// grid under either write policy, with or without write energy, and
+// only a Random sweep (simulator-owned rng stream) simulates.
 TEST(Properties, ForcedStackDistBackendRejectsIneligibleOptions) {
   ExploreOptions options;
-  options.backend = SweepBackend::StackDist;
-  options.replacement = ReplacementPolicy::Random;
-  EXPECT_THROW(Explorer{options}, ContractViolation);
-
-  // FIFO and tree-PLRU used to be rejected here; the policy-grid
-  // engine made them first-class analytic sweeps (both write policies).
-  options.replacement = ReplacementPolicy::FIFO;
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist);
-  options.replacement = ReplacementPolicy::TreePLRU;
-  options.includeWriteEnergy = true;
-  options.writePolicy = WritePolicy::WriteBack;
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist);
-
-  // LRU + write-back + write energy stays eligible (dirty-stack
-  // accounting), as does write-through with write energy.
-  options.replacement = ReplacementPolicy::LRU;
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist);
-  options.writePolicy = WritePolicy::WriteThrough;
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist);
-
-  // Auto picks the analytic backend for every deterministic policy...
-  options.backend = SweepBackend::Auto;
-  options.writePolicy = WritePolicy::WriteBack;
   for (const ReplacementPolicy rp :
        {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
-        ReplacementPolicy::TreePLRU}) {
+        ReplacementPolicy::TreePLRU, ReplacementPolicy::Random}) {
     options.replacement = rp;
-    EXPECT_TRUE(Explorer(options).stackDistEligible()) << toString(rp);
-    EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist)
-        << toString(rp);
+    const SweepBackend expected = rp == ReplacementPolicy::Random
+                                      ? SweepBackend::MultiSim
+                                      : SweepBackend::StackDist;
+    for (const WritePolicy wp :
+         {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+      options.writePolicy = wp;
+      for (const bool writeEnergy : {false, true}) {
+        options.includeWriteEnergy = writeEnergy;
+        EXPECT_EQ(resolveBackend(options), expected)
+            << toString(rp) << " " << toString(wp) << " " << writeEnergy;
+        EXPECT_EQ(Explorer(options).resolvedBackend(), expected);
+      }
+    }
   }
-
-  // ...while Random replacement still falls back to simulation.
-  options.replacement = ReplacementPolicy::Random;
-  EXPECT_FALSE(Explorer(options).stackDistEligible());
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::MultiSim);
 }
 
 // --- Pareto dominance and front extraction (the search engine's

@@ -99,11 +99,18 @@ TEST(Protocol, RejectsUnknownFieldsWithDiagnostics) {
       (void)parse(
           R"({"op":"explore","workload":"x","options":{"ranges":{"max_cache":64}}})"),
       ServeError);
-  try {
-    (void)parse(R"({"op":"explore","workload":"x","options":{"bogus":1}})");
-    FAIL() << "expected ServeError";
-  } catch (const ServeError& e) {
-    EXPECT_NE(std::string(e.what()).find("options.bogus"), std::string::npos);
+  // The sweep engine is not a request option: it follows from the
+  // replacement policy, so a request naming one is rejected by name.
+  for (const std::string field : {"bogus", "backend"}) {
+    try {
+      (void)parse(R"({"op":"explore","workload":"x","options":{")" + field +
+                  R"(":"multisim"}})");
+      FAIL() << "expected ServeError for options." << field;
+    } catch (const ServeError& e) {
+      const std::string expected = "'options." + field + "': unknown field";
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -111,7 +118,7 @@ TEST(Protocol, ParsesFullRequest) {
   const Request r = parseRequest(JsonValue::parse(R"({
     "id": 7, "op": "explore", "workload": "matmul",
     "options": {"em_nj": 2.5, "write_policy": "write-through",
-                "replacement": "FIFO", "backend": "multisim",
+                "replacement": "FIFO",
                 "ranges": {"max_cache_bytes": 128, "sweep_tiling": false}},
     "selection": {"metric": "min_cycles", "energy_bound": 1e6},
     "include_points": true})"));
@@ -120,7 +127,6 @@ TEST(Protocol, ParsesFullRequest) {
   EXPECT_DOUBLE_EQ(r.options.energy.emNj, 2.5);
   EXPECT_EQ(r.options.writePolicy, WritePolicy::WriteThrough);
   EXPECT_EQ(r.options.replacement, ReplacementPolicy::FIFO);
-  EXPECT_EQ(r.options.backend, SweepBackend::MultiSim);
   EXPECT_EQ(r.options.ranges.maxCacheBytes, 128u);
   EXPECT_FALSE(r.options.ranges.sweepTiling);
   EXPECT_EQ(r.metric, SelectionMetric::MinCycles);
@@ -132,24 +138,12 @@ TEST(Protocol, CanonicalKeySplitsIntoRangesAndModel) {
   ExploreOptions a;
   EXPECT_EQ(canonicalExploreKey(a),
             canonicalRangesKey(a.ranges) + canonicalModelKey(a));
-  // Auto collapses to its resolution: an Auto/LRU run shares its key
-  // with a forced-stackdist run — and so does an Auto/FIFO run now
-  // that the policy-grid backend serves FIFO/PLRU sweeps analytically.
-  // Only Random still resolves to (and keys as) the multisim backend.
-  ExploreOptions forced = a;
-  forced.backend = SweepBackend::StackDist;
-  EXPECT_EQ(canonicalExploreKey(a), canonicalExploreKey(forced));
+  // Policies move the key (and with them the resolved engine).
   ExploreOptions fifo = a;
   fifo.replacement = ReplacementPolicy::FIFO;
-  ExploreOptions fifoForced = fifo;
-  fifoForced.backend = SweepBackend::StackDist;
-  EXPECT_EQ(canonicalExploreKey(fifo), canonicalExploreKey(fifoForced));
   EXPECT_NE(canonicalExploreKey(a), canonicalExploreKey(fifo));
   ExploreOptions rnd = a;
   rnd.replacement = ReplacementPolicy::Random;
-  ExploreOptions rndForced = rnd;
-  rndForced.backend = SweepBackend::MultiSim;
-  EXPECT_EQ(canonicalExploreKey(rnd), canonicalExploreKey(rndForced));
   EXPECT_NE(canonicalExploreKey(a), canonicalExploreKey(rnd));
   // Model changes move the key; range changes move only the range half.
   ExploreOptions em = a;

@@ -458,12 +458,15 @@ TEST(AllAssocProfile, PackedToSplitMigrationIsExact) {
 
 // --- Streamed vs materialized explorer ----------------------------------
 
-ExploreOptions smallSweep(SweepBackend backend) {
+/// The sweep's engine follows from `replacement`: LRU runs on the
+/// stack-distance engine, Random simulates.
+ExploreOptions smallSweep(
+    ReplacementPolicy replacement = ReplacementPolicy::LRU) {
   ExploreOptions options;
   options.ranges.minCacheBytes = 32;
   options.ranges.maxCacheBytes = 256;
   options.ranges.maxAssociativity = 2;
-  options.backend = backend;
+  options.replacement = replacement;
   return options;
 }
 
@@ -485,9 +488,9 @@ void expectSamePoints(const ExplorationResult& a,
 
 TEST(StreamedExplore, TrivialWindowMatchesMaterializedBothBackends) {
   const Trace trace = mixedTrace(4000, 47);
-  for (const SweepBackend backend :
-       {SweepBackend::StackDist, SweepBackend::MultiSim}) {
-    const ExploreOptions options = smallSweep(backend);
+  for (const ReplacementPolicy replacement :
+       {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+    const ExploreOptions options = smallSweep(replacement);
     const ExplorationResult materialized =
         exploreTrace("w", trace, options);
     VectorTraceSource source(trace);
@@ -502,9 +505,9 @@ TEST(StreamedExplore, SkipAndLimitMatchMaterializedSubrange) {
   const TraceWindow window{500, 0, 1000};
   Trace sub;
   for (std::size_t i = 500; i < 1500; ++i) sub.push(trace[i]);
-  for (const SweepBackend backend :
-       {SweepBackend::StackDist, SweepBackend::MultiSim}) {
-    const ExploreOptions options = smallSweep(backend);
+  for (const ReplacementPolicy replacement :
+       {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+    const ExploreOptions options = smallSweep(replacement);
     const ExplorationResult materialized = exploreTrace("w", sub, options);
     VectorTraceSource source(trace);
     const ExplorationResult streamed =
@@ -514,17 +517,21 @@ TEST(StreamedExplore, SkipAndLimitMatchMaterializedSubrange) {
 }
 
 TEST(StreamedExplore, WarmupAgreesAcrossBackends) {
-  // Warmup exclusion uses snapshot subtraction in both backends; the
-  // simulated and analytic paths must agree exactly on the counted
-  // region (LRU/write-allocate domain).
+  // Warmup exclusion uses snapshot subtraction on both engines; the
+  // analytic sweep and per-config simulation must agree exactly on the
+  // counted region (LRU/write-allocate domain).
   const Trace trace = mixedTrace(3000, 59);
   const TraceWindow window{200, 500, 1500};
+  const ExploreOptions options = smallSweep();
   VectorTraceSource a(trace);
-  VectorTraceSource b(trace);
-  const ExplorationResult viaStackDist = exploreTrace(
-      "w", a, smallSweep(SweepBackend::StackDist), window, 64);
-  const ExplorationResult viaMultiSim = exploreTrace(
-      "w", b, smallSweep(SweepBackend::MultiSim), window, 64);
+  const ExplorationResult viaStackDist =
+      exploreTrace("w", a, options, window, 64);
+  ExplorationResult viaMultiSim;
+  for (const DesignPoint& p : viaStackDist.points) {
+    VectorTraceSource b(trace);
+    viaMultiSim.points.push_back(
+        evaluateTracePoint(b, p.cacheConfig(), options, window, 64));
+  }
   expectSamePoints(viaStackDist, viaMultiSim);
 }
 
@@ -558,7 +565,7 @@ TEST(StreamedExplore, FileSourceMatchesInMemoryEndToEnd) {
   }
   // din drops sizes; compare against the re-parsed trace.
   const Trace parsed = fromDinString(toDinString(trace));
-  const ExploreOptions options = smallSweep(SweepBackend::Auto);
+  const ExploreOptions options = smallSweep();
   const ExplorationResult materialized =
       exploreTrace("w", parsed, options);
   FileTraceSource source(path);
