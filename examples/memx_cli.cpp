@@ -8,10 +8,12 @@
 //                    [--limit <n>] [common explore flags]
 //   memx_cli simulate <din-file[.gz]> --cache <C..L..[S..]>
 //                     [--skip <n>] [--warmup <n>] [--limit <n>]
+//                     [--em <nJ>] [--write-energy]
+//                     [--replacement <lru|fifo|plru|random>]
 //   memx_cli layout <kernel> --cache <C..L..>
 //   memx_cli icache <kernel>
 //   memx_cli workingset <kernel> [--line <bytes>]
-//   memx_cli spm <kernel> [--budget <bytes>] [--line <bytes>]
+//   memx_cli spm <kernel> [--budget <bytes, default 512>] [--line <bytes>]
 //   memx_cli legality <kernel>
 //   memx_cli kernels
 //   memx_cli serve [--workers <n>] [--queue <n>]
@@ -63,6 +65,8 @@ struct Args {
   bool search = false;
   bool joint = false;
   search::SearchOptions searchOptions;
+  /// Search evaluations for explore --search, bytes for spm.
+  std::optional<std::uint64_t> budget;
   std::optional<std::string> traceFile;
   TraceWindow window;
   unsigned workers = 0;
@@ -153,8 +157,7 @@ Args parseArgs(int argc, char** argv) {
       args.searchOptions.generations =
           static_cast<std::uint32_t>(parseFlagUnsigned(arg, value(), kU32));
     } else if (arg == "--budget") {
-      args.searchOptions.maxEvaluations =
-          parseFlagUnsigned(arg, value(), kU64);
+      args.budget = parseFlagUnsigned(arg, value(), kU64);
     } else if (arg == "--workers") {
       args.workers =
           static_cast<unsigned>(parseFlagUnsigned(arg, value(), 1024));
@@ -226,14 +229,26 @@ void emitFront(const search::SearchResult& result, bool csv) {
             << '\n';
 }
 
+/// The model flags shared by explore, explore --trace and simulate, so
+/// the three compute the same point for the same flags.
+ExploreOptions exploreOptions(const Args& args) {
+  ExploreOptions options;
+  options.energy.emNj = args.em;
+  options.optimizeLayout = !args.noLayout;
+  // Write-back is the default write policy, so --write-energy exercises
+  // the writeback-charging metric.
+  options.includeWriteEnergy = args.writeEnergy;
+  // The sweep engine follows from the policy: Random simulates, every
+  // other policy reads an exact stack-distance or policy-grid profile.
+  options.replacement = args.replacement;
+  return options;
+}
+
 int cmdExplore(const Args& args) {
+  const ExploreOptions options = exploreOptions(args);
   if (args.traceFile) {
     // Trace mode: sweep (L, S) over a recorded din stream, pulled from
     // disk in bounded-memory chunks (gzip inflated on the fly).
-    ExploreOptions options;
-    options.energy.emNj = args.em;
-    options.includeWriteEnergy = args.writeEnergy;
-    options.replacement = args.replacement;
     FileTraceSource source(*args.traceFile);
     const ExplorationResult result =
         exploreTrace(*args.traceFile, source, options, args.window);
@@ -246,32 +261,11 @@ int cmdExplore(const Args& args) {
     return 0;
   }
   const Kernel kernel = kernelByNameOrPath(args.positional.at(1));
-  ExploreOptions options;
-  options.energy.emNj = args.em;
-  options.optimizeLayout = !args.noLayout;
-  // Write-back is the default write policy, so --write-energy exercises
-  // the writeback-charging metric.
-  options.includeWriteEnergy = args.writeEnergy;
-  // The sweep engine follows from the policy: Random simulates, every
-  // other policy reads an exact stack-distance or policy-grid profile.
-  options.replacement = args.replacement;
   const Explorer explorer(options);
   if (args.search) {
     search::SearchOptions searchOptions = args.searchOptions;
-    if (args.joint) {
-      // Joint space: every replacement and write policy, both layout
-      // choices, and an optional L2 at 4x the largest L1 capacity.
-      search::DesignSpaceOptions space;
-      space.ranges = options.ranges;
-      space.replacements = {
-          ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
-          ReplacementPolicy::Random, ReplacementPolicy::TreePLRU};
-      space.writePolicies = {WritePolicy::WriteBack,
-                             WritePolicy::WriteThrough};
-      space.sweepLayout = true;
-      space.l2CapacityBytes = {4 * space.ranges.maxCacheBytes};
-      searchOptions.space = space;
-    }
+    if (args.budget) searchOptions.maxEvaluations = *args.budget;
+    if (args.joint) searchOptions.space = search::jointSpace(options.ranges);
     emitFront(explorer.searchPareto(kernel, searchOptions), args.csv);
     return 0;
   }
@@ -286,8 +280,7 @@ int cmdSimulate(const Args& args) {
   const std::string& path =
       args.traceFile ? *args.traceFile : args.positional.at(1);
   const CacheConfig cache = parseCacheLabel(*args.cacheLabel);
-  ExploreOptions options;
-  options.energy.emNj = args.em;
+  const ExploreOptions options = exploreOptions(args);
   // Streamed: the trace never materializes, so multi-hundred-MB files
   // (plain or .gz) simulate in bounded memory.
   FileTraceSource source(path);
@@ -361,14 +354,16 @@ int cmdWorkingSet(const Args& args) {
 
 int cmdSpm(const Args& args) {
   const Kernel kernel = kernelByNameOrPath(args.positional.at(1));
-  const std::uint32_t budget = args.cacheLabel
-                                   ? parseCacheLabel(*args.cacheLabel)
-                                         .sizeBytes
-                                   : 512;
+  const std::uint64_t budget = args.budget.value_or(512);
+  if (budget > 0xffffffffull) {
+    throw std::invalid_argument("--budget value '" + std::to_string(budget) +
+                                "': out of range");
+  }
   Table t({"split", "SPM arrays", "cache miss rate", "cycles",
            "energy (nJ)"});
   for (const SplitResult& r :
-       exploreBudgetSplits(kernel, budget, args.lineBytes)) {
+       exploreBudgetSplits(kernel, static_cast<std::uint32_t>(budget),
+                           args.lineBytes)) {
     std::string arrays;
     for (const std::string& a : r.spmArrays) {
       if (!arrays.empty()) arrays += ",";

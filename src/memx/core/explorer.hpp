@@ -117,9 +117,9 @@ struct ExploreOptions {
                                     const CacheStats& stats, double addBs);
 
 /// Stable text form of the sweep bounds alone. Part of
-/// canonicalExploreKey; exposed separately so the serve result store
-/// can strip the bounds off a key and recognize covering-range cache
-/// hits (a narrower request served from a wider cached sweep).
+/// canonicalExploreKey; exposed separately so the server can key the
+/// sweeps of one workload and model by a shared base and re-select a
+/// narrower request from a wider cached sweep.
 [[nodiscard]] std::string canonicalRangesKey(const ExploreRanges& ranges);
 
 /// Stable text form of everything in `options` *except* the ranges:

@@ -1,9 +1,9 @@
 #include "memx/obs/run_report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "memx/util/json_escape.hpp"
 #include "memx/util/numeric_io.hpp"
 
 namespace memx::obs {
@@ -35,32 +35,6 @@ double unionSec(std::vector<std::pair<std::int64_t, std::int64_t>>& ivs) {
 }
 
 }  // namespace
-
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const PhaseStat* RunReport::phase(std::string_view name) const noexcept {
   for (const PhaseStat& p : phases) {

@@ -79,8 +79,4 @@ struct RunReport {
   void writeJson(std::ostream& os) const;
 };
 
-/// `s` with JSON string escapes applied (quotes, backslashes, control
-/// characters), without the surrounding quotes.
-[[nodiscard]] std::string jsonEscape(std::string_view s);
-
 }  // namespace memx::obs

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "memx/util/assert.hpp"
+#include "memx/util/json_escape.hpp"
 #include "memx/util/numeric_io.hpp"
 
 namespace memx {
@@ -100,16 +101,6 @@ double parseDouble(const std::string& cell, std::size_t lineNo,
                                   std::to_string(lineNo) + " column " +
                                   column + ": not a finite number");
   return *v;
-}
-
-/// Escape the few JSON-special characters a workload name could contain.
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace

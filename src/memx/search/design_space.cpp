@@ -55,6 +55,17 @@ void DesignSpaceOptions::validate() const {
   }
 }
 
+DesignSpaceOptions jointSpace(const ExploreRanges& ranges) {
+  DesignSpaceOptions space;
+  space.ranges = ranges;
+  space.replacements = {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+                        ReplacementPolicy::Random, ReplacementPolicy::TreePLRU};
+  space.writePolicies = {WritePolicy::WriteBack, WritePolicy::WriteThrough};
+  space.sweepLayout = true;
+  space.l2CapacityBytes = {4 * ranges.maxCacheBytes};
+  return space;
+}
+
 std::string JointPoint::label() const {
   std::string s = key.label();
   s += '|';

@@ -68,6 +68,11 @@ struct DesignSpaceOptions {
   void validate() const;
 };
 
+/// The joint space the CLI's --joint and the server's "joint":true
+/// search: every replacement and write policy, both layout choices, and
+/// an optional L2 at 4x the largest L1 capacity of `ranges`.
+[[nodiscard]] DesignSpaceOptions jointSpace(const ExploreRanges& ranges);
+
 /// One decoded genome: everything an evaluation needs.
 struct JointPoint {
   ConfigKey key;  ///< (T, L, S, B)

@@ -1,114 +1,76 @@
 #include "memx/serve/result_store.hpp"
 
-#include <algorithm>
-
 namespace memx::serve {
 
-namespace {
-
-/// Conservative bound containment: true when every sweep key the child
-/// ranges generate is plausibly inside the parent's grid. The server
-/// still verifies key by key, so false positives cost a lookup pass,
-/// never a wrong answer; false negatives only cost a re-simulation.
-[[nodiscard]] bool covers(const ExploreRanges& p, const ExploreRanges& c) {
-  const auto effMaxCache = [](const ExploreRanges& r) {
-    return std::min(r.maxCacheBytes, r.onChipBytes);
-  };
-  if (p.minCacheBytes > c.minCacheBytes) return false;
-  if (effMaxCache(p) < effMaxCache(c)) return false;
-  if (p.minLineBytes > c.minLineBytes) return false;
-  if (p.maxLineBytes < c.maxLineBytes) return false;
-  if (c.sweepAssociativity &&
-      (!p.sweepAssociativity || p.maxAssociativity < c.maxAssociativity)) {
-    return false;
-  }
-  if (c.sweepTiling && (!p.sweepTiling || p.maxTiling < c.maxTiling)) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-ResultStore::Outcome ResultStore::get(const Key& key) {
-  std::unique_lock lock(mutex_);
-  while (true) {
-    const auto it = entries_.find(key.exact);
-    if (it != entries_.end()) {
-      Entry& entry = it->second;
-      if (entry.value != nullptr) {
-        if (entry.generation != generation_) {
-          // Stale ready entry (invalidated while idle): drop and fall
-          // through to the miss path.
-          entries_.erase(it);
-          continue;
-        }
-        ++counters_.hits;
-        entry.lastUse = ++tick_;
-        return {entry.value, nullptr, false, generation_};
-      }
-      // Pending: wait for the leader to publish or fail, then re-check.
-      // (A stale-generation pending entry is erased by its leader's
-      // publish/fail, which wakes us.)
+ResultStore::Resolved ResultStore::resolve(
+    const Key& key, const std::function<Computed(const Siblings&)>& compute) {
+  Siblings siblings;
+  std::uint64_t generation = 0;
+  {
+    std::unique_lock lock(mutex_);
+    auto it = entries_.find(key.exact);
+    while (it != entries_.end() && it->second.value == nullptr) {
+      // Another worker's claim: wait for it to publish or release.
       ready_.wait(lock);
-      continue;
+      it = entries_.find(key.exact);
     }
-    // Miss: claim leadership by inserting the pending slot.
-    Entry entry;
-    entry.generation = generation_;
-    entry.base = key.base;
-    entry.ranges = key.ranges;
-    std::shared_ptr<const StoredResult> parent = findCoveringLocked(key);
-    entries_.emplace(key.exact, std::move(entry));
-    return {nullptr, std::move(parent), true, generation_};
-  }
-}
-
-bool ResultStore::publish(const std::string& exactKey,
-                          std::uint64_t generation,
-                          std::shared_ptr<const StoredResult> value) {
-  bool installed = false;
-  {
-    const std::lock_guard lock(mutex_);
-    const auto it = entries_.find(exactKey);
-    if (it != entries_.end() && it->second.value == nullptr) {
-      if (generation == generation_ && it->second.generation == generation_) {
-        it->second.value = std::move(value);
-        it->second.lastUse = ++tick_;
-        installed = true;
-        evictLocked();
-      } else {
-        // Computed against an invalidated model: never cache it.
-        entries_.erase(it);
+    if (it != entries_.end()) {
+      ++counters_.hits;
+      it->second.lastUse = ++tick_;
+      return {it->second.value, Source::Hit};
+    }
+    // Claim the key with a pending entry; while it stands, every other
+    // resolve of this key waits above.
+    generation = generation_;
+    entries_.emplace(key.exact, Entry{nullptr, key.base, 0});
+    if (!key.base.empty()) {
+      for (const auto& [exact, entry] : entries_) {
+        if (entry.value != nullptr && entry.base == key.base) {
+          siblings.push_back(entry.value);
+        }
       }
     }
   }
-  ready_.notify_all();
-  return installed;
+  Computed computed;
+  try {
+    computed = compute(siblings);
+  } catch (...) {
+    release(key.exact);
+    throw;
+  }
+  auto value = std::make_shared<const StoredResult>(std::move(computed.value));
+  publish(key.exact, generation, value, computed.subset);
+  return {std::move(value), computed.subset ? Source::Subset : Source::Miss};
 }
 
-void ResultStore::fail(const std::string& exactKey,
-                       std::uint64_t generation) noexcept {
+void ResultStore::publish(const std::string& exactKey,
+                          std::uint64_t generation,
+                          std::shared_ptr<const StoredResult> value,
+                          bool subset) {
   {
     const std::lock_guard lock(mutex_);
+    ++(subset ? counters_.subsetHits : counters_.misses);
+    // The pending entry is this caller's claim: nothing else erases it.
     const auto it = entries_.find(exactKey);
-    if (it != entries_.end() && it->second.value == nullptr &&
-        it->second.generation <= generation) {
+    if (generation == generation_) {
+      it->second.value = std::move(value);
+      it->second.lastUse = ++tick_;
+      evictLocked();
+    } else {
+      // Computed against an invalidated model: never cache it.
       entries_.erase(it);
     }
   }
-  // Wake every waiter: the first to re-check becomes the new leader.
   ready_.notify_all();
 }
 
-void ResultStore::countMiss() noexcept {
-  const std::lock_guard lock(mutex_);
-  ++counters_.misses;
-}
-
-void ResultStore::countSubsetHit() noexcept {
-  const std::lock_guard lock(mutex_);
-  ++counters_.subsetHits;
+void ResultStore::release(const std::string& exactKey) noexcept {
+  {
+    const std::lock_guard lock(mutex_);
+    entries_.erase(exactKey);
+  }
+  // Wake every waiter: the first to re-check claims the key.
+  ready_.notify_all();
 }
 
 std::uint64_t ResultStore::invalidateAll() {
@@ -117,15 +79,11 @@ std::uint64_t ResultStore::invalidateAll() {
     const std::lock_guard lock(mutex_);
     ++generation_;
     generation = generation_;
-    // Eager-drop ready entries; pending ones are erased by their
-    // leader's publish/fail generation check.
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->second.value != nullptr) {
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    // Drop ready entries; pending ones are dropped when their
+    // computation publishes against the old generation, so every ready
+    // entry belongs to the current generation.
+    std::erase_if(entries_,
+                  [](const auto& kv) { return kv.second.value != nullptr; });
   }
   ready_.notify_all();
   return generation;
@@ -144,18 +102,6 @@ std::size_t ResultStore::entries() const {
 std::uint64_t ResultStore::generation() const {
   const std::lock_guard lock(mutex_);
   return generation_;
-}
-
-std::shared_ptr<const StoredResult> ResultStore::findCoveringLocked(
-    const Key& key) const {
-  if (!key.ranges || key.base.empty()) return nullptr;
-  for (const auto& [exact, entry] : entries_) {
-    if (entry.value == nullptr || entry.generation != generation_) continue;
-    if (!entry.ranges || entry.base != key.base) continue;
-    if (exact == key.exact) continue;
-    if (covers(*entry.ranges, *key.ranges)) return entry.value;
-  }
-  return nullptr;
 }
 
 void ResultStore::evictLocked() {

@@ -2,48 +2,46 @@
 //
 // The store maps a canonical request key — workload identity + op +
 // canonicalExploreKey(options) (+ search/window parameters) — to the
-// immutable result of that computation. Guarantees:
+// immutable result of that computation. resolve() is the whole
+// protocol; callers never hold a claim on a key. Guarantees:
 //
-//   * Single-flight: when N workers ask for the same missing key at
-//     once, exactly one (the leader) computes; the rest block and
-//     receive the leader's published value. A leader that fails wakes
-//     one waiter to take over, so a transient failure never wedges the
-//     slot.
+//   * Single-flight: when N workers resolve the same missing key at
+//     once, exactly one runs its compute callback (outside the lock);
+//     the rest block and receive that published value. A compute that
+//     throws releases the key, so one waiter takes over and a transient
+//     failure never wedges the slot.
 //   * Generation-stamped invalidation: invalidateAll() bumps the store
-//     generation; results computed against the old model can still be
+//     generation; results computed against the old model are still
 //     returned to the request that computed them but are never cached
 //     or served to later requests.
-//   * Covering-range reuse: an explore-style lookup that misses exactly
-//     may name a *parent* — a ready entry with the same base key (op +
-//     workload + model) whose sweep bounds contain the request's. The
-//     leader can then re-select from the parent's points instead of
-//     re-simulating. The containment check here is a conservative
-//     filter; the server's ordered walk over the parent must find every
-//     sweep key of the request before it trusts the parent.
+//   * Sibling reuse: compute receives the ready entries that share the
+//     request's base key (op + workload + model, without the sweep
+//     bounds). The store makes no claim about which of them, if any,
+//     contains the request; the caller decides, and reports whether it
+//     re-selected from one (a subset hit) or computed in full (a miss).
 //
-// Values are shared_ptr<const ...>: once published they are immutable
-// plain values and may be read by any number of workers concurrently
-// without locking.
+// Values are shared_ptr<const StoredResult>: once published they are
+// immutable plain values and may be read by any number of workers
+// concurrently without locking.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <condition_variable>
-#include <optional>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "memx/core/explorer.hpp"
 #include "memx/search/nsga.hpp"
 
 namespace memx::serve {
 
-/// One cached computation: exactly one member is set, by op kind.
-struct StoredResult {
-  std::shared_ptr<const ExplorationResult> explore;
-  std::shared_ptr<const search::SearchResult> search;
-};
+/// One cached computation: an explore-style sweep or a search front.
+using StoredResult = std::variant<ExplorationResult, search::SearchResult>;
 
 class ResultStore {
 public:
@@ -52,30 +50,32 @@ public:
     std::size_t maxEntries = 256;
   };
 
-  /// Lookup identity. `base`/`ranges` are only consulted for covering
-  /// reuse and may be empty/absent for ops where that cannot apply.
+  /// Lookup identity. An empty `base` opts out of sibling reuse.
   struct Key {
     std::string exact;  ///< full canonical request key
     std::string base;   ///< exact minus the sweep bounds
-    std::optional<ExploreRanges> ranges;
   };
 
   struct Counters {
     std::uint64_t hits = 0;        ///< exact ready hits (incl. waiters)
     std::uint64_t misses = 0;      ///< full computations
-    std::uint64_t subsetHits = 0;  ///< served by re-selecting from a parent
+    std::uint64_t subsetHits = 0;  ///< served by re-selecting from a sibling
   };
 
-  /// What a lookup resolved to. Exactly one of:
-  ///   * `value` set: exact hit, use it directly.
-  ///   * `leader` true: the caller owns the computation and MUST call
-  ///     publish() or fail() with `generation`. `parent` (possibly
-  ///     null) is a covering candidate to re-select from.
-  struct Outcome {
+  using Siblings = std::vector<std::shared_ptr<const StoredResult>>;
+
+  /// What a compute callback produced.
+  struct Computed {
+    StoredResult value;
+    bool subset = false;  ///< re-selected from one of the siblings
+  };
+
+  /// How resolve() answered.
+  enum class Source : std::uint8_t { Hit, Miss, Subset };
+
+  struct Resolved {
     std::shared_ptr<const StoredResult> value;
-    std::shared_ptr<const StoredResult> parent;
-    bool leader = false;
-    std::uint64_t generation = 0;
+    Source source = Source::Hit;
   };
 
   ResultStore() : ResultStore(Config{}) {}
@@ -84,27 +84,15 @@ public:
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
-  /// Resolve `key`, blocking while another worker computes it.
-  [[nodiscard]] Outcome get(const Key& key);
-
-  /// Install the leader's value. Returns false (and caches nothing)
-  /// when the store was invalidated since the matching get(); the
-  /// caller's value is still valid for its own response.
-  bool publish(const std::string& exactKey, std::uint64_t generation,
-               std::shared_ptr<const StoredResult> value);
-
-  /// Abandon a leadership claim after a failed computation; one waiter
-  /// (if any) takes over as the new leader.
-  void fail(const std::string& exactKey, std::uint64_t generation) noexcept;
-
-  /// Count a leader's outcome against the hit/miss telemetry. (The
-  /// store cannot tell a full computation from a parent re-selection —
-  /// only the leader knows whether the parent actually covered.)
-  void countMiss() noexcept;
-  void countSubsetHit() noexcept;
+  /// The value for `key`: a ready entry, the value another worker is
+  /// computing (waited for), or else `compute(siblings)` run once
+  /// outside the lock and published. An exception from `compute`
+  /// releases the key to the next caller and propagates.
+  Resolved resolve(const Key& key,
+                   const std::function<Computed(const Siblings&)>& compute);
 
   /// Drop every cached result (model changed). Pending computations
-  /// finish but publish as no-ops. Returns the new generation.
+  /// finish but are not cached. Returns the new generation.
   std::uint64_t invalidateAll();
 
   [[nodiscard]] Counters counters() const;
@@ -114,14 +102,13 @@ public:
 private:
   struct Entry {
     std::shared_ptr<const StoredResult> value;  ///< null while pending
-    std::uint64_t generation = 0;
     std::string base;
-    std::optional<ExploreRanges> ranges;
     std::uint64_t lastUse = 0;
   };
 
-  [[nodiscard]] std::shared_ptr<const StoredResult> findCoveringLocked(
-      const Key& key) const;
+  void publish(const std::string& exactKey, std::uint64_t generation,
+               std::shared_ptr<const StoredResult> value, bool subset);
+  void release(const std::string& exactKey) noexcept;
   void evictLocked();
 
   const Config config_;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <istream>
 #include <mutex>
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "memx/core/selection.hpp"
@@ -164,11 +166,74 @@ bool readLineBounded(std::istream& in, std::string& line, std::size_t cap,
   return any;
 }
 
-struct StoreUse {
-  std::shared_ptr<const StoredResult> value;
-  bool cached = false;  ///< served from a ready entry
-  bool subset = false;  ///< re-selected from a covering parent
-};
+/// The points of `keys` from `parent`, when it holds every one of them.
+/// Both lists are in sweepKeys() order, so one ordered walk finds each
+/// key or shows one missing. Equal model keys give equal points per
+/// sweep key, so the slice is bit-identical to sweeping `keys` directly.
+[[nodiscard]] std::optional<std::vector<DesignPoint>> sliceKeys(
+    const std::vector<DesignPoint>& parent,
+    const std::vector<ConfigKey>& keys) {
+  std::vector<DesignPoint> sliced;
+  sliced.reserve(keys.size());
+  auto next = parent.begin();
+  for (const ConfigKey& k : keys) {
+    while (next != parent.end() && next->key != k) ++next;
+    if (next == parent.end()) return std::nullopt;
+    sliced.push_back(*next++);
+  }
+  return sliced;
+}
+
+/// Resolve `key` through the store and count how it was answered on the
+/// request's own recorder.
+[[nodiscard]] ResultStore::Resolved resolveCounted(
+    ResultStore& store, obs::Recorder& recorder, const ResultStore::Key& key,
+    const std::function<ResultStore::Computed(const ResultStore::Siblings&)>&
+        compute) {
+  // Indexed by ResultStore::Source.
+  constexpr const char* kCounters[] = {"serve.store_hits", "serve.store_misses",
+                                       "serve.store_subset_hits"};
+  ResultStore::Resolved resolved = store.resolve(key, compute);
+  recorder.counter(kCounters[static_cast<std::size_t>(resolved.source)]).add();
+  return resolved;
+}
+
+/// The response fields shared by explore and trace sweeps.
+[[nodiscard]] JsonValue::Object sweepResponse(
+    const Request& request, const ResultStore::Resolved& resolved,
+    const std::string& exactKey) {
+  const auto& result = std::get<ExplorationResult>(*resolved.value);
+  JsonValue::Object response;
+  response.emplace("ok", true);
+  response.emplace("workload", result.workload);
+  response.emplace("cached", resolved.source == ResultStore::Source::Hit);
+  response.emplace("subset", resolved.source == ResultStore::Source::Subset);
+  response.emplace("cache_key", cacheKeyDigest(exactKey));
+  response.emplace("points", result.points.size());
+  const std::optional<DesignPoint> selected = selectPoint(request, result);
+  response.emplace("selected",
+                   selected ? pointValue(*selected) : JsonValue(nullptr));
+  if (request.includePoints) {
+    response.emplace("csv", toCsvString(result));
+  }
+  return response;
+}
+
+/// Run `body` under the request's "serve.request" span on a recorder of
+/// its own, and attach that recorder's report when the request asks.
+template <typename Body>
+[[nodiscard]] JsonValue withRecorder(const Request& request, Body&& body) {
+  obs::Recorder recorder;
+  JsonValue::Object response;
+  {
+    const obs::ScopedSpan span(&recorder, "serve.request");
+    response = body(recorder);
+  }
+  if (request.includeReport) {
+    response.emplace("report", reportValue(recorder));
+  }
+  return JsonValue(std::move(response));
+}
 
 }  // namespace
 
@@ -182,15 +247,10 @@ unsigned Server::workerCount() const noexcept {
 }
 
 JsonValue Server::handleExplore(const Request& request) {
-  obs::Recorder recorder;
-  StoreUse use;
-  JsonValue::Object response;
-  {
-    const obs::ScopedSpan span(&recorder, "serve.request");
+  return withRecorder(request, [&](obs::Recorder& recorder) {
     const ResolvedKernel resolved = resolveKernel(request);
     // Constructing the Explorer validates the options; do it before
-    // claiming store leadership so an invalid request never leaves a
-    // pending slot behind.
+    // resolving so an invalid request never claims a store key.
     Explorer explorer(request.options);
     explorer.setRecorder(&recorder);
 
@@ -198,134 +258,61 @@ JsonValue Server::handleExplore(const Request& request) {
     key.base = "explore|" + resolved.identity + "|" +
                canonicalModelKey(request.options) + "|";
     key.exact = key.base + canonicalRangesKey(request.options.ranges);
-    key.ranges = request.options.ranges;
 
-    const ResultStore::Outcome outcome = store_.get(key);
-    if (outcome.value != nullptr) {
-      use = {outcome.value, true, false};
-      recorder.counter("serve.store_hits").add();
-    } else {
-      try {
-        if (outcome.parent != nullptr && outcome.parent->explore != nullptr) {
-          // Covering-range candidate: re-select instead of re-simulating.
-          // Both key lists are in sweepKeys() order, so one ordered walk
-          // over the parent finds every key of this request, or shows
-          // one missing. Bit-identical by the canonical-key contract
-          // (equal model keys => equal points per sweep key).
-          const obs::ScopedSpan select(&recorder, "serve.reselect");
-          const std::vector<DesignPoint>& parent =
-              outcome.parent->explore->points;
-          const std::vector<ConfigKey> keys = explorer.sweepKeys();
-          auto sliced = std::make_shared<ExplorationResult>();
-          sliced->workload = resolved.kernel.name;
-          sliced->points.reserve(keys.size());
-          auto next = parent.begin();
-          for (const ConfigKey& k : keys) {
-            while (next != parent.end() && next->key != k) ++next;
-            if (next == parent.end()) break;
-            sliced->points.push_back(*next++);
+    const ResultStore::Resolved served = resolveCounted(
+        store_, recorder, key, [&](const ResultStore::Siblings& siblings) {
+          // The ordered walk is the one containment test: re-select
+          // from the first sibling sweep that holds every key of this
+          // request, else sweep in full.
+          if (!siblings.empty()) {
+            const obs::ScopedSpan select(&recorder, "serve.reselect");
+            const std::vector<ConfigKey> keys = explorer.sweepKeys();
+            for (const auto& sibling : siblings) {
+              auto points = sliceKeys(
+                  std::get<ExplorationResult>(*sibling).points, keys);
+              if (points) {
+                return ResultStore::Computed{
+                    ExplorationResult{resolved.kernel.name,
+                                      std::move(*points)},
+                    true};
+              }
+            }
           }
-          if (sliced->points.size() == keys.size()) {
-            auto stored = std::make_shared<StoredResult>();
-            stored->explore = std::move(sliced);
-            use = {stored, false, true};
-            recorder.counter("serve.store_subset_hits").add();
-            store_.countSubsetHit();
-            store_.publish(key.exact, outcome.generation, std::move(stored));
-          }
-        }
-        if (use.value == nullptr) {
           const obs::ScopedSpan compute(&recorder, "serve.compute");
-          auto computed = std::make_shared<ExplorationResult>(
-              explorer.explore(resolved.kernel));
-          auto stored = std::make_shared<StoredResult>();
-          stored->explore = std::move(computed);
-          use = {stored, false, false};
-          recorder.counter("serve.store_misses").add();
-          store_.countMiss();
-          store_.publish(key.exact, outcome.generation, std::move(stored));
-        }
-      } catch (...) {
-        store_.fail(key.exact, outcome.generation);
-        throw;
-      }
-    }
-
-    const ExplorationResult& result = *use.value->explore;
-    response.emplace("ok", true);
-    response.emplace("workload", result.workload);
-    response.emplace("cached", use.cached);
-    response.emplace("subset", use.subset);
-    response.emplace("cache_key", cacheKeyDigest(key.exact));
-    response.emplace("points", result.points.size());
-    const std::optional<DesignPoint> selected = selectPoint(request, result);
-    response.emplace("selected",
-                     selected ? pointValue(*selected) : JsonValue(nullptr));
-    if (request.includePoints) {
-      response.emplace("csv", toCsvString(result));
-    }
-  }
-  if (request.includeReport) {
-    response.emplace("report", reportValue(recorder));
-  }
-  return JsonValue(std::move(response));
+          return ResultStore::Computed{explorer.explore(resolved.kernel),
+                                       false};
+        });
+    return sweepResponse(request, served, key.exact);
+  });
 }
 
 JsonValue Server::handleSearch(const Request& request) {
-  obs::Recorder recorder;
-  StoreUse use;
-  JsonValue::Object response;
-  {
-    const obs::ScopedSpan span(&recorder, "serve.request");
+  return withRecorder(request, [&](obs::Recorder& recorder) {
     const ResolvedKernel resolved = resolveKernel(request);
     Explorer explorer(request.options);
     explorer.setRecorder(&recorder);
 
     search::SearchOptions searchOptions = request.search;
     if (request.jointSpace) {
-      // Mirror the CLI's --joint space: every policy pair, both layout
-      // choices, and an optional L2 at 4x the largest L1 capacity.
-      search::DesignSpaceOptions space;
-      space.ranges = request.options.ranges;
-      space.replacements = {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
-                            ReplacementPolicy::Random,
-                            ReplacementPolicy::TreePLRU};
-      space.writePolicies = {WritePolicy::WriteBack,
-                             WritePolicy::WriteThrough};
-      space.sweepLayout = true;
-      space.l2CapacityBytes = {4 * space.ranges.maxCacheBytes};
-      searchOptions.space = space;
+      searchOptions.space = search::jointSpace(request.options.ranges);
     }
 
-    ResultStore::Key key;
-    key.exact = "search|" + resolved.identity + "|" +
-                canonicalExploreKey(request.options) + "|" +
-                searchKey(request);
+    const ResultStore::Key key{"search|" + resolved.identity + "|" +
+                                   canonicalExploreKey(request.options) +
+                                   "|" + searchKey(request),
+                               ""};
+    const ResultStore::Resolved served = resolveCounted(
+        store_, recorder, key, [&](const ResultStore::Siblings&) {
+          const obs::ScopedSpan compute(&recorder, "serve.compute");
+          return ResultStore::Computed{
+              explorer.searchPareto(resolved.kernel, searchOptions), false};
+        });
 
-    const ResultStore::Outcome outcome = store_.get(key);
-    if (outcome.value != nullptr) {
-      use = {outcome.value, true, false};
-      recorder.counter("serve.store_hits").add();
-    } else {
-      try {
-        const obs::ScopedSpan compute(&recorder, "serve.compute");
-        auto stored = std::make_shared<StoredResult>();
-        stored->search = std::make_shared<const search::SearchResult>(
-            explorer.searchPareto(resolved.kernel, searchOptions));
-        use = {stored, false, false};
-        recorder.counter("serve.store_misses").add();
-        store_.countMiss();
-        store_.publish(key.exact, outcome.generation, std::move(stored));
-      } catch (...) {
-        store_.fail(key.exact, outcome.generation);
-        throw;
-      }
-    }
-
-    const search::SearchResult& result = *use.value->search;
+    const auto& result = std::get<search::SearchResult>(*served.value);
+    JsonValue::Object response;
     response.emplace("ok", true);
     response.emplace("workload", result.workload);
-    response.emplace("cached", use.cached);
+    response.emplace("cached", served.source == ResultStore::Source::Hit);
     response.emplace("cache_key", cacheKeyDigest(key.exact));
     response.emplace("front", result.front.size());
     response.emplace("evaluations", result.evaluations);
@@ -343,67 +330,29 @@ JsonValue Server::handleSearch(const Request& request) {
       search::writeFrontCsv(csv, rows);
       response.emplace("csv", csv.str());
     }
-  }
-  if (request.includeReport) {
-    response.emplace("report", reportValue(recorder));
-  }
-  return JsonValue(std::move(response));
+    return response;
+  });
 }
 
 JsonValue Server::handleTrace(const Request& request) {
-  obs::Recorder recorder;
-  StoreUse use;
-  JsonValue::Object response;
-  {
-    const obs::ScopedSpan span(&recorder, "serve.request");
-    Explorer optionsCheck(request.options);  // validate before leadership
+  return withRecorder(request, [&](obs::Recorder& recorder) {
+    Explorer optionsCheck(request.options);  // validate before resolving
 
-    ResultStore::Key key;
-    key.exact = "tracex|" + traceIdentity(request.tracePath) + "|" +
-                canonicalExploreKey(request.options) + "|" +
-                windowKey(request.window);
-
-    const ResultStore::Outcome outcome = store_.get(key);
-    if (outcome.value != nullptr) {
-      use = {outcome.value, true, false};
-      recorder.counter("serve.store_hits").add();
-    } else {
-      try {
-        const obs::ScopedSpan compute(&recorder, "serve.compute");
-        FileTraceSource source(request.tracePath);
-        auto computed = std::make_shared<ExplorationResult>(
-            exploreTrace(request.tracePath, source, request.options,
-                         request.window, kDefaultTraceChunkRefs, &recorder));
-        auto stored = std::make_shared<StoredResult>();
-        stored->explore = std::move(computed);
-        use = {stored, false, false};
-        recorder.counter("serve.store_misses").add();
-        store_.countMiss();
-        store_.publish(key.exact, outcome.generation, std::move(stored));
-      } catch (...) {
-        store_.fail(key.exact, outcome.generation);
-        throw;
-      }
-    }
-
-    const ExplorationResult& result = *use.value->explore;
-    response.emplace("ok", true);
-    response.emplace("workload", result.workload);
-    response.emplace("cached", use.cached);
-    response.emplace("subset", false);
-    response.emplace("cache_key", cacheKeyDigest(key.exact));
-    response.emplace("points", result.points.size());
-    const std::optional<DesignPoint> selected = selectPoint(request, result);
-    response.emplace("selected",
-                     selected ? pointValue(*selected) : JsonValue(nullptr));
-    if (request.includePoints) {
-      response.emplace("csv", toCsvString(result));
-    }
-  }
-  if (request.includeReport) {
-    response.emplace("report", reportValue(recorder));
-  }
-  return JsonValue(std::move(response));
+    const ResultStore::Key key{"tracex|" + traceIdentity(request.tracePath) +
+                                   "|" + canonicalExploreKey(request.options) +
+                                   "|" + windowKey(request.window),
+                               ""};
+    const ResultStore::Resolved served = resolveCounted(
+        store_, recorder, key, [&](const ResultStore::Siblings&) {
+          const obs::ScopedSpan compute(&recorder, "serve.compute");
+          FileTraceSource source(request.tracePath);
+          return ResultStore::Computed{
+              exploreTrace(request.tracePath, source, request.options,
+                           request.window, kDefaultTraceChunkRefs, &recorder),
+              false};
+        });
+    return sweepResponse(request, served, key.exact);
+  });
 }
 
 JsonValue Server::statsValue() const {
@@ -475,26 +424,28 @@ JsonValue Server::processValue(const Request& request) {
   return value;
 }
 
-std::string Server::handleLine(const std::string& line) {
+std::variant<Request, JsonValue> Server::admit(const std::string& line,
+                                               bool oversized) {
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  JsonValue response;
-  if (line.size() > options_.maxRequestBytes) {
-    response = errorValue(JsonValue(nullptr), "",
-                          "request exceeds " +
-                              std::to_string(options_.maxRequestBytes) +
-                              " bytes");
-  } else {
-    JsonValue root;
-    bool parsed = false;
-    try {
-      root = JsonValue::parse(line);
-      parsed = true;
-      response = processValue(parseRequest(root));
-    } catch (const std::exception& e) {
-      response = errorValue(parsed ? idOf(root) : JsonValue(nullptr), "",
-                            e.what());
-    }
+  if (oversized) {
+    return errorValue(JsonValue(nullptr), "",
+                      "request exceeds " +
+                          std::to_string(options_.maxRequestBytes) +
+                          " bytes");
   }
+  JsonValue root;
+  bool parsed = false;
+  try {
+    root = JsonValue::parse(line);
+    parsed = true;
+    return parseRequest(root);
+  } catch (const std::exception& e) {
+    return errorValue(parsed ? idOf(root) : JsonValue(nullptr), "",
+                      e.what());
+  }
+}
+
+std::string Server::finish(const JsonValue& response) {
   const auto& object = response.asObject();
   const auto ok = object.find("ok");
   if (ok != object.end() && ok->second.isBool() && ok->second.asBool()) {
@@ -505,6 +456,13 @@ std::string Server::handleLine(const std::string& line) {
   return response.dump();
 }
 
+std::string Server::handleLine(const std::string& line) {
+  const auto admitted = admit(line, line.size() > options_.maxRequestBytes);
+  const Request* request = std::get_if<Request>(&admitted);
+  return finish(request != nullptr ? processValue(*request)
+                                   : std::get<JsonValue>(admitted));
+}
+
 std::uint64_t Server::run(std::istream& in, std::ostream& out) {
   drainRequested_.store(false, std::memory_order_relaxed);
   shedQueued_.store(false, std::memory_order_relaxed);
@@ -512,14 +470,7 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
   JobQueue<Request> queue(options_.queueCapacity);
   std::mutex writeMutex;
   const auto respond = [&](const JsonValue& response) {
-    const auto& object = response.asObject();
-    const auto ok = object.find("ok");
-    if (ok != object.end() && ok->second.isBool() && ok->second.asBool()) {
-      stats_.responsesOk.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.responsesError.fetch_add(1, std::memory_order_relaxed);
-    }
-    const std::string line = response.dump();
+    const std::string line = finish(response);
     const std::lock_guard lock(writeMutex);
     out << line << '\n' << std::flush;
   };
@@ -551,26 +502,12 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
     // Blank lines are keep-alive noise, not requests.
     if (!overflowed && line.empty()) continue;
     ++consumed;
-    stats_.requests.fetch_add(1, std::memory_order_relaxed);
-    if (overflowed) {
-      respond(errorValue(JsonValue(nullptr), "",
-                         "request exceeds " +
-                             std::to_string(options_.maxRequestBytes) +
-                             " bytes"));
+    auto admitted = admit(line, overflowed);
+    if (const JsonValue* error = std::get_if<JsonValue>(&admitted)) {
+      respond(*error);
       continue;
     }
-    Request request;
-    JsonValue root;
-    bool parsed = false;
-    try {
-      root = JsonValue::parse(line);
-      parsed = true;
-      request = parseRequest(root);
-    } catch (const std::exception& e) {
-      respond(errorValue(parsed ? idOf(root) : JsonValue(nullptr), "",
-                         e.what()));
-      continue;
-    }
+    Request& request = std::get<Request>(admitted);
     // Control ops answer from the reader thread: they must stay
     // responsive (and shutdown must stop the reader) even when every
     // worker is busy and the queue is full.

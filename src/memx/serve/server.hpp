@@ -14,10 +14,12 @@
 //     can never bleed counters or spans into each other's RunReport.
 //   * Completed results live in a ResultStore keyed by a canonical
 //     hash of (workload, config space, model and the backend the
-//     model resolves to): identical
-//     requests hit cache, concurrent identical requests compute once
-//     (single-flight), and a narrower explore request re-selects from
-//     a cached wider sweep instead of re-simulating.
+//     model resolves to). Every handler makes one ResultStore::resolve
+//     call: identical requests hit cache and concurrent identical
+//     requests compute once (single-flight). An explore request's
+//     compute step walks the cached sibling sweeps of its workload and
+//     model in sweepKeys() order and re-selects from the first that
+//     holds every key, instead of re-simulating.
 //   * The queue bound is the backpressure valve: a full queue blocks
 //     the reader, which stops consuming input.
 //
@@ -32,6 +34,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <variant>
 
 #include "memx/serve/protocol.hpp"
 #include "memx/serve/result_store.hpp"
@@ -99,6 +102,13 @@ public:
   [[nodiscard]] unsigned workerCount() const noexcept;
 
 private:
+  /// Count one consumed line and parse it into a request, or into the
+  /// error response for an oversized, malformed or invalid line.
+  [[nodiscard]] std::variant<Request, JsonValue> admit(
+      const std::string& line, bool oversized);
+  /// Count `response` as ok or error and serialize it.
+  [[nodiscard]] std::string finish(const JsonValue& response);
+
   /// Dispatch one parsed request to its handler; never throws (errors
   /// become "ok":false responses).
   [[nodiscard]] JsonValue processValue(const Request& request);

@@ -3,6 +3,7 @@
 #include "memx/core/explorer.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/report/result_io.hpp"
+#include "memx/serve/json.hpp"
 #include "memx/util/assert.hpp"
 
 namespace memx {
@@ -188,6 +189,18 @@ TEST(ResultIo, JsonEscapesQuotes) {
   r.workload = "we\"ird";
   const std::string json = toJsonString(r);
   EXPECT_NE(json.find("we\\\"ird"), std::string::npos);
+}
+
+TEST(ResultIo, JsonEscapesControlCharacters) {
+  // A raw newline or tab inside a JSON string is invalid: the writer
+  // must escape every control character, not only quotes and
+  // backslashes, so any strict parser reads the name back unchanged.
+  ExplorationResult r;
+  r.workload = "line1\nline2\t";
+  const std::string json = toJsonString(r);
+  EXPECT_NE(json.find("line1\\nline2\\t"), std::string::npos) << json;
+  const serve::JsonValue parsed = serve::JsonValue::parse(json);
+  EXPECT_EQ(parsed.asObject().at("workload").asString(), r.workload);
 }
 
 }  // namespace

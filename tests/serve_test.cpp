@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <thread>
 #include <vector>
@@ -174,85 +175,112 @@ TEST(Protocol, CanonicalModelKeysArePinnedPerBackend) {
 
 // --------------------------------------------------------- result store
 
+/// A compute callback's result for tests that only count outcomes.
+[[nodiscard]] ResultStore::Computed emptyResult() {
+  return {ExplorationResult{}, false};
+}
+
 TEST(ResultStore, SingleFlightSharesOneComputation) {
   ResultStore store;
-  const ResultStore::Key key{"k1", "", std::nullopt};
-  std::atomic<int> leaders{0};
-  std::atomic<int> hits{0};
+  const ResultStore::Key key{"k1", ""};
+  std::atomic<int> computes{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < 6; ++i) {
     threads.emplace_back([&] {
-      const ResultStore::Outcome outcome = store.get(key);
-      if (outcome.leader) {
-        leaders.fetch_add(1);
-        // Hold leadership briefly so the others actually wait.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        auto value = std::make_shared<StoredResult>();
-        EXPECT_TRUE(store.publish(key.exact, outcome.generation, value));
-      } else {
-        EXPECT_NE(outcome.value, nullptr);
-        hits.fetch_add(1);
-      }
+      const ResultStore::Resolved resolved =
+          store.resolve(key, [&](const ResultStore::Siblings&) {
+            computes.fetch_add(1);
+            // Compute slowly so the other callers actually wait.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            return emptyResult();
+          });
+      EXPECT_NE(resolved.value, nullptr);
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(leaders.load(), 1);
-  EXPECT_EQ(hits.load(), 5);
+  EXPECT_EQ(computes.load(), 1);
   EXPECT_EQ(store.counters().hits, 5u);
+  EXPECT_EQ(store.counters().misses, 1u);
 }
 
 TEST(ResultStore, FailedLeaderHandsOverToAWaiter) {
   ResultStore store;
-  const ResultStore::Key key{"k1", "", std::nullopt};
-  const ResultStore::Outcome first = store.get(key);
-  ASSERT_TRUE(first.leader);
-  std::atomic<bool> tookOver{false};
-  std::thread waiter([&] {
-    const ResultStore::Outcome second = store.get(key);
-    // After the leader fails, the waiter must become the new leader,
-    // not receive a null value or hang.
-    EXPECT_TRUE(second.leader);
-    tookOver.store(true);
-    store.fail(key.exact, second.generation);
+  const ResultStore::Key key{"k1", ""};
+  std::atomic<bool> firstEntered{false};
+  std::atomic<bool> secondCalling{false};
+  const auto failing =
+      [&](const ResultStore::Siblings&) -> ResultStore::Computed {
+    firstEntered.store(true);
+    while (!secondCalling.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Throw only once the second caller is (very likely) waiting.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    throw std::runtime_error("transient");
+  };
+  std::thread first([&] {
+    EXPECT_THROW((void)store.resolve(key, failing), std::runtime_error);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(tookOver.load());
-  store.fail(key.exact, first.generation);
-  waiter.join();
-  EXPECT_TRUE(tookOver.load());
+  while (!firstEntered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The key is claimed: this caller waits, then, once the first compute
+  // throws, computes itself instead of receiving a null value or hanging.
+  bool tookOver = false;
+  secondCalling.store(true);
+  const ResultStore::Resolved second =
+      store.resolve(key, [&](const ResultStore::Siblings&) {
+        tookOver = true;
+        return emptyResult();
+      });
+  first.join();
+  EXPECT_TRUE(tookOver);
+  EXPECT_EQ(second.source, ResultStore::Source::Miss);
+  EXPECT_EQ(store.entries(), 1u);
 }
 
 TEST(ResultStore, InvalidationBlocksStalePublishes) {
   ResultStore store;
-  const ResultStore::Key key{"k1", "", std::nullopt};
-  const ResultStore::Outcome outcome = store.get(key);
-  ASSERT_TRUE(outcome.leader);
-  EXPECT_EQ(store.invalidateAll(), 1u);
-  // The result was computed against the invalidated model: it must not
-  // enter the cache, and the next lookup must be a fresh miss.
-  EXPECT_FALSE(
-      store.publish(key.exact, outcome.generation,
-                    std::make_shared<StoredResult>()));
-  const ResultStore::Outcome after = store.get(key);
-  EXPECT_TRUE(after.leader);
-  EXPECT_EQ(after.generation, 1u);
-  store.fail(key.exact, after.generation);
+  const ResultStore::Key key{"k1", ""};
+  const ResultStore::Resolved first =
+      store.resolve(key, [&](const ResultStore::Siblings&) {
+        EXPECT_EQ(store.invalidateAll(), 1u);
+        return emptyResult();
+      });
+  // The value still answers the request that computed it, but it was
+  // computed against the invalidated model: it must not enter the cache,
+  // and the next lookup must be a fresh miss.
+  EXPECT_NE(first.value, nullptr);
+  EXPECT_EQ(first.source, ResultStore::Source::Miss);
+  EXPECT_EQ(store.entries(), 0u);
+  int computes = 0;
+  const ResultStore::Resolved after =
+      store.resolve(key, [&](const ResultStore::Siblings&) {
+        ++computes;
+        return emptyResult();
+      });
+  EXPECT_EQ(computes, 1);
+  EXPECT_EQ(after.source, ResultStore::Source::Miss);
+  EXPECT_EQ(store.entries(), 1u);
 }
 
 TEST(ResultStore, EvictsLeastRecentlyUsedReadyEntries) {
   ResultStore store(ResultStore::Config{2});
+  int computes = 0;
+  const auto compute = [&](const ResultStore::Siblings&) {
+    ++computes;
+    return emptyResult();
+  };
   for (int i = 0; i < 4; ++i) {
-    const std::string exact = "k" + std::to_string(i);
-    const ResultStore::Outcome outcome =
-        store.get({exact, "", std::nullopt});
-    ASSERT_TRUE(outcome.leader);
-    store.publish(exact, outcome.generation,
-                  std::make_shared<StoredResult>());
+    (void)store.resolve({"k" + std::to_string(i), ""}, compute);
   }
+  EXPECT_EQ(computes, 4);
   EXPECT_EQ(store.entries(), 2u);
-  EXPECT_FALSE(store.get({"k0", "", std::nullopt}).value != nullptr);
-  store.fail("k0", 0);
-  EXPECT_NE(store.get({"k3", "", std::nullopt}).value, nullptr);
+  EXPECT_EQ(store.resolve({"k3", ""}, compute).source,
+            ResultStore::Source::Hit);
+  EXPECT_EQ(store.resolve({"k0", ""}, compute).source,
+            ResultStore::Source::Miss);
+  EXPECT_EQ(computes, 5);
 }
 
 // ------------------------------------------------------------ job queue
@@ -534,6 +562,43 @@ TEST(Server, SubsetReselectionAcrossRangeShapes) {
   }
   EXPECT_EQ(server.store().counters().misses, 1u);
   EXPECT_EQ(server.store().counters().subsetHits, std::size(shapes));
+}
+
+TEST(Server, SubsetWalkSkipsNonCoveringSibling) {
+  // Two cached sweeps share the request's base key. The narrow one
+  // (direct-mapped only) sorts first among the siblings but lacks the
+  // request's 2-way keys, so the walk must skip it and re-select from
+  // the wide one.
+  Server server;
+  const auto explore = [&](const std::string& extra) {
+    std::string ranges = kSmallRanges;
+    if (!extra.empty()) {
+      ranges.back() = ',';  // reopen the "ranges" object
+      ranges += extra + "}";
+    }
+    return response(
+        server,
+        std::string(R"({"id":1,"op":"explore","workload":"matadd",)"
+                    R"("options":{)") +
+            ranges + R"(},"include_points":true})");
+  };
+  const JsonValue narrow = explore(R"("sweep_associativity":false)");
+  ASSERT_TRUE(okOf(narrow)) << narrow.dump();
+  const JsonValue wide = explore("");
+  ASSERT_TRUE(okOf(wide)) << wide.dump();
+  EXPECT_FALSE(field(wide, "subset").asBool())
+      << "the narrow sweep does not contain the wide one";
+
+  const JsonValue v = explore(R"("sweep_tiling":false)");
+  ASSERT_TRUE(okOf(v)) << v.dump();
+  EXPECT_TRUE(field(v, "subset").asBool());
+  EXPECT_FALSE(field(v, "cached").asBool());
+  ExploreOptions o = smallOptions();
+  o.ranges.sweepTiling = false;
+  EXPECT_EQ(field(v, "csv").asString(),
+            toCsvString(Explorer(o).explore(registeredKernel("matadd"))));
+  EXPECT_EQ(server.store().counters().misses, 2u);
+  EXPECT_EQ(server.store().counters().subsetHits, 1u);
 }
 
 TEST(Server, BoundsChangeReselectsWithoutRecomputing) {
