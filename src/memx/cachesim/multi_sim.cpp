@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "memx/trace/chunk_stream.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 
@@ -30,15 +31,9 @@ void MultiCacheSim::run(const Trace& trace) {
 }
 
 std::size_t MultiCacheSim::run(TraceSource& source, std::size_t chunkRefs) {
-  MEMX_EXPECTS(chunkRefs > 0, "chunkRefs must be positive");
-  std::vector<MemRef> chunk;
-  chunk.reserve(chunkRefs);
-  std::size_t fed = 0;
-  while (fillChunk(source, chunk, chunkRefs) > 0) {
-    feed(chunk.data(), chunk.size());
-    fed += chunk.size();
-  }
-  return fed;
+  return streamChunks(source, chunkRefs, 1,
+                      [this](std::size_t, const MemRef* refs,
+                             std::size_t count) { feed(refs, count); });
 }
 
 void MultiCacheSim::feed(const MemRef* refs, std::size_t count) {

@@ -37,7 +37,9 @@ public:
   /// references, so out-of-core traces replay in bounded memory. Each
   /// chunk uses the same blocked schedule as run(Trace) — members are
   /// independent, so the result is bit-identical to materializing the
-  /// stream first. Callable repeatedly (as is run(Trace)); cache state
+  /// stream first. The pass runs on streamChunks, so the source decodes
+  /// the next chunk on a thread of its own while the bank replays this
+  /// one. Callable repeatedly (as is run(Trace)); cache state
   /// persists, which is how streamed trace sweeps split warmup from
   /// counted references. Returns the number of references drained.
   std::size_t run(TraceSource& source,

@@ -13,15 +13,22 @@ namespace {
 /// Tees every delivered reference into a BusMonitor (when measuring bus
 /// activity) on its way to the replay loop, so the streamed path gets
 /// Add_bs from the same single pass instead of a second trace scan.
+/// Each filled span is observed in stream order, on whichever thread
+/// decodes (the streamed loop's decoder thread).
 class MeterSource final : public TraceSource {
 public:
   MeterSource(TraceSource& inner, BusMonitor* bus)
       : inner_(&inner), bus_(bus) {}
 
   [[nodiscard]] std::optional<MemRef> next() override {
-    auto ref = inner_->next();
-    if (ref && bus_ != nullptr) bus_->observe(*ref);
-    return ref;
+    return nextFromFill();
+  }
+  [[nodiscard]] std::size_t fill(MemRef* out, std::size_t max) override {
+    const std::size_t got = inner_->fill(out, max);
+    if (bus_ != nullptr) {
+      for (std::size_t i = 0; i < got; ++i) bus_->observe(out[i]);
+    }
+    return got;
   }
   [[nodiscard]] IngestStats ingest() const override {
     return inner_->ingest();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "memx/trace/chunk_stream.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 
@@ -58,27 +59,26 @@ StackDistSim::StackDistSim(const std::vector<CacheConfig>& configs)
 }
 
 void StackDistSim::run(const Trace& trace) {
-  feed(trace.refs().data(), trace.size());
+  for (std::size_t g = 0; g < profiles_.size(); ++g) {
+    feedProfile(g, trace.refs().data(), trace.size());
+  }
   refreshStats();
 }
 
 std::size_t StackDistSim::run(TraceSource& source, std::size_t chunkRefs) {
-  MEMX_EXPECTS(chunkRefs > 0, "chunkRefs must be positive");
-  std::vector<MemRef> chunk;
-  chunk.reserve(chunkRefs);
-  std::size_t fed = 0;
-  while (fillChunk(source, chunk, chunkRefs) > 0) {
-    feed(chunk.data(), chunk.size());
-    fed += chunk.size();
-  }
+  // Profiles are independent: each is one lane of the streamed pass.
+  const std::size_t fed = streamChunks(
+      source, chunkRefs, profiles_.size(),
+      [this](std::size_t g, const MemRef* refs, std::size_t count) {
+        feedProfile(g, refs, count);
+      });
   refreshStats();
   return fed;
 }
 
-void StackDistSim::feed(const MemRef* refs, std::size_t count) {
-  for (Profile& profile : profiles_) {
-    std::visit([&](auto& p) { p.feed(refs, count); }, profile);
-  }
+void StackDistSim::feedProfile(std::size_t g, const MemRef* refs,
+                               std::size_t count) {
+  std::visit([&](auto& p) { p.feed(refs, count); }, profiles_[g]);
 }
 
 void StackDistSim::refreshStats() {

@@ -61,11 +61,14 @@ public:
   /// Drain `source` through the same profiles in chunks of `chunkRefs`
   /// references: one pass over the stream feeds every profile, so
   /// out-of-core traces profile in bounded memory with bit-identical
-  /// statistics to the whole-trace run. Both overloads are callable
-  /// repeatedly and in any mix — profile state persists and stats()
-  /// reflects everything fed so far, which is how streamed trace sweeps
-  /// split warmup from counted references. Returns the number of
-  /// references drained.
+  /// statistics to the whole-trace run. The pass runs on streamChunks:
+  /// the source decodes the next chunk on a thread of its own while the
+  /// profiles consume this one, each profile on its own thread up to
+  /// the hardware's (run(const Trace&) stays on the caller's thread).
+  /// Both overloads are callable repeatedly and in any mix — profile
+  /// state persists and stats() reflects everything fed so far, which
+  /// is how streamed trace sweeps split warmup from counted references.
+  /// Returns the number of references drained.
   std::size_t run(TraceSource& source,
                   std::size_t chunkRefs = kDefaultTraceChunkRefs);
 
@@ -107,8 +110,9 @@ private:
   };
 
   /// The one replay core behind both run() overloads: one block of
-  /// references into every profile.
-  void feed(const MemRef* refs, std::size_t count);
+  /// references into profile `g`. Profiles share no state, so different
+  /// profiles may be fed concurrently.
+  void feedProfile(std::size_t g, const MemRef* refs, std::size_t count);
   /// Re-derive every member's statistics from its group's profile
   /// (valid at any block boundary — the profiles are incremental).
   void refreshStats();

@@ -1,5 +1,7 @@
 #include "memx/trace/din_io.hpp"
 
+#include <array>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -38,11 +40,21 @@ namespace {
 
 [[nodiscard]] bool isDigit(char c) noexcept { return c >= '0' && c <= '9'; }
 
+/// Hex digit values by byte, -1 for non-digits.
+constexpr auto kHexValues = [] {
+  std::array<signed char, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    table[static_cast<std::size_t>(c)] = static_cast<signed char>(
+        c >= '0' && c <= '9'   ? c - '0'
+        : c >= 'a' && c <= 'f' ? c - 'a' + 10
+        : c >= 'A' && c <= 'F' ? c - 'A' + 10
+                               : -1);
+  }
+  return table;
+}();
+
 [[nodiscard]] int hexValue(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
+  return kHexValues[static_cast<unsigned char>(c)];
 }
 
 [[nodiscard]] std::string_view skipSpace(std::string_view s) noexcept {
@@ -139,16 +151,74 @@ DinStreamSource::DinStreamSource(std::istream& is, std::uint32_t refSize)
   MEMX_EXPECTS(refSize > 0, "reference size must be positive");
 }
 
-std::optional<MemRef> DinStreamSource::next() {
-  while (std::getline(*is_, line_)) {
+std::optional<MemRef> DinStreamSource::next() { return nextFromFill(); }
+
+std::size_t DinStreamSource::fill(MemRef* out, std::size_t max) {
+  static constexpr AccessType kTypes[] = {AccessType::Read, AccessType::Write,
+                                          AccessType::Instr};
+  std::size_t n = 0;
+  while (n < max) {
+    if (pos_ == wholeEnd_ && !refill()) break;
+    // [pos_, wholeEnd_) is whole lines, each ending in '\n'; no scan
+    // below reads past the newline of the line it starts on.
+    const char* line = buf_.data() + pos_;
     ++lineNo_;
-    auto ref = parseDinLine(line_, lineNo_, refSize_);
-    if (ref) {
-      ++refsDecoded_;
-      return ref;
+    const unsigned label = static_cast<unsigned char>(line[0]) - '0';
+    if (label <= 2 && line[1] == ' ') {
+      std::uint64_t addr = 0;
+      std::size_t i = 2;
+      for (int v = 0; i < 18 && (v = hexValue(line[i])) >= 0; ++i) {
+        addr = (addr << 4) | static_cast<std::uint64_t>(v);
+      }
+      if (i > 2 && line[i] == '\n') {
+        out[n++] = MemRef{addr, refSize_, kTypes[label]};
+        pos_ += i + 1;
+        continue;
+      }
     }
+    const auto* newline = static_cast<const char*>(
+        std::memchr(line, '\n', wholeEnd_ - pos_));
+    const std::string_view text(line,
+                                static_cast<std::size_t>(newline - line));
+    pos_ += text.size() + 1;
+    if (auto ref = parseDinLine(text, lineNo_, refSize_)) out[n++] = *ref;
   }
-  return std::nullopt;
+  refsDecoded_ += n;
+  return n;
+}
+
+bool DinStreamSource::refill() {
+  if (buf_.empty()) buf_.resize(kBlockBytes);
+  std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+  end_ -= pos_;
+  pos_ = 0;
+  wholeEnd_ = 0;
+  for (;;) {
+    if (eof_) {
+      if (end_ == 0) return false;
+      if (end_ == buf_.size()) buf_.resize(buf_.size() + 1);
+      buf_[end_++] = '\n';
+      wholeEnd_ = end_;
+      return true;
+    }
+    // A line longer than the block: grow until it fits.
+    if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+    const std::size_t want = buf_.size() - end_;
+    is_->read(buf_.data() + end_, static_cast<std::streamsize>(want));
+    MEMX_EXPECTS(!is_->bad(), "din stream: read error after line " +
+                                  std::to_string(lineNo_));
+    const auto got = static_cast<std::size_t>(is_->gcount());
+    eof_ = got < want;
+    // Only the new bytes can hold a newline: the kept tail has none.
+    for (std::size_t i = end_ + got; i > end_; --i) {
+      if (buf_[i - 1] == '\n') {
+        wholeEnd_ = i;
+        break;
+      }
+    }
+    end_ += got;
+    if (wholeEnd_ != 0) return true;
+  }
 }
 
 Trace readDin(std::istream& is, std::uint32_t refSize) {

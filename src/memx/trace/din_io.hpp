@@ -10,6 +10,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "memx/trace/trace.hpp"
 
@@ -40,15 +41,25 @@ void writeDin(std::ostream& os, const Trace& trace);
                                                  std::uint32_t refSize = 4);
 
 /// Streaming din decoder over any std::istream (a file, a
-/// GzipInputStream, a stringstream). Pulls one line per next() call, so
-/// memory use is independent of trace length. Non-owning: the stream
-/// must outlive the source. ingest() reports references decoded; byte
+/// GzipInputStream, a stringstream). Reads the stream in blocks of
+/// kBlockBytes and splits lines in place, so memory use is one block
+/// (or the longest line, if longer), independent of trace length. The
+/// block is allocated on the first pull, not by the constructor.
+/// Canonical lines (`<0|1|2> <1-16 hex digits>`) take a straight accept
+/// path; every other line goes through parseDinLine, which owns the
+/// grammar and the line-numbered diagnostics. Non-owning: the stream
+/// must outlive the source. A stream read error (badbit) throws
+/// memx::ContractViolation. ingest() reports references decoded; byte
 /// accounting belongs to the stream owner (see FileTraceSource).
 class DinStreamSource final : public TraceSource {
 public:
+  /// Bytes requested from the stream per read.
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+
   explicit DinStreamSource(std::istream& is, std::uint32_t refSize = 4);
 
   [[nodiscard]] std::optional<MemRef> next() override;
+  [[nodiscard]] std::size_t fill(MemRef* out, std::size_t max) override;
   [[nodiscard]] IngestStats ingest() const override {
     return {0, refsDecoded_};
   }
@@ -57,8 +68,18 @@ public:
   [[nodiscard]] std::size_t lineNo() const noexcept { return lineNo_; }
 
 private:
+  /// Move the unfinished last line to the front of the block and read
+  /// until the block holds at least one whole line. False at end of
+  /// stream. A final line without a newline gets one, as getline would
+  /// have ended the line there.
+  bool refill();
+
   std::istream* is_;
-  std::string line_;
+  std::vector<char> buf_;     ///< empty until the first pull
+  std::size_t pos_ = 0;       ///< start of the next unread line
+  std::size_t wholeEnd_ = 0;  ///< one past the last '\n' in buf_
+  std::size_t end_ = 0;       ///< bytes of buf_ holding stream data
+  bool eof_ = false;
   std::uint32_t refSize_;
   std::size_t lineNo_ = 0;
   std::uint64_t refsDecoded_ = 0;

@@ -2,14 +2,15 @@
 //
 // FileTraceSource is the production entry point for real-program
 // traces: it opens a din text file — transparently inflating it when
-// the path ends in .gz — and delivers references one at a time through
-// the TraceSource interface, so a multi-hundred-MB trace sweeps through
-// the simulators in bounded memory. Composition, innermost first:
+// the path ends in .gz — and delivers references in bulk through the
+// TraceSource interface, so a multi-hundred-MB trace sweeps through the
+// simulators in bounded memory. Composition, innermost first:
 //
 //   std::ifstream (binary)
 //     -> byte-counting streambuf        (ingest().bytesRead)
 //     -> GzipInputStream when *.gz      (bounded-memory inflate)
-//     -> DinStreamSource                (ingest().refsDecoded)
+//     -> DinStreamSource                (in-place block decode;
+//                                        ingest().refsDecoded)
 //
 // Wrap it in a WindowedSource for skip/warmup/limit.
 #pragma once
@@ -19,7 +20,7 @@
 #include <memory>
 #include <streambuf>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "memx/trace/din_io.hpp"
 #include "memx/trace/gzip_stream.hpp"
@@ -31,12 +32,17 @@ namespace detail {
 
 /// Pass-through streambuf that counts the raw bytes pulled from the
 /// stream it wraps — compressed bytes for a .gz file — so ingestion
-/// cost is observable no matter what decoders sit on top.
+/// cost is observable no matter what decoders sit on top. A failing
+/// read (say, of a directory) throws memx::ContractViolation naming
+/// `path` instead of passing for end of file.
 class CountingInBuf final : public std::streambuf {
 public:
-  explicit CountingInBuf(std::istream& raw,
-                         std::size_t bufBytes = std::size_t{1} << 16)
-      : raw_(&raw), buf_(bufBytes) {}
+  CountingInBuf(std::istream& raw, std::string path,
+                std::size_t bufBytes = std::size_t{1} << 16)
+      : raw_(&raw),
+        path_(std::move(path)),
+        bufBytes_(bufBytes),
+        buf_(std::make_unique_for_overwrite<char[]>(bufBytes)) {}
 
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
@@ -45,7 +51,9 @@ protected:
 
 private:
   std::istream* raw_;
-  std::vector<char> buf_;
+  std::string path_;
+  std::size_t bufBytes_;
+  std::unique_ptr<char[]> buf_;  ///< uninitialized: read() fills it
   std::uint64_t bytes_ = 0;
 };
 
@@ -56,8 +64,9 @@ private:
 
 /// Streams a din trace file (plain or .gz) from disk. Throws
 /// memx::ContractViolation when the file cannot be opened, when a .gz
-/// path is given but the build has no zlib, and (from the din decoder)
-/// on malformed lines. Single-pass; construct a fresh source to rescan.
+/// path is given but the build has no zlib, when a read fails (a
+/// directory, an I/O error) and (from the din decoder) on malformed
+/// lines. Single-pass; construct a fresh source to rescan.
 class FileTraceSource final : public TraceSource {
 public:
   explicit FileTraceSource(const std::string& path,
@@ -65,6 +74,7 @@ public:
   ~FileTraceSource() override;
 
   [[nodiscard]] std::optional<MemRef> next() override;
+  [[nodiscard]] std::size_t fill(MemRef* out, std::size_t max) override;
   /// bytesRead counts file bytes consumed (compressed size for .gz);
   /// refsDecoded counts din references parsed.
   [[nodiscard]] IngestStats ingest() const override;

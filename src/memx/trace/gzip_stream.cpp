@@ -1,6 +1,7 @@
 #include "memx/trace/gzip_stream.hpp"
 
 #include <cstring>
+#include <memory>
 #include <streambuf>
 #include <string>
 #include <vector>
@@ -45,7 +46,10 @@ namespace {
 class GzipInBuf final : public std::streambuf {
 public:
   GzipInBuf(std::istream& raw, std::size_t bufBytes)
-      : raw_(&raw), in_(bufBytes), out_(bufBytes) {
+      : raw_(&raw),
+        bufBytes_(bufBytes),
+        in_(std::make_unique_for_overwrite<char[]>(bufBytes)),
+        out_(std::make_unique_for_overwrite<char[]>(bufBytes)) {
     MEMX_EXPECTS(bufBytes > 0, "gzip buffer size must be positive");
     std::memset(&zs_, 0, sizeof(zs_));
     const int rc = inflateInit2(&zs_, 15 + 32);
@@ -73,10 +77,10 @@ protected:
     while (produced == 0) {
       if (zs_.avail_in == 0 && !rawEof_) refill();
 
-      zs_.next_out = reinterpret_cast<Bytef*>(out_.data());
-      zs_.avail_out = static_cast<uInt>(out_.size());
+      zs_.next_out = reinterpret_cast<Bytef*>(out_.get());
+      zs_.avail_out = static_cast<uInt>(bufBytes_);
       const int rc = inflate(&zs_, Z_NO_FLUSH);
-      produced = out_.size() - zs_.avail_out;
+      produced = bufBytes_ - zs_.avail_out;
 
       if (rc == Z_STREAM_END) {
         // A member ended exactly at the input buffer boundary: look at
@@ -106,7 +110,7 @@ protected:
       }
     }
 
-    setg(out_.data(), out_.data(), out_.data() + produced);
+    setg(out_.get(), out_.get(), out_.get() + produced);
     return traits_type::to_int_type(*gptr());
   }
 
@@ -114,17 +118,20 @@ private:
   /// Pull the next block of compressed bytes into in_; sets rawEof_
   /// when the underlying stream is exhausted.
   void refill() {
-    raw_->read(in_.data(), static_cast<std::streamsize>(in_.size()));
+    raw_->read(in_.get(), static_cast<std::streamsize>(bufBytes_));
     const auto got = static_cast<std::size_t>(raw_->gcount());
     if (got == 0) rawEof_ = true;
     compressedBytes_ += got;
-    zs_.next_in = reinterpret_cast<Bytef*>(in_.data());
+    zs_.next_in = reinterpret_cast<Bytef*>(in_.get());
     zs_.avail_in = static_cast<uInt>(got);
   }
 
   std::istream* raw_;
-  std::vector<char> in_;
-  std::vector<char> out_;
+  std::size_t bufBytes_;
+  // Left uninitialized: read() and inflate() write each byte before it
+  // is read.
+  std::unique_ptr<char[]> in_;
+  std::unique_ptr<char[]> out_;
   z_stream zs_{};
   std::uint64_t compressedBytes_ = 0;
   bool live_ = false;

@@ -24,14 +24,28 @@ std::optional<MemRef> VectorTraceSource::next() {
   return trace_[pos_++];
 }
 
+std::size_t VectorTraceSource::fill(MemRef* out, std::size_t max) {
+  const std::size_t n = std::min(max, trace_.size() - pos_);
+  std::copy_n(trace_.refs().begin() + static_cast<std::ptrdiff_t>(pos_), n,
+              out);
+  pos_ += n;
+  return n;
+}
+
+std::size_t TraceSource::fill(MemRef* out, std::size_t max) {
+  std::size_t n = 0;
+  while (n < max) {
+    auto ref = next();
+    if (!ref) break;
+    out[n++] = *ref;
+  }
+  return n;
+}
+
 std::size_t fillChunk(TraceSource& source, std::vector<MemRef>& buf,
                       std::size_t chunkRefs) {
-  buf.clear();
-  while (buf.size() < chunkRefs) {
-    auto ref = source.next();
-    if (!ref) break;
-    buf.push_back(*ref);
-  }
+  buf.resize(chunkRefs);
+  buf.resize(source.fill(buf.data(), chunkRefs));
   return buf.size();
 }
 

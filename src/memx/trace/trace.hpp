@@ -54,11 +54,12 @@ struct IngestStats {
   std::uint64_t refsDecoded = 0;  ///< references decoded from the format
 };
 
-/// Default chunk granularity of the streaming replay loops: 64k
-/// references (~1 MiB of MemRef buffer) keeps the per-chunk dispatch
-/// cost invisible while bounding resident memory independent of trace
-/// length.
-inline constexpr std::size_t kDefaultTraceChunkRefs = std::size_t{1} << 16;
+/// Default chunk granularity of the streaming replay loops: 32k
+/// references (512 KiB of MemRef buffer; the streamed loop holds two,
+/// one being decoded while the other is replayed) keeps the per-chunk
+/// dispatch cost invisible while bounding resident memory independent
+/// of trace length.
+inline constexpr std::size_t kDefaultTraceChunkRefs = std::size_t{1} << 15;
 
 /// Pull-based source of references; lets large synthetic workloads and
 /// out-of-core trace files be simulated without materializing the whole
@@ -68,14 +69,29 @@ public:
   virtual ~TraceSource() = default;
   /// Next reference, or nullopt when the stream is exhausted.
   [[nodiscard]] virtual std::optional<MemRef> next() = 0;
+  /// Bulk pull: write up to `max` references to `out` and return how
+  /// many were written. A count below `max` means the stream is
+  /// exhausted (later calls return 0), so a caller never has to pull
+  /// again to learn that. The default loops next(); sources that decode
+  /// or copy in bulk override it, and decorators forward it in bulk.
+  [[nodiscard]] virtual std::size_t fill(MemRef* out, std::size_t max);
   /// Ingestion-side accounting; decorators forward to the source they
   /// wrap so the decode cost stays visible through a windowing chain.
   [[nodiscard]] virtual IngestStats ingest() const { return {}; }
+
+protected:
+  /// next() as a one-reference fill(), for sources whose bulk fill() is
+  /// the primary path.
+  [[nodiscard]] std::optional<MemRef> nextFromFill() {
+    MemRef ref;
+    if (fill(&ref, 1) == 0) return std::nullopt;
+    return ref;
+  }
 };
 
-/// Fill `buf` (cleared first) with up to `chunkRefs` references pulled
-/// from `source`. Returns the number delivered; a short count means the
-/// source is exhausted. The chunked replay loops are all built on this.
+/// Fill `buf` (resized to the count) with up to `chunkRefs` references
+/// pulled from `source` through TraceSource::fill. Returns the number
+/// delivered; a short count means the source is exhausted.
 std::size_t fillChunk(TraceSource& source, std::vector<MemRef>& buf,
                       std::size_t chunkRefs);
 
@@ -84,6 +100,7 @@ class VectorTraceSource final : public TraceSource {
 public:
   explicit VectorTraceSource(Trace trace) : trace_(std::move(trace)) {}
   [[nodiscard]] std::optional<MemRef> next() override;
+  [[nodiscard]] std::size_t fill(MemRef* out, std::size_t max) override;
 
 private:
   Trace trace_;

@@ -42,6 +42,10 @@ public:
       : inner_(&inner), window_(window) {}
 
   [[nodiscard]] std::optional<MemRef> next() override;
+  /// Skips in bulk on the first pull, then caps every pull at what the
+  /// window still allows, so the inner source is never asked for a
+  /// reference past warmup + limit.
+  [[nodiscard]] std::size_t fill(MemRef* out, std::size_t max) override;
   [[nodiscard]] IngestStats ingest() const override {
     return inner_->ingest();
   }

@@ -2,6 +2,8 @@
 
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "memx/trace/din_io.hpp"
 #include "memx/trace/generators.hpp"
@@ -177,6 +179,183 @@ TEST(DinIo, StreamInterface) {
   std::ostringstream os;
   writeDin(os, t);
   EXPECT_EQ(os.str(), "0 1\n1 2\n");
+}
+
+// --- Streamed decoder vs parseDinLine --------------------------------------
+
+/// What decoding one din text produced: the references, the lines
+/// consumed, and the error text if decoding stopped on a malformed line.
+struct Decoded {
+  std::vector<MemRef> refs;
+  std::size_t lineNo = 0;
+  std::string error;
+};
+
+/// The oracle: split the text as getline would (a final line without a
+/// newline still counts) and run parseDinLine over each line.
+Decoded decodeLineByLine(const std::string& text) {
+  Decoded out;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    ++out.lineNo;
+    try {
+      if (auto ref = parseDinLine(
+              std::string_view(text).substr(start, end - start),
+              out.lineNo)) {
+        out.refs.push_back(*ref);
+      }
+    } catch (const ContractViolation& e) {
+      out.error = e.what();
+      return out;
+    }
+    start = end + 1;
+  }
+  return out;
+}
+
+/// DinStreamSource::fill in pulls of `pull` references.
+Decoded decodeByFill(const std::string& text, std::size_t pull) {
+  std::istringstream is(text);
+  DinStreamSource source(is);
+  Decoded out;
+  std::vector<MemRef> buf(pull);
+  try {
+    for (;;) {
+      const std::size_t got = source.fill(buf.data(), pull);
+      out.refs.insert(out.refs.end(), buf.begin(),
+                      buf.begin() + static_cast<std::ptrdiff_t>(got));
+      if (got < pull) break;
+    }
+    EXPECT_EQ(source.fill(buf.data(), pull), 0u) << "exhausted must stay so";
+  } catch (const ContractViolation& e) {
+    out.error = e.what();
+  }
+  out.lineNo = source.lineNo();
+  return out;
+}
+
+/// DinStreamSource::next, one reference at a time.
+Decoded decodeByNext(const std::string& text) {
+  std::istringstream is(text);
+  DinStreamSource source(is);
+  Decoded out;
+  try {
+    while (auto ref = source.next()) out.refs.push_back(*ref);
+  } catch (const ContractViolation& e) {
+    out.error = e.what();
+  }
+  out.lineNo = source.lineNo();
+  return out;
+}
+
+/// A din line, canonical or (with probability `mutateOdds`) mutated in
+/// one of the ways real traces differ from `<label> <hex>`: most
+/// mutations stay valid, some are errors.
+std::string dinLine(std::mt19937_64& rng, unsigned mutateOdds) {
+  static const char kHex[] = "0123456789abcdef";
+  std::string label(1, static_cast<char>('0' + rng() % 3));
+  std::string digits;
+  const std::size_t n = 1 + rng() % 16;
+  for (std::size_t i = 0; i < n; ++i) digits += kHex[rng() % 16];
+  std::string sep = " ";
+  std::string tail;
+  if (rng() % 100 < mutateOdds) {
+    switch (rng() % 15) {
+      case 0: sep.clear(); break;                          // dropped space
+      case 1: tail = " # note"; break;                     // comment
+      case 2: tail = "\r"; break;                          // CRLF
+      case 3: sep = "\t"; break;                           // tab
+      case 4: digits = "0x" + digits; break;               // prefix
+      case 5: digits = "1" + std::string(16, 'f'); break;  // 17th digit
+      case 6: digits = "00" + digits; break;               // leading zeros
+      case 7: label = "3"; break;                          // bad label
+      case 8: label = "r"; break;                          // bad label
+      case 9: tail = " 5"; break;                          // trailing token
+      case 10: return "# comment line";
+      case 11: return "";
+      case 12: return "  " + label + "  " + digits + "  ";
+      case 13: digits.clear(); break;                      // no address
+      default: digits = "0X" + digits; break;
+    }
+  }
+  return label + sep + digits + tail;
+}
+
+void expectSameDecode(const std::string& text, std::size_t pull,
+                      const std::string& what) {
+  SCOPED_TRACE(what);
+  const Decoded want = decodeLineByLine(text);
+  for (const Decoded& got : {decodeByFill(text, pull), decodeByNext(text)}) {
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.lineNo, want.lineNo);
+    // A throwing fill drops the references of the pull it threw in, so
+    // on error the streamed references are a prefix of the oracle's.
+    if (want.error.empty()) {
+      ASSERT_EQ(got.refs.size(), want.refs.size());
+    } else {
+      ASSERT_LE(got.refs.size(), want.refs.size());
+    }
+    for (std::size_t i = 0; i < got.refs.size(); ++i) {
+      ASSERT_EQ(got.refs[i], want.refs[i]) << "ref " << i;
+    }
+  }
+}
+
+TEST(DinStreamDifferential, MutatedTextDecodesLikeParseDinLine) {
+  std::mt19937_64 rng(20261017);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string text;
+    const std::size_t lines = rng() % 200;
+    for (std::size_t i = 0; i < lines; ++i) {
+      text += dinLine(rng, 10);
+      text += '\n';
+    }
+    if (rng() % 3 == 0 && !text.empty()) text.pop_back();  // no last '\n'
+    expectSameDecode(text, 1 + rng() % 64, "iter " + std::to_string(iter));
+  }
+}
+
+TEST(DinStreamDifferential, BlockBoundariesAndLongLines) {
+  constexpr std::size_t kBlock = DinStreamSource::kBlockBytes;
+  std::mt19937_64 rng(42);
+  // Valid mutations only, so decoding runs past several block
+  // boundaries, each straddled by whatever line lands on it.
+  std::string valid;
+  while (valid.size() < 3 * kBlock + 100) {
+    std::string line = dinLine(rng, 30);
+    try {
+      (void)parseDinLine(line, 1);
+    } catch (const ContractViolation&) {
+      continue;
+    }
+    valid += line + '\n';
+  }
+  expectSameDecode(valid, 1000, "straddling lines");
+  expectSameDecode(valid.substr(0, valid.size() - 1), 77,
+                   "straddling lines, no last newline");
+  // Every offset of one line across the first block boundary.
+  for (std::size_t shift = 0; shift < 24; ++shift) {
+    const std::string pad(kBlock - 12 + shift, '\n');
+    expectSameDecode(pad + "1 0123456789abcdef\n2 7\n", 3,
+                     "shift " + std::to_string(shift));
+  }
+  // A line longer than the block: a valid one (leading zeros) and a
+  // malformed one after a block's worth of good lines.
+  const std::string longValid = "0 " + std::string(kBlock + 500, '0') + "ff";
+  expectSameDecode("0 10\n" + longValid + "\n1 20\n", 4, "long valid line");
+  expectSameDecode(valid + "# " + std::string(2 * kBlock, 'x') + "\n0 1\n", 64,
+                   "long comment line");
+  expectSameDecode(valid + "0 " + std::string(kBlock, '1') + "\n", 64,
+                   "long malformed line");
+  expectSameDecode(valid + "1 ff extra\n0 1\n", 500,
+                   "error in a later block");
+  // Degenerate inputs.
+  expectSameDecode("", 8, "empty");
+  expectSameDecode("\n", 8, "one blank line");
+  expectSameDecode("0 1", 8, "one line, no newline");
+  expectSameDecode("0 1\n1", 8, "bad last line, no newline");
 }
 
 }  // namespace

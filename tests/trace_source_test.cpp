@@ -4,15 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "memx/cachesim/multi_sim.hpp"
 #include "memx/core/trace_explorer.hpp"
 #include "memx/obs/recorder.hpp"
 #include "memx/stackdist/stackdist_sim.hpp"
+#include "memx/trace/chunk_stream.hpp"
 #include "memx/trace/din_io.hpp"
 #include "memx/trace/file_source.hpp"
 #include "memx/trace/generators.hpp"
@@ -210,7 +214,7 @@ TEST(GzipStream, ConcatenatedMembersInflateBackToBack) {
 
 TEST(GzipStream, TruncatedInputThrows) {
   if (!gzipSupported()) GTEST_SKIP() << "built without zlib";
-  // Through readDin's getline path: istream machinery must rethrow the
+  // Through readDin's block reads: istream machinery must rethrow the
   // streambuf's ContractViolation, not swallow it into a short read.
   std::stringstream compressed;
   {
@@ -272,6 +276,25 @@ TEST(FileTraceSource, StreamsGzipCompressedFiles) {
 TEST(FileTraceSource, MissingFileThrows) {
   EXPECT_THROW(FileTraceSource("/nonexistent/trace.din"),
                ContractViolation);
+}
+
+TEST(FileTraceSource, DirectoryPathThrows) {
+  // std::ifstream opens a directory; its reads then fail (EISDIR). That
+  // failure must not pass for end of file, which made a directory
+  // stream as an empty trace.
+  for (const std::string name : {"trace_dir", "trace_dir.din.gz"}) {
+    const std::string dir = tempPath(name);
+    std::filesystem::create_directories(dir);
+    try {
+      FileTraceSource source(dir);
+      (void)drain(source);
+      ADD_FAILURE() << dir << " streamed as a trace";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
+          << e.what();
+    }
+    std::filesystem::remove(dir);
+  }
 }
 
 TEST(FileTraceSource, TruncatedGzipFileThrows) {
@@ -596,6 +619,233 @@ TEST(StreamedExplore, RecordsIngestCountersAndSpans) {
   EXPECT_EQ(recorder.counterValue("sweep.points"), 1u);
   EXPECT_EQ(recorder.counterValue("sim.accesses"), trace.size());
   std::remove(path.c_str());
+}
+
+// --- The streamed chunk loop --------------------------------------------
+
+/// Write `text` to `path`, gzip-compressed when the path ends in .gz.
+void writeTextFile(const std::string& path, const std::string& text) {
+  std::ofstream raw(path, std::ios::binary);
+  if (isGzipPath(path)) {
+    GzipOutputStream gz(raw);
+    gz << text;
+    gz.close();
+  } else {
+    raw << text;
+  }
+}
+
+TEST(StreamChunks, PlanNeverExceedsHardwareThreads) {
+  for (unsigned hw = 0; hw <= 16; ++hw) {
+    for (std::size_t lanes = 1; lanes <= 8; ++lanes) {
+      const StreamPlan plan = planStream(lanes, hw);
+      const std::size_t threads =
+          plan.laneThreads + (plan.decoderThread ? 1 : 0);
+      EXPECT_LE(threads, std::max(hw, 1u)) << hw << " " << lanes;
+      EXPECT_GE(plan.laneThreads, 1u);
+      EXPECT_LE(plan.laneThreads, lanes);
+    }
+  }
+  // Three profiles on four hardware threads: the decoder, the caller
+  // and two helpers.
+  EXPECT_TRUE(planStream(3, 4).decoderThread);
+  EXPECT_EQ(planStream(3, 4).laneThreads, 3u);
+  // One hardware thread: everything on the caller.
+  EXPECT_FALSE(planStream(3, 1).decoderThread);
+  EXPECT_EQ(planStream(3, 1).laneThreads, 1u);
+}
+
+/// Every shape a streamed pass can take, whatever this machine has:
+/// inline or threaded decoding, lanes on the caller or spread.
+const StreamPlan kPlans[] = {{false, 1}, {true, 1}, {false, 3}, {true, 3}};
+
+TEST(StreamChunks, EveryLaneSeesEveryChunkInOrderOnOneThread) {
+  const Trace trace = mixedTrace(1000, 73);
+  struct Seen {
+    Trace refs;
+    std::set<std::thread::id> threads;
+    std::size_t largest = 0;
+  };
+  for (const StreamPlan plan : kPlans) {
+    for (const std::size_t chunkRefs : {std::size_t{1}, std::size_t{7},
+                                        std::size_t{64}}) {
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{3},
+                                      std::size_t{5}}) {
+        VectorTraceSource source(trace);
+        std::vector<Seen> seen(lanes);
+        const std::size_t fed = streamChunks(
+            source, chunkRefs, lanes,
+            [&](std::size_t lane, const MemRef* refs, std::size_t count) {
+              Seen& mine = seen[lane];
+              mine.threads.insert(std::this_thread::get_id());
+              mine.largest = std::max(mine.largest, count);
+              for (std::size_t i = 0; i < count; ++i) {
+                mine.refs.push(refs[i]);
+              }
+            },
+            plan);
+        EXPECT_EQ(fed, trace.size());
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          SCOPED_TRACE("decoder=" + std::to_string(plan.decoderThread) +
+                       " laneThreads=" + std::to_string(plan.laneThreads) +
+                       " chunk=" + std::to_string(chunkRefs) +
+                       " lane=" + std::to_string(lane));
+          expectSameRefs(seen[lane].refs, trace);
+          EXPECT_EQ(seen[lane].threads.size(), 1u);
+          EXPECT_LE(seen[lane].largest, chunkRefs);
+        }
+      }
+    }
+  }
+}
+
+/// Delivers `good` references, then throws.
+class FailingSource final : public TraceSource {
+public:
+  explicit FailingSource(std::size_t good) : good_(good) {}
+  std::optional<MemRef> next() override {
+    if (pulled_ == good_) {
+      throw ContractViolation("source failed after " +
+                              std::to_string(good_) + " references");
+    }
+    return MemRef{4 * pulled_++, 4, AccessType::Read};
+  }
+
+private:
+  std::size_t good_;
+  std::size_t pulled_ = 0;
+};
+
+TEST(StreamChunks, ErrorsRethrowOnTheCallerWithTheirMessage) {
+  for (const StreamPlan plan : kPlans) {
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+      FailingSource source(300);
+      try {
+        (void)streamChunks(
+            source, 64, lanes, [](std::size_t, const MemRef*, std::size_t) {},
+            plan);
+        ADD_FAILURE() << "source error swallowed";
+      } catch (const ContractViolation& e) {
+        EXPECT_STREQ(e.what(), "source failed after 300 references");
+      }
+      VectorTraceSource vector(mixedTrace(500, 79));
+      try {
+        (void)streamChunks(
+            vector, 64, lanes,
+            [lanes](std::size_t lane, const MemRef*, std::size_t) {
+              if (lane == lanes - 1) throw std::runtime_error("lane failed");
+            },
+            plan);
+        ADD_FAILURE() << "lane error swallowed";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "lane failed");
+      }
+    }
+  }
+}
+
+TEST(StreamedExplore, MalformedLineInALaterChunkThrowsWithItsLine) {
+  const std::string text = toDinString(mixedTrace(3000, 83)) + "0 nothex\n" +
+                           toDinString(mixedTrace(500, 89));
+  for (const std::string name : {"late_bad.din", "late_bad.din.gz"}) {
+    if (isGzipPath(name) && !gzipSupported()) continue;
+    const std::string path = tempPath(name);
+    writeTextFile(path, text);
+    for (const ReplacementPolicy replacement :
+         {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+      FileTraceSource source(path);
+      try {
+        (void)exploreTrace("w", source, smallSweep(replacement),
+                           TraceWindow{}, 64);
+        ADD_FAILURE() << name << ": malformed line accepted";
+      } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("din line 3001"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(StreamedExplore, TruncatedGzipThrowsMidStream) {
+  if (!gzipSupported()) GTEST_SKIP() << "built without zlib";
+  std::ostringstream whole;
+  {
+    GzipOutputStream gz(whole);
+    writeDin(gz, mixedTrace(20000, 97));
+    gz.close();
+  }
+  const std::string path = tempPath("cut_stream.din.gz");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << whole.str().substr(0, whole.str().size() * 3 / 5);
+  }
+  for (const ReplacementPolicy replacement :
+       {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+    FileTraceSource source(path);
+    try {
+      (void)exploreTrace("w", source, smallSweep(replacement),
+                         TraceWindow{}, 64);
+      ADD_FAILURE() << "truncated stream accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated compressed input"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StreamedExplore, WindowDecodesExactlySkipWarmupLimit) {
+  // Read-ahead must stop at the window's boundaries: the decoder never
+  // parses a reference the window does not deliver or skip.
+  const std::string path = tempPath("window_count.din");
+  writeTextFile(path, toDinString(mixedTrace(5000, 101)));
+  for (const TraceWindow window :
+       {TraceWindow{100, 250, 700}, TraceWindow{0, 64, 64},
+        TraceWindow{64, 0, 128}, TraceWindow{1, 0, 4000}}) {
+    const std::uint64_t want = window.skip + window.warmup + window.limit;
+    for (const std::size_t chunkRefs : {std::size_t{1}, std::size_t{7},
+                                        std::size_t{64},
+                                        std::size_t{1} << 16}) {
+      for (const ReplacementPolicy replacement :
+           {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+        obs::Recorder recorder;
+        FileTraceSource source(path);
+        (void)exploreTrace("w", source, smallSweep(replacement), window,
+                           chunkRefs, &recorder);
+        EXPECT_EQ(recorder.counterValue("trace.refs_decoded"), want)
+            << "chunk=" << chunkRefs << " window " << window.skip << "/"
+            << window.warmup << "/" << window.limit;
+        EXPECT_EQ(source.ingest().refsDecoded, want);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StreamedExplore, ChunkSizesMatchMaterializedBothEngines) {
+  const Trace trace = mixedTrace(4000, 103);
+  Trace sub;
+  for (std::size_t i = 300; i < 3300; ++i) sub.push(trace[i]);
+  for (const ReplacementPolicy replacement :
+       {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+    const ExploreOptions options = smallSweep(replacement);
+    const ExplorationResult whole = exploreTrace("w", trace, options);
+    const ExplorationResult window = exploreTrace("w", sub, options);
+    for (const std::size_t chunkRefs : {std::size_t{1}, std::size_t{7},
+                                        std::size_t{1} << 16}) {
+      SCOPED_TRACE("chunk=" + std::to_string(chunkRefs));
+      VectorTraceSource all(trace);
+      expectSamePoints(
+          exploreTrace("w", all, options, TraceWindow{}, chunkRefs), whole);
+      VectorTraceSource part(trace);
+      expectSamePoints(exploreTrace("w", part, options,
+                                    TraceWindow{300, 0, 3000}, chunkRefs),
+                       window);
+    }
+  }
 }
 
 }  // namespace
