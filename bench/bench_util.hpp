@@ -1,50 +1,14 @@
-// Shared helpers for the figure-regeneration benches.
-//
-// Every bench binary prints its paper table(s) first (the reproduction
-// artifact), then runs its google-benchmark timings (the performance
-// artifact). Run all of them with:  for b in build/bench/*; do $b; done
+// Shared helpers for the plain-main speed gates (sweep_speed,
+// search_speed).
 #pragma once
 
-#include <benchmark/benchmark.h>
-
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 
-#include "memx/core/explorer.hpp"
-#include "memx/core/selection.hpp"
-#include "memx/kernels/benchmarks.hpp"
 #include "memx/obs/recorder.hpp"
-#include "memx/report/table.hpp"
 
 namespace memx::bench {
-
-/// Explorer options matching the paper's main experimental setup
-/// (Em = 4.95 nJ Cypress part, Section-4.1 layout applied).
-inline ExploreOptions paperOptions(double emNj = 4.95,
-                                   bool optimizeLayout = true) {
-  ExploreOptions o;
-  o.ranges.minCacheBytes = 16;
-  o.ranges.maxCacheBytes = 1024;
-  o.ranges.minLineBytes = 4;
-  o.ranges.maxLineBytes = 64;
-  o.ranges.maxAssociativity = 8;
-  o.ranges.maxTiling = 16;
-  o.energy.emNj = emNj;
-  o.optimizeLayout = optimizeLayout;
-  return o;
-}
-
-/// Direct-mapped cache configuration shorthand.
-inline CacheConfig dm(std::uint32_t size, std::uint32_t line,
-                      std::uint32_t ways = 1) {
-  CacheConfig c;
-  c.sizeBytes = size;
-  c.lineBytes = line;
-  c.associativity = ways;
-  return c;
-}
 
 /// Print a titled section.
 inline void section(const std::string& title) {
@@ -66,16 +30,5 @@ inline void emitRunReport(const memx::obs::RunReport& report,
   std::cout << "trace-event timeline written to " << tracePath
             << " (load via chrome://tracing or ui.perfetto.dev)\n";
 }
-
-/// Standard bench main: print the figure, then run the timings.
-#define MEMX_BENCH_MAIN(printFigure)                       \
-  int main(int argc, char** argv) {                        \
-    printFigure();                                         \
-    ::benchmark::Initialize(&argc, argv);                  \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
-    ::benchmark::RunSpecifiedBenchmarks();                 \
-    ::benchmark::Shutdown();                               \
-    return 0;                                              \
-  }
 
 }  // namespace memx::bench

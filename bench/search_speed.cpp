@@ -14,9 +14,8 @@
 // and the instrumented run's RunReport, and BENCH_search_trace.json
 // with the chrome://tracing timeline. Exits nonzero on any blown gate.
 //
-// This is a plain main (no google-benchmark): each phase runs once —
-// the search and the exhaustive sweep both do thousands of evaluations,
-// far above scheduler noise.
+// Each phase runs once — the search and the exhaustive sweep both do
+// thousands of evaluations, far above scheduler noise.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "memx/kernels/benchmarks.hpp"
 #include "memx/search/dominance.hpp"
 #include "memx/search/evaluator.hpp"
 #include "memx/search/nsga.hpp"

@@ -13,9 +13,9 @@
 //   * speedup: the cached repeat answers >= 5x faster than the first
 //     computation (the real ratio is orders of magnitude).
 //
-// Writes BENCH_serve_speed.json. Plain main (no google-benchmark): the
-// first request does a full sweep, far above scheduler noise; the
-// cached path is timed over many repeats and reported per request.
+// Writes BENCH_serve_speed.json. The first request does a full sweep,
+// far above scheduler noise; the cached path is timed over many repeats
+// and reported per request.
 #include <chrono>
 #include <fstream>
 #include <iostream>

@@ -19,9 +19,9 @@
 // with the chrome://tracing worker timeline. Exits nonzero on any
 // mismatch or blown budget.
 //
-// This is a plain main (no google-benchmark): the determinism check is
-// the point, and each path is simply timed best-of-kReps (every rep does
-// the same cold-trace work) to shrug off scheduler noise.
+// The determinism check is the point: each path is simply timed
+// best-of-kReps (every rep does the same cold-trace work) to shrug off
+// scheduler noise.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -33,6 +33,7 @@
 
 #include "bench_util.hpp"
 #include "memx/core/parallel_explorer.hpp"
+#include "memx/kernels/benchmarks.hpp"
 
 namespace {
 
@@ -92,7 +93,7 @@ std::vector<DesignPoint> exploreOn(const Explorer& grid, const Kernel& kernel,
 
 int main() {
   const Kernel kernel = memx::compressKernel();
-  const Explorer grid(memx::bench::paperOptions());
+  const Explorer grid(memx::ExploreOptions{});
   const std::vector<ConfigKey> keys = grid.sweepKeys();
 
   memx::bench::section("Sweep-engine speed (" + kernel.name + ", " +
@@ -202,13 +203,13 @@ int main() {
   // under FIFO and tree-PLRU replacement, where StackDist means the
   // single-pass PolicyGridProfile engine instead of the Hill-Smith
   // profile. Every one of these sweeps must resolve to StackDist.
-  memx::ExploreOptions wbOptions = memx::bench::paperOptions();
+  memx::ExploreOptions wbOptions;
   wbOptions.includeWriteEnergy = true;  // writePolicy defaults to WriteBack
   const Explorer wbGrid(wbOptions);
-  memx::ExploreOptions fifoOptions = memx::bench::paperOptions();
+  memx::ExploreOptions fifoOptions;
   fifoOptions.replacement = memx::ReplacementPolicy::FIFO;
   const Explorer fifoGrid(fifoOptions);
-  memx::ExploreOptions plruOptions = memx::bench::paperOptions();
+  memx::ExploreOptions plruOptions;
   plruOptions.replacement = memx::ReplacementPolicy::TreePLRU;
   const Explorer plruGrid(plruOptions);
   bool resolvesToStackDist = true;

@@ -13,9 +13,9 @@
 // timeline) and exits nonzero on any mismatch, refs/sec floor, or blown
 // memory budget.
 //
-// Plain main (no google-benchmark): the bit-identity check is the
-// point, and each phase runs once — at the default trace size the
-// stream is long enough to swamp scheduler noise.
+// The bit-identity check is the point, and each phase runs once — at
+// the default trace size the stream is long enough to swamp scheduler
+// noise.
 //
 // MEMX_TRACE_INGEST_REFS overrides the reference count (default 100M,
 // the acceptance-scale run CI uses; set it to ~1M for a quick local
