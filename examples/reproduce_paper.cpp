@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,16 +20,11 @@
 #include "memx/cachesim/cache_sim.hpp"
 #include "memx/cachesim/hierarchy.hpp"
 #include "memx/cachesim/miss_classifier.hpp"
-#include "memx/cachesim/prefetch.hpp"
 #include "memx/cachesim/set_sampling.hpp"
-#include "memx/cachesim/victim_cache.hpp"
-#include "memx/cachesim/write_buffer.hpp"
 #include "memx/core/analytic_model.hpp"
 #include "memx/core/hierarchy_explorer.hpp"
 #include "memx/core/selection.hpp"
-#include "memx/core/sensitivity.hpp"
 #include "memx/core/trace_explorer.hpp"
-#include "memx/energy/dram_model.hpp"
 #include "memx/energy/sram_catalog.hpp"
 #include "memx/icache/ifetch_model.hpp"
 #include "memx/kernels/benchmarks.hpp"
@@ -192,7 +188,9 @@ void figure4() {
             << fmtSig3(minC->energyNj) << " nJ)\n";
 
   // The paper's walkthrough bounds; this loose, they leave both optima
-  // in place (a tighter cycle bound does force a compromise).
+  // in place. No bound forces a compromise point either: the Pareto
+  // front is just the two optima, so a cycle bound between them still
+  // selects the minimum-time configuration.
   const double cycleBound = 1.6 * minC->cycles;
   const auto underCycles = minEnergyPoint(r.points, cycleBound);
   std::cout << "min-energy with cycles <= " << fmtSig3(cycleBound) << ": "
@@ -201,6 +199,11 @@ void figure4() {
   const auto underEnergy = minCyclePoint(r.points, energyBound);
   std::cout << "min-time with energy (nJ) <= " << fmtSig3(energyBound)
             << ": " << underEnergy->label() << '\n';
+  std::cout << "Pareto front (cycles, energy):";
+  for (const DesignPoint& p : paretoFront(r.points)) {
+    std::cout << ' ' << p.label();
+  }
+  std::cout << '\n';
 
   // The paper reports C16L4 as the minimum-energy configuration. Its
   // Em * line_size term charges one SRAM access per *byte*; the Cypress
@@ -610,39 +613,6 @@ void extHierarchy() {
                "the small-cache hit energy.\n";
 }
 
-// Extension: Section-4.1 layout vs Jouppi's victim cache.
-void extVictimCache() {
-  section("Extension: Section-4.1 layout vs victim cache, C64L8");
-  const CacheConfig cache = dm(64, 8);
-  Table t({"kernel", "plain DM", "victim x2", "victim x4",
-           "4.1 layout", "layout + victim x2"});
-  for (const Kernel& k : {compressKernel(32, 4), sorKernel(33, 4),
-                          dequantKernel(32, 4), pdeKernel(33, 4)}) {
-    const Trace tight = generateTrace(k, sequentialLayout(k));
-    const Trace optimized =
-        generateTrace(k, assignConflictFree(k, cache).layout);
-    CacheSim plain(cache);
-    plain.run(tight);
-    VictimCache v2(cache, 2);
-    v2.run(tight);
-    VictimCache v4(cache, 4);
-    v4.run(tight);
-    CacheSim layoutOnly(cache);
-    layoutOnly.run(optimized);
-    VictimCache both(cache, 2);
-    both.run(optimized);
-    t.addRow({k.name, fmtFixed(plain.stats().missRate(), 3),
-              fmtFixed(v2.stats().effectiveMissRate(), 3),
-              fmtFixed(v4.stats().effectiveMissRate(), 3),
-              fmtFixed(layoutOnly.stats().missRate(), 3),
-              fmtFixed(both.stats().effectiveMissRate(), 3)});
-  }
-  std::cout << t;
-  std::cout << "\nBoth attacks remove the same conflict misses; the "
-               "software fix needs no\nextra silicon, the hardware fix "
-               "needs no control over data placement.\n";
-}
-
 void printBudgetSplits(const Kernel& k, std::uint32_t budget) {
   Table t({"split", "SPM arrays", "SPM accesses", "cache miss rate",
            "cycles", "energy (nJ)"});
@@ -793,49 +763,25 @@ void ablationTagEnergy() {
                       "selection-safe at these geometries.\n");
 }
 
-// Ablation: merging write-buffer depth.
-void ablationWriteBuffer() {
-  section("Ablation: merging write-buffer depth (line 8, drain every 16 "
-          "accesses)");
-  Table t({"kernel", "stores", "1 entry", "2 entries", "4 entries",
-           "8 entries", "mem writes @4"});
-  for (const Kernel& k : paperBenchmarks()) {
-    const Trace trace = generateTrace(k);
-    std::vector<std::string> row{k.name};
-    std::uint64_t memWritesAt4 = 0;
-    for (const std::uint32_t entries : {1u, 2u, 4u, 8u}) {
-      WriteBufferConfig c;
-      c.entries = entries;
-      c.lineBytes = 8;
-      c.drainInterval = 16;
-      WriteBuffer wb(c);
-      wb.run(trace);
-      if (entries == 1) {
-        row.push_back(std::to_string(wb.stats().writesSeen));
-      }
-      row.push_back(fmtFixed(wb.stats().mergeRate(), 3));
-      if (entries == 4) memWritesAt4 = wb.stats().memWrites;
-    }
-    row.push_back(std::to_string(memWritesAt4));
-    t.addRow(std::move(row));
-  }
-  std::cout << t;
-  std::cout << "\nA 2-4 entry buffer merges a third or more of the "
-               "stores on the byte-wise\nstencils; writes are a minor "
-               "fraction of off-chip traffic either way.\n";
-}
-
-void printSensitivity(const std::vector<SensitivityRow>& rows,
-                      const std::string& name) {
+// One table of the selection's sensitivity: re-explore Compress with one
+// energy constant set to each value in turn.
+void printSensitivity(const std::string& name, double EnergyParams::*param,
+                      std::initializer_list<double> values) {
   Table t({name, "min-energy config", "energy (nJ)", "min-cycle config",
            "cycles"});
-  for (const SensitivityRow& r : rows) {
-    t.addRow({fmtSig3(r.parameterValue), r.minEnergyKey.label(),
-              fmtSig3(r.minEnergyNj), r.minCycleKey.label(),
-              fmtSig3(r.minCycles)});
+  std::set<std::string> selected;
+  for (const double v : values) {
+    ExploreOptions o = dmSweep();
+    o.energy.*param = v;
+    const ExplorationResult r = Explorer(o).explore(compressKernel());
+    const auto minE = minEnergyPoint(r.points);
+    const auto minC = minCyclePoint(r.points);
+    t.addRow({fmtSig3(v), minE->label(), fmtSig3(minE->energyNj),
+              minC->label(), fmtSig3(minC->cycles)});
+    selected.insert(minE->label());
   }
   std::cout << t;
-  std::cout << (selectionStable(rows)
+  std::cout << (selected.size() == 1
                     ? "selection STABLE across the range\n\n"
                     : "selection MOVES across the range\n\n");
 }
@@ -843,28 +789,15 @@ void printSensitivity(const std::vector<SensitivityRow>& rows,
 // Ablation: sensitivity of the selection to the model constants.
 void ablationSensitivity() {
   section("Ablation: Em sensitivity (Compress)");
-  const double ems[] = {1.0, kEmLow2MbitNj, kEmCypress2MbitNj, 10.0,
-                        kEmHigh16MbitNj};
-  printSensitivity(sweepEmSensitivity(compressKernel(), ems, dmSweep()),
-                   "Em");
-
+  printSensitivity("Em", &EnergyParams::emNj,
+                   {1.0, kEmLow2MbitNj, kEmCypress2MbitNj, 10.0,
+                    kEmHigh16MbitNj});
   section("Ablation: data-bus activity sensitivity (Compress)");
-  const double activities[] = {0.1, 0.25, 0.5, 0.75, 1.0};
-  printSensitivity(
-      sweepSensitivity(
-          compressKernel(), activities,
-          [](ExploreOptions& o, double v) { o.energy.dataActivity = v; },
-          dmSweep()),
-      "activity");
-
+  printSensitivity("activity", &EnergyParams::dataActivity,
+                   {0.1, 0.25, 0.5, 0.75, 1.0});
   section("Ablation: beta (cell energy) sensitivity (Compress)");
-  const double betas[] = {0.5, 1.0, 2.0, 4.0, 8.0};
-  printSensitivity(
-      sweepSensitivity(
-          compressKernel(), betas,
-          [](ExploreOptions& o, double v) { o.energy.betaPj = v; },
-          dmSweep()),
-      "beta (pJ)");
+  printSensitivity("beta (pJ)", &EnergyParams::betaPj,
+                   {0.5, 1.0, 2.0, 4.0, 8.0});
 }
 
 // Ablation: static (leakage) energy, the 2001 journal version's term.
@@ -887,41 +820,6 @@ void ablationLeakage() {
                "coefficient: Compress's\noptimum is already small and "
                "fast, while large caches pay rent for\nidle capacity "
                "(C512L4's energy grows with the coefficient).\n";
-}
-
-// Ablation: next-line prefetching vs the paper's line-size lever.
-void ablationPrefetch() {
-  section("Ablation: prefetching (C64) — demand miss rate / off-chip "
-          "lines per access");
-  Table t({"kernel", "L8 plain", "L16 plain", "L8 + on-miss",
-           "L8 + tagged", "tagged accuracy"});
-  auto cell = [](double mr, double traffic) {
-    return fmtFixed(mr, 3) + " / " + fmtFixed(traffic, 3);
-  };
-  for (const Kernel& k : paperBenchmarks()) {
-    const Trace trace = generateTrace(k);
-    const CacheStats l8 = simulateTrace(dm(64, 8), trace);
-    const CacheStats l16 = simulateTrace(dm(64, 16), trace);
-    PrefetchingCache onMiss(dm(64, 8), PrefetchPolicy::OnMiss);
-    onMiss.run(trace);
-    PrefetchingCache tagged(dm(64, 8), PrefetchPolicy::Tagged);
-    tagged.run(trace);
-    const double n = static_cast<double>(trace.size());
-    t.addRow({k.name,
-              cell(l8.missRate(), static_cast<double>(l8.lineFills) / n),
-              cell(l16.missRate(), static_cast<double>(l16.lineFills) / n),
-              cell(onMiss.stats().demand.missRate(),
-                   onMiss.stats().trafficPerAccess()),
-              cell(tagged.stats().demand.missRate(),
-                   tagged.stats().trafficPerAccess()),
-              fmtFixed(tagged.stats().accuracy(), 2)});
-  }
-  std::cout << t;
-  std::cout << "\nTagged prefetch at L8 drives compress's demand misses "
-               "to zero at\nunchanged traffic, beating a doubled line; on "
-               "every other kernel it\ncuts demand misses by 0.03 at most "
-               "and doubles the off-chip traffic —\nthe same trade-off the "
-               "paper's L sweep exposes.\n";
 }
 
 // Ablation: true LRU vs tree-PLRU vs FIFO vs random.
@@ -969,33 +867,6 @@ void ablationSampling() {
     t.addRow(std::move(row));
   }
   std::cout << t;
-}
-
-// Ablation: a row-buffer memory vs the paper's flat per-access Em. The
-// equivalent-Em column is the constant the paper's model would need per
-// configuration to match.
-void ablationDram() {
-  section("Ablation: row-buffer memory vs flat Em (miss streams of the "
-          "five kernels)");
-  Table t({"kernel", "cache", "row-hit rate", "memory energy (nJ)",
-           "equivalent Em (nJ)"});
-  for (const Kernel& k : paperBenchmarks()) {
-    for (const auto& [size, line] :
-         {std::pair{64u, 8u}, std::pair{64u, 32u}}) {
-      const DramStats s = replayMissStream(dm(size, line), generateTrace(k));
-      const double equivalentEm =
-          s.energyNj /
-          std::max<double>(static_cast<double>(s.accesses), 1.0);
-      t.addRow({k.name, dm(size, line).label(),
-                fmtFixed(s.rowHitRate(), 3), fmtSig3(s.energyNj),
-                fmtFixed(equivalentEm, 2)});
-    }
-  }
-  std::cout << t;
-  std::cout << "\nLarger lines raise the row-hit rate of the miss stream "
-               "and so LOWER the\nper-access memory energy — a coupling "
-               "the paper's constant Em cannot\nexpress; with page-mode "
-               "parts the Em * L penalty for long lines is\noverstated.\n";
 }
 
 // Ablation: read-only energy (the paper's model) vs write-inclusive.
@@ -1220,18 +1091,14 @@ int main(int argc, char** argv) {
   ablationInterchange();
   extICache();
   extHierarchy();
-  extVictimCache();
   extScratchpad();
   extWorkingSet();
   extFusion();
   ablationTagEnergy();
-  ablationWriteBuffer();
   ablationSensitivity();
   ablationLeakage();
-  ablationPrefetch();
   ablationPlru();
   ablationSampling();
-  ablationDram();
   ablationWriteEnergy();
   extWarmChaining();
   extL2Explore();

@@ -1,7 +1,7 @@
 // SoC memory study: one workload, every organization this library can
 // model — plain caches across the paper's sweep, higher associativity,
-// a victim buffer, next-line prefetching, an L1+L2 stack, and a
-// scratchpad split — all reported on the same miss/traffic axes.
+// an L1+L2 stack, the Section-4.1 data layout and a scratchpad split —
+// all reported on the same miss/traffic axes.
 //
 // Usage: soc_study [kernel]   (default: dequant)
 #include <iostream>
@@ -9,8 +9,6 @@
 
 #include "memx/cachesim/cache_sim.hpp"
 #include "memx/cachesim/hierarchy.hpp"
-#include "memx/cachesim/prefetch.hpp"
-#include "memx/cachesim/victim_cache.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/kernels/mpeg_kernels.hpp"
 #include "memx/layout/offchip_assign.hpp"
@@ -60,21 +58,6 @@ int main(int argc, char** argv) {
   addSim("C64L8 4-way", dm(64, 8, 4));
   addSim("C256L8 direct-mapped", dm(256, 8));
 
-  {
-    VictimCache vc(dm(64, 8), 4);
-    vc.run(trace);
-    t.addRow({"C64L8 + 4-entry victim",
-              fmtFixed(vc.stats().effectiveMissRate(), 3),
-              fmtFixed(static_cast<double>(vc.stats().main.lineFills) / n,
-                       3)});
-  }
-  {
-    PrefetchingCache pc(dm(64, 8), PrefetchPolicy::Tagged);
-    pc.run(trace);
-    t.addRow({"C64L8 + tagged prefetch",
-              fmtFixed(pc.stats().demand.missRate(), 3),
-              fmtFixed(pc.stats().trafficPerAccess(), 3)});
-  }
   {
     CacheHierarchy stack(dm(64, 8), dm(256, 16, 2));
     stack.run(trace);

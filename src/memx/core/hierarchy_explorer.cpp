@@ -52,7 +52,7 @@ std::vector<HierarchyPoint> evaluateHierarchy(
     const HierarchyTiming& timing, double addBs, obs::Recorder* recorder) {
   for (const CacheConfig& l2 : l2s) checkInclusion(l1, l2);
   const L1Filter filtered = filterL1(l1, trace);
-  // Simulated, not analytic: see docs/MODELS.md §8 for the measurement.
+  // Simulated, not analytic: see docs/MODELS.md §7 for the measurement.
   ConfigBank bank(SweepBackend::MultiSim, l2s);
   bank.run(filtered.l2Stream);
   bank.record(recorder);
