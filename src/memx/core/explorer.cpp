@@ -168,8 +168,10 @@ const MemoryLayout& Explorer::layoutFor(const Kernel& kernel,
                                         const CacheConfig& cache,
                                         std::uint32_t traceTiling,
                                         PatternCache& probes) const {
-  const std::string key = kernelTag + '|' + cache.label() + "|B" +
-                          std::to_string(traceTiling);
+  // A tight layout does not depend on the cache, so its key drops it.
+  const std::string key =
+      kernelTag + '|' + (options_.optimizeLayout ? cache.label() : "tight") +
+      "|B" + std::to_string(traceTiling);
   const auto it = layoutCache_.find(key);
   if (it != layoutCache_.end()) {
     if (recorder_ != nullptr) recorder_->counter("layout.cache_hit").add();

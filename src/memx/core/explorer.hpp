@@ -263,8 +263,10 @@ private:
 
   /// Memoized Section-4.1 layout per (kernel identity, T, L, S, trace
   /// tiling) — the tiling that reaches the probe, 1 when the nest cannot
-  /// be tiled. Candidates are certified against the probe prefix of that
-  /// traversal, recorded into `probes` on first use. Not thread-safe.
+  /// be tiled; a tight layout per (kernel identity, trace tiling), since
+  /// it does not depend on the cache. Candidates are certified against
+  /// the probe prefix of that traversal, recorded into `probes` on first
+  /// use. Not thread-safe.
   const MemoryLayout& layoutFor(const Kernel& kernel,
                                 const std::string& kernelTag,
                                 const CacheConfig& cache,

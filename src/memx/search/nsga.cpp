@@ -1,10 +1,10 @@
 #include "memx/search/nsga.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <set>
 #include <span>
+#include <unordered_map>
 #include <utility>
 
 #include "memx/obs/recorder.hpp"
@@ -26,6 +26,11 @@ bool chance(std::mt19937_64& rng, double p) { return u01(rng) < p; }
 /// the exhaustive mop-up; larger spaces never are.
 constexpr std::uint64_t kEnumerationLimit = 1ull << 20;
 
+/// A revisited child takes up to this many forced single-gene steps,
+/// then up to kDrawRetries random draws, before the enumeration.
+constexpr std::uint32_t kStepRetries = 4;
+constexpr std::uint32_t kDrawRetries = 8;
+
 }  // namespace
 
 void SearchOptions::validate() const {
@@ -45,6 +50,9 @@ NsgaSearch::NsgaSearch(Kernel kernel, DesignSpace space, ExploreOptions base,
       evaluator_(std::move(kernel), space_, std::move(base), recorder),
       workload_(evaluator_.kernel().name) {
   options_.validate();
+  for (std::size_t i = 0; i < kGeneCount; ++i) {
+    if (space_.dimSize(static_cast<Gene>(i)) > 1) movable_.push_back(i);
+  }
 }
 
 std::vector<Genome> NsgaSearch::initialPopulation(std::mt19937_64& rng) {
@@ -175,6 +183,19 @@ Genome NsgaSearch::mutate(Genome g, std::mt19937_64& rng) const {
   return g;
 }
 
+Genome NsgaSearch::step(Genome g, std::mt19937_64& rng) const {
+  // One movable gene moves one position: up or down by coin, and the
+  // other way at an end of its dimension. Pinned genes never move.
+  const std::size_t i = movable_[rng() % movable_.size()];
+  const bool up = (rng() & 1) != 0;
+  if (g[i] == 0 || (up && g[i] + 1u < space_.dimSize(static_cast<Gene>(i)))) {
+    ++g[i];
+  } else {
+    --g[i];
+  }
+  return space_.repair(g);
+}
+
 SearchResult NsgaSearch::run() {
   const obs::ScopedSpan span(recorder_, "search.run");
   std::mt19937_64 rng(options_.seed);
@@ -185,18 +206,21 @@ SearchResult NsgaSearch::run() {
           ? options_.maxEvaluations
           : static_cast<std::uint64_t>(options_.populationSize) *
                 (options_.generations + 1);
-  const auto spent = [&] { return evaluator_.evaluations() - startEvals; };
+
+  /// Every distinct genome evaluated this run with its objectives, by
+  /// packed genome. Only the front is decoded, at the end.
+  std::unordered_map<std::uint64_t, std::pair<Genome, Objectives>> visited;
+
+  // The budget caps the distinct genomes this run visits. On a fresh
+  // evaluator those are its fresh evaluations; on a warm one a repeat
+  // run replays the first, stopping where it stopped.
   const auto remaining = [&] {
-    const std::uint64_t used = spent();
-    return budget > used ? budget - used : 0;
+    return budget > visited.size() ? budget - visited.size() : 0;
   };
 
-  /// Every distinct genome evaluated this run, in packed order.
-  std::map<std::uint64_t, SearchPoint> visited;
-
-  // Drop fresh genomes beyond the remaining budget (cache hits and
-  // in-batch duplicates are free and always kept), so the evaluator
-  // never exceeds `budget` fresh evaluations.
+  // Drop unvisited genomes beyond the remaining budget (revisits and
+  // in-batch duplicates cost nothing and are always kept), so a run
+  // visits at most `budget` genomes.
   const auto trimToBudget = [&](std::vector<Genome> batch) {
     std::vector<Genome> kept;
     kept.reserve(batch.size());
@@ -220,33 +244,92 @@ SearchResult NsgaSearch::run() {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::uint64_t key = space_.packed(batch[i]);
       out.push_back(Individual{batch[i], key, objs[i], 0, 0.0});
-      visited.try_emplace(
-          key, SearchPoint{batch[i], space_.decode(batch[i]), objs[i]});
+      visited.try_emplace(key, batch[i], objs[i]);
     }
     return out;
   };
 
+  // Breed one generation of offspring, every one a genome neither
+  // visited nor already in the batch. A revisit is stepped a few times,
+  // then replaced by a random draw, then (on enumerable spaces) by an
+  // unvisited genome of the enumeration; a child with no fresh genome
+  // left to become is dropped.
+  std::vector<Genome> enumeration;  // filled on first use
+  const auto breed = [&](const std::vector<Individual>& parents) {
+    std::vector<Genome> offspring;
+    offspring.reserve(options_.populationSize);
+    std::set<std::uint64_t> batch;
+    const auto fresh = [&](const Genome& g) {
+      const std::uint64_t key = space_.packed(g);
+      return !visited.contains(key) && !batch.contains(key);
+    };
+    const auto keep = [&](const Genome& g) {
+      batch.insert(space_.packed(g));
+      offspring.push_back(g);
+    };
+    std::vector<Genome> unvisited;  // this generation's pool, on demand
+    bool pooled = false;
+    for (std::uint32_t k = 0; k < options_.populationSize; ++k) {
+      const Genome& a = parents[tournament(parents, rng)].genome;
+      const Genome& b = parents[tournament(parents, rng)].genome;
+      Genome child = chance(rng, options_.crossoverRate)
+                         ? crossover(a, b, rng)
+                         : a;
+      child = space_.repair(mutate(child, rng));
+      for (std::uint32_t t = 0; t < kStepRetries && !fresh(child) &&
+                                !movable_.empty();
+           ++t) {
+        child = step(child, rng);
+      }
+      for (std::uint32_t t = 0; t < kDrawRetries && !fresh(child); ++t) {
+        child = space_.randomGenome(rng);
+      }
+      if (fresh(child)) {
+        keep(child);
+        continue;
+      }
+      if (space_.size() > kEnumerationLimit) continue;
+      if (!pooled) {
+        if (enumeration.empty()) enumeration = space_.enumerate();
+        for (const Genome& g : enumeration) {
+          if (fresh(g)) unvisited.push_back(g);
+        }
+        pooled = true;
+      }
+      // Uniform pick without replacement; entries a step or draw has
+      // since put in the batch are discarded on the way.
+      while (!unvisited.empty()) {
+        const std::size_t i =
+            static_cast<std::size_t>(rng() % unvisited.size());
+        const Genome g = unvisited[i];
+        unvisited[i] = unvisited.back();
+        unvisited.pop_back();
+        if (fresh(g)) {
+          keep(g);
+          break;
+        }
+      }
+      if (unvisited.empty()) break;  // the space has nothing fresh left
+    }
+    return offspring;
+  };
+
   std::vector<Individual> pop =
       evaluateBatch(trimToBudget(initialPopulation(rng)));
+  rankPopulation(pop);
 
+  // Each generation ranks once: survivors keep the rank and crowding of
+  // the parents-plus-offspring ranking that selected them.
   std::uint32_t generationsRun = 0;
   while (generationsRun < options_.generations && remaining() > 0 &&
-         !pop.empty()) {
+         visited.size() < space_.size() && !pop.empty()) {
     const obs::ScopedSpan genSpan(recorder_, "search.generation");
     if (recorder_ != nullptr) {
       recorder_->counter("search.generations").add();
     }
-    rankPopulation(pop);
-    std::vector<Genome> offspring;
-    offspring.reserve(options_.populationSize);
-    for (std::uint32_t k = 0; k < options_.populationSize; ++k) {
-      const Genome& a = pop[tournament(pop, rng)].genome;
-      const Genome& b = pop[tournament(pop, rng)].genome;
-      Genome child = chance(rng, options_.crossoverRate)
-                         ? crossover(a, b, rng)
-                         : a;
-      offspring.push_back(space_.repair(mutate(child, rng)));
-    }
+    ++generationsRun;
+    std::vector<Genome> offspring = breed(pop);
+    if (offspring.empty()) break;  // no fresh genome left to breed
     const std::vector<Individual> kids =
         evaluateBatch(trimToBudget(std::move(offspring)));
     pop.insert(pop.end(), kids.begin(), kids.end());
@@ -261,7 +344,6 @@ SearchResult NsgaSearch::run() {
     if (pop.size() > options_.populationSize) {
       pop.resize(options_.populationSize);
     }
-    ++generationsRun;
   }
 
   // Budget mop-up: when what's left of the budget covers every genome
@@ -278,18 +360,19 @@ SearchResult NsgaSearch::run() {
 
   SearchResult result;
   result.workload = workload_;
-  std::vector<SearchPoint> points;
+  std::vector<std::uint64_t> keys;
+  keys.reserve(visited.size());
+  for (const auto& entry : visited) keys.push_back(entry.first);
+  std::sort(keys.begin(), keys.end());
   std::vector<Objectives> objs;
-  points.reserve(visited.size());
-  objs.reserve(visited.size());
-  for (const auto& [key, sp] : visited) {
-    points.push_back(sp);
-    objs.push_back(sp.objectives);
-  }
+  objs.reserve(keys.size());
+  for (const std::uint64_t key : keys) objs.push_back(visited.at(key).second);
   for (const std::size_t i : nonDominatedFront(objs)) {
-    result.front.push_back(points[i]);
+    const auto& [genome, objectives] = visited.at(keys[i]);
+    result.front.push_back(
+        SearchPoint{genome, space_.decode(genome), objectives});
   }
-  result.evaluations = spent();
+  result.evaluations = evaluator_.evaluations() - startEvals;
   result.cacheHits = evaluator_.cacheHits() - startHits;
   result.generations = generationsRun;
   result.spaceSize = space_.size();

@@ -2,12 +2,21 @@
 //
 // The classic loop — binary tournaments on (rank, crowding), uniform or
 // arithmetic crossover, per-gene mutation, elitist environmental
-// selection — with two twists that matter here:
+// selection — with three twists that matter here:
 //
 //   * Every distinct genome the run evaluates lands in its `visited`
 //     set, and the returned front is extracted over that set, not the
 //     final population: the search can only gain from points it paid
-//     for. The evaluator's fitness cache makes re-visits free.
+//     for.
+//   * Every offspring is a genome the run has not seen. A child already
+//     in `visited` or in its generation's batch takes a few forced
+//     single-gene steps, then a few random draws, then (on spaces small
+//     enough to enumerate) a uniform pick among the unvisited genomes.
+//     A generation that yields no fresh genome ends the run, so the
+//     budget buys new points, and a budget-bound search ends when the
+//     budget does rather than at its generation cap. On a fresh
+//     evaluator only the seeded initial population can hit its fitness
+//     cache.
 //   * When the remaining evaluation budget covers every not-yet-visited
 //     genome, the engine finishes exhaustively ("budget mop-up"). A
 //     budget of at least the space size therefore guarantees the
@@ -15,8 +24,8 @@
 //     tests exploit on small spaces.
 //
 // Determinism: one mt19937_64 seeded from SearchOptions::seed drives
-// every stochastic choice in a fixed order, all containers iterate in
-// deterministic (packed-genome) order, and all evaluation goes through
+// every stochastic choice in a fixed order, every order the result
+// depends on is packed-genome order, and all evaluation goes through
 // the bit-stable sweep machinery — same seed, same front, bit for bit,
 // across runs.
 #pragma once
@@ -44,13 +53,15 @@ namespace memx::search {
 struct SearchOptions {
   std::uint64_t seed = 1;
   std::uint32_t populationSize = 64;
+  /// Generation cap. A run also stops when the budget is spent or no
+  /// unvisited genome is left.
   std::uint32_t generations = 40;
   /// Competitors per tournament pick (>= 1; 2 = binary tournament).
   std::uint32_t tournamentSize = 2;
   double crossoverRate = 0.9;   ///< probability a pair recombines
   double mutationRate = 0.15;   ///< per-gene mutation probability
-  /// Hard cap on *fresh* evaluations (cache hits are free). 0 means
-  /// populationSize * (generations + 1).
+  /// Hard cap on the distinct genomes a run visits, and so on its fresh
+  /// evaluations. 0 means populationSize * (generations + 1).
   std::uint64_t maxEvaluations = 0;
   /// Finish exhaustively when the remaining budget covers every
   /// unvisited genome; the resulting front is provably exact.
@@ -117,12 +128,16 @@ private:
   [[nodiscard]] Genome crossover(const Genome& a, const Genome& b,
                                  std::mt19937_64& rng) const;
   [[nodiscard]] Genome mutate(Genome g, std::mt19937_64& rng) const;
+  /// Forced single-gene step (one movable gene, one position), repaired.
+  [[nodiscard]] Genome step(Genome g, std::mt19937_64& rng) const;
 
   DesignSpace space_;
   SearchOptions options_;
   obs::Recorder* recorder_ = nullptr;
   SearchEvaluator evaluator_;
   std::string workload_;
+  /// Genes whose dimension has more than one value.
+  std::vector<std::size_t> movable_;
 };
 
 }  // namespace memx::search

@@ -406,13 +406,102 @@ TEST(Search, RecorderSeesSearchCountersAndSpans) {
   const obs::PhaseStat* gen = report.phase("search.generation");
   ASSERT_NE(gen, nullptr);
   EXPECT_EQ(gen->count, r.generations);
-  // Each generation ranks the parents, then parents plus offspring.
+  // The initial population is ranked once; each generation then ranks
+  // parents plus offspring, and the survivors keep that ranking.
   const obs::PhaseStat* rank = report.phase("search.rank");
   ASSERT_NE(rank, nullptr);
-  EXPECT_EQ(rank->count, 2u * r.generations);
+  EXPECT_EQ(rank->count, 1u + r.generations);
   const obs::PhaseStat* batch = report.phase("search.evaluate_batch");
   ASSERT_NE(batch, nullptr);
   EXPECT_GT(batch->count, 0u);
+}
+
+/// A tight-layout single-level space of several thousand genomes, far
+/// more than a 16 x (8 + 1) search can breed.
+DesignSpaceOptions wideSpace() {
+  DesignSpaceOptions s;
+  s.ranges.onChipBytes = 4096;
+  s.ranges.minCacheBytes = 16;
+  s.ranges.maxCacheBytes = 4096;
+  s.ranges.minLineBytes = 4;
+  s.ranges.maxLineBytes = 64;
+  s.ranges.maxAssociativity = 8;
+  s.ranges.maxTiling = 16;
+  s.replacements = {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+                    ReplacementPolicy::TreePLRU};
+  s.writePolicies = {WritePolicy::WriteBack, WritePolicy::WriteThrough};
+  s.defaultOptimizeLayout = false;
+  return s;
+}
+
+TEST(Search, OffspringAreNeverRevisitsWhileTheSpaceHasFreshGenomes) {
+  // Only the seeded initial population (corner, stratified and random
+  // seeds may coincide) can hit the fitness cache: the generations that
+  // follow breed genomes the run has not seen, so a longer run adds no
+  // hits.
+  const Kernel kernel = matrixAddKernel(6, 1);
+  ExploreOptions base;
+  base.optimizeLayout = false;
+  SearchOptions seedOnly = quickSearch(5);
+  seedOnly.generations = 0;
+  seedOnly.finishExhaustively = false;
+  NsgaSearch initial(kernel, DesignSpace(wideSpace()), base, seedOnly);
+  const SearchResult start = initial.run();
+
+  SearchOptions options = seedOnly;
+  options.generations = 8;
+  obs::Recorder recorder;
+  NsgaSearch engine(kernel, DesignSpace(wideSpace()), base, options,
+                    &recorder);
+  const SearchResult r = engine.run();
+  ASSERT_GT(r.spaceSize, 10u * options.populationSize *
+                             (options.generations + 1));
+  EXPECT_EQ(r.generations, options.generations);
+  EXPECT_EQ(r.evaluations, std::uint64_t{options.populationSize} *
+                               (options.generations + 1) -
+                               start.cacheHits);
+  EXPECT_EQ(r.cacheHits, start.cacheHits);
+  EXPECT_EQ(recorder.report().counter("search.cache_hits"), start.cacheHits);
+}
+
+TEST(Search, RepeatRunOnAWarmEvaluatorReplaysABudgetBoundRun) {
+  // Warm-cache hits count against the budget like fresh evaluations, so
+  // the second run stops where the first did, with the same front.
+  ExploreOptions base;
+  base.optimizeLayout = false;
+  SearchOptions options = quickSearch(13);
+  options.generations = 1000;
+  options.maxEvaluations = 100;
+  options.finishExhaustively = false;
+  NsgaSearch engine(matrixAddKernel(6, 1), DesignSpace(wideSpace()), base,
+                    options);
+  const SearchResult first = engine.run();
+  const SearchResult second = engine.run();
+  EXPECT_EQ(first.evaluations, 100u);
+  EXPECT_LT(first.generations, options.generations);
+  EXPECT_EQ(second.evaluations, 0u);
+  EXPECT_EQ(second.generations, first.generations);
+  ASSERT_EQ(second.front.size(), first.front.size());
+  for (std::size_t i = 0; i < first.front.size(); ++i) {
+    EXPECT_EQ(second.front[i].genome, first.front[i].genome);
+    EXPECT_EQ(second.front[i].objectives, first.front[i].objectives);
+  }
+}
+
+TEST(Search, BreedsTheWholeSmallSpaceAndStopsWhenNothingIsFresh) {
+  // No mop-up: the generations alone visit every genome, then the run
+  // stops short of its generation cap with the exact front.
+  SearchOptions options = quickSearch(9);
+  options.generations = 1000;
+  options.finishExhaustively = false;
+  NsgaSearch engine(matrixAddKernel(6, 1), DesignSpace(smallJointSpace()),
+                    ExploreOptions{}, options);
+  const SearchResult r = engine.run();
+  ASSERT_LT(r.spaceSize, std::uint64_t{options.populationSize} *
+                             (options.generations + 1));
+  EXPECT_TRUE(r.exact);
+  EXPECT_EQ(r.evaluations, r.spaceSize);
+  EXPECT_LT(r.generations, options.generations);
 }
 
 TEST(FrontIo, CsvRoundTripsBitExactly) {
