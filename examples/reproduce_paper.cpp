@@ -20,8 +20,8 @@
 #include "memx/cachesim/cache_sim.hpp"
 #include "memx/cachesim/hierarchy.hpp"
 #include "memx/cachesim/miss_classifier.hpp"
-#include "memx/cachesim/set_sampling.hpp"
 #include "memx/core/analytic_model.hpp"
+#include "memx/core/config_bank.hpp"
 #include "memx/core/hierarchy_explorer.hpp"
 #include "memx/core/selection.hpp"
 #include "memx/core/trace_explorer.hpp"
@@ -32,14 +32,11 @@
 #include "memx/layout/offchip_assign.hpp"
 #include "memx/loopir/ref_classes.hpp"
 #include "memx/loopir/trace_gen.hpp"
-#include "memx/mpeg/chained.hpp"
 #include "memx/mpeg/composite.hpp"
 #include "memx/report/result_io.hpp"
 #include "memx/report/table.hpp"
 #include "memx/spm/spm_explorer.hpp"
 #include "memx/trace/working_set.hpp"
-#include "memx/xform/dependence.hpp"
-#include "memx/xform/fusion.hpp"
 #include "memx/xform/tiling.hpp"
 
 namespace {
@@ -599,13 +596,15 @@ void extHierarchy() {
     small.run(trace);
     CacheSim big(dm(256, 16));
     big.run(trace);
-    CacheHierarchy stack(dm(64, 8), dm(256, 16, 2));
-    stack.run(trace);
+    const L1Filter l1 = filterL1(dm(64, 8), trace);
+    ConfigBank l2(SweepBackend::MultiSim, {dm(256, 16, 2)});
+    l2.run(l1.l2Stream);
+    const HierarchyStats stack{l1.l1, l2.stats(0)};
     t.addRow({k.name, std::to_string(small.stats().lineFills),
               std::to_string(big.stats().lineFills),
-              std::to_string(stack.stats().mainReads),
-              fmtFixed(stack.stats().l1.missRate(), 3),
-              fmtFixed(stack.stats().globalMissRate(), 3)});
+              std::to_string(stack.l2.lineFills),
+              fmtFixed(stack.l1.missRate(), 3),
+              fmtFixed(stack.globalMissRate(), 3)});
   }
   std::cout << t;
   std::cout << "\nThe stack's off-chip traffic approaches the big "
@@ -664,66 +663,6 @@ void extWorkingSet() {
                "minimum for compress\nand sor — two independent "
                "derivations of the same number; the other\nkernels' knees "
                "lie far above it.\n";
-}
-
-// Producer (blur into tmp) and consumer (sharpen from tmp) over one
-// n x n iteration space, for the fusion study.
-Kernel blurKernel(std::int64_t n) {
-  Kernel k;
-  k.name = "blur";
-  k.arrays = {ArrayDecl{"in", {n, n}, 1}, ArrayDecl{"tmp", {n, n}, 1}};
-  k.nest = LoopNest::rectangular({{1, n - 2}, {1, n - 2}});
-  k.body = {
-      makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1)}),
-      makeAccess(0, {AffineExpr::var(0),
-                     AffineExpr::var(1).plusConstant(1)}),
-      makeAccess(1, {AffineExpr::var(0), AffineExpr::var(1)},
-                 AccessType::Write),
-  };
-  return k;
-}
-
-Kernel sharpenKernel(std::int64_t n) {
-  Kernel k;
-  k.name = "sharpen";
-  k.arrays = {ArrayDecl{"tmp", {n, n}, 1}, ArrayDecl{"out", {n, n}, 1}};
-  k.nest = LoopNest::rectangular({{1, n - 2}, {1, n - 2}});
-  k.body = {
-      makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1)}),
-      makeAccess(1, {AffineExpr::var(0), AffineExpr::var(1)},
-                 AccessType::Write),
-  };
-  return k;
-}
-
-// Extension: loop fusion vs running producer and consumer in sequence.
-void extFusion() {
-  section("Extension: loop fusion vs sequential kernels");
-  Table t({"cache", "sequential miss rate", "fused miss rate",
-           "improvement"});
-  const Kernel fused = fuseKernels(blurKernel(32), sharpenKernel(32));
-  for (const auto& [size, ways] :
-       {std::pair{64u, 2u}, std::pair{128u, 2u}, std::pair{256u, 4u}}) {
-    const CacheConfig cache = dm(size, 8, ways);
-    // Fusion composes with the Section-4.1 assignment: place the fused
-    // kernel's arrays conflict-free, then compare traversals.
-    const MemoryLayout layout = assignConflictFree(fused, cache).layout;
-    Kernel prodView = fused;
-    prodView.body.assign(fused.body.begin(), fused.body.begin() + 3);
-    Kernel consView = fused;
-    consView.body.assign(fused.body.begin() + 3, fused.body.end());
-    Trace sequential = generateTrace(prodView, layout);
-    sequential.append(generateTrace(consView, layout));
-
-    const double seq = simulateTrace(cache, sequential).missRate();
-    const double fus =
-        simulateTrace(cache, generateTrace(fused, layout)).missRate();
-    t.addRow({cache.label(), fmtFixed(seq, 3), fmtFixed(fus, 3),
-              fmtFixed(seq / std::max(fus, 1e-9), 2) + "x"});
-  }
-  std::cout << t;
-  std::cout << "\nFusion removes the tmp-array round trip entirely — the "
-               "consumer reads the\nline the producer just wrote.\n";
 }
 
 // Ablation: tag-array read energy on vs off.
@@ -847,28 +786,6 @@ void ablationPlru() {
                "assumption costs little on embedded PLRU\nhardware.\n";
 }
 
-// Ablation: set-sampled simulation accuracy.
-void ablationSampling() {
-  section("Ablation: set-sampling accuracy (C256L8, 32 sets)");
-  Table t({"kernel", "full", "1/2 sets", "1/4 sets", "1/8 sets",
-           "max abs error"});
-  for (const Kernel& k : paperBenchmarks()) {
-    const Trace trace = generateTrace(k);
-    const CacheConfig c = dm(256, 8);
-    const double full = simulateTrace(c, trace).missRate();
-    std::vector<std::string> row{k.name, fmtFixed(full, 4)};
-    double maxErr = 0.0;
-    for (const std::uint32_t factor : {2u, 4u, 8u}) {
-      const double est = estimateMissRateBySetSampling(c, trace, factor);
-      maxErr = std::max(maxErr, std::abs(est - full));
-      row.push_back(fmtFixed(est, 4));
-    }
-    row.push_back(fmtFixed(maxErr, 4));
-    t.addRow(std::move(row));
-  }
-  std::cout << t;
-}
-
 // Ablation: read-only energy (the paper's model) vs write-inclusive.
 void ablationWriteEnergy() {
   section("Ablation: read-only vs write-inclusive energy, C64L8");
@@ -894,40 +811,6 @@ void ablationWriteEnergy() {
                "share; with\nwrite-through (no buffer) it would not be "
                "ignorable — quantifying the\npaper's implicit write-back "
                "assumption.\n";
-}
-
-// Extension: the paper's cold-cache MPEG aggregation vs a warm chained
-// run of the same decoder through one cache.
-void extWarmChaining() {
-  section("Extension: cold-aggregate vs warm chained MPEG miss rate");
-  const CompositeProgram decoder = mpegDecoder();
-  Table t({"cache", "cold aggregate (paper method)", "warm chained",
-           "warm/cold"});
-  for (const auto& [size, line] :
-       {std::pair{64u, 4u}, std::pair{256u, 8u}, std::pair{1024u, 16u},
-        std::pair{4096u, 16u}}) {
-    const ChainedRun run = runChained(decoder, dm(size, line));
-    t.addRow({dm(size, line).label(),
-              fmtFixed(run.coldAggregateMissRate, 3),
-              fmtFixed(run.warmMissRate(), 3),
-              fmtFixed(run.warmMissRate() /
-                           std::max(run.coldAggregateMissRate, 1e-9),
-                       2)});
-  }
-  std::cout << t;
-
-  const ChainedRun detail = runChained(decoder, dm(1024, 16));
-  Table perKernel({"kernel", "trips", "warm miss rate"});
-  for (std::size_t j = 0; j < decoder.kernelCount(); ++j) {
-    perKernel.addRow({decoder.kernel(j).name,
-                      std::to_string(decoder.trips(j)),
-                      fmtFixed(detail.kernelMissRates[j], 3)});
-  }
-  std::cout << "\nper-kernel warm miss rates at C1024L16:\n" << perKernel;
-  std::cout << "\nRepeated kernels (trips > 1) re-hit their own data once "
-               "the cache holds\ntheir working set, so the cold-cache "
-               "aggregation overestimates misses on\nlarge caches — the "
-               "paper's method is conservative there.\n";
 }
 
 // Extension: the best swept (L1, L2) stack vs the single-level cache of
@@ -961,63 +844,6 @@ void extL2Explore() {
                "the L2 keeps the\noff-chip traffic of a large cache. The "
                "stack wins whenever the kernel\nhas both a hot working "
                "set and a long tail.\n";
-}
-
-// a[i][j] = a[i-1][j+1]: a (1, -1) dependence that rectangular tiling
-// would violate until the inner loop is skewed.
-Kernel wavefrontKernel(std::int64_t n) {
-  Kernel k;
-  k.name = "wavefront";
-  k.arrays = {ArrayDecl{"a", {n, n}, 1}};
-  k.nest = LoopNest::rectangular({{1, n - 2}, {0, n - 2}});
-  k.body = {
-      makeAccess(0, {AffineExpr::var(0).plusConstant(-1),
-                     AffineExpr::var(1).plusConstant(+1)}),
-      makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1)},
-                 AccessType::Write),
-  };
-  k.validate();
-  return k;
-}
-
-std::string distancesOf(const Kernel& k) {
-  std::string out;
-  for (const Dependence& d : computeDependences(k)) {
-    out += toString(d.kind) + " (";
-    for (std::size_t i = 0; i < d.distance.size(); ++i) {
-      if (i) out += ",";
-      out += d.distance[i].known() ? std::to_string(*d.distance[i].value)
-                                   : std::string("*");
-    }
-    out += ") ";
-  }
-  return out.empty() ? "-" : out;
-}
-
-// Extension: skewing makes the wavefront stencil legal to tile.
-void extSkewing() {
-  section("Extension: skewing makes the wavefront stencil tileable");
-  const Kernel k = wavefrontKernel(32);
-  Table t({"variant", "dependences", "tile2D legal"});
-  t.addRow({"a[i][j] = a[i-1][j+1]", distancesOf(k),
-            tilingIsLegal(k) ? "yes" : "no"});
-  for (const std::int64_t f : {1, 2}) {
-    const Kernel skewed = skew(k, 1, 0, f);
-    t.addRow({"skewed j += " + std::to_string(f) + "*i",
-              distancesOf(skewed), tilingIsLegal(skewed) ? "yes" : "no"});
-  }
-  std::cout << t;
-
-  Table legality({"kernel", "tile2D", "interchange(0,1)"});
-  for (const Kernel& b : paperBenchmarks()) {
-    legality.addRow({b.name, tilingIsLegal(b) ? "yes" : "no",
-                     interchangeIsLegal(b, 0, 1) ? "yes" : "no"});
-  }
-  legality.addRow({"wavefront", "no",
-                   interchangeIsLegal(k, 0, 1) ? "yes" : "no"});
-  std::cout << "\nlegality of the paper's transforms on the built-in "
-               "kernels:\n"
-            << legality;
 }
 
 // The sweeps the figures are built from, one CSV per workload.
@@ -1093,16 +919,12 @@ int main(int argc, char** argv) {
   extHierarchy();
   extScratchpad();
   extWorkingSet();
-  extFusion();
   ablationTagEnergy();
   ablationSensitivity();
   ablationLeakage();
   ablationPlru();
-  ablationSampling();
   ablationWriteEnergy();
-  extWarmChaining();
   extL2Explore();
-  extSkewing();
   archive(outDir, mpeg);
   return 0;
 }

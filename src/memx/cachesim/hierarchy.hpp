@@ -2,9 +2,12 @@
 //
 // The paper explores a single on-chip data cache against off-chip SRAM;
 // a natural extension (and a common embedded configuration by the early
-// 2000s) adds an L2 between them. This module simulates L1 -> L2 ->
-// main memory inclusively: L1 misses probe the L2, L2 misses fill both,
-// and dirty L1 victims are written back into the L2.
+// 2000s) adds an L2 between them. The stack is inclusive: L1 misses
+// probe the L2, L2 misses fill both, and dirty L1 victims are written
+// back into the L2. This module states the L2's reference stream and
+// runs the L1 pass that produces it; any L2 (or bank of L2s, see
+// core/hierarchy_explorer) then replays that stream, and its line
+// fills are the stack's off-chip traffic.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +20,6 @@ namespace memx {
 struct HierarchyStats {
   CacheStats l1;
   CacheStats l2;
-  std::uint64_t mainReads = 0;   ///< line fills from main memory
-  std::uint64_t mainWrites = 0;  ///< dirty L2 evictions to main memory
 
   /// Fraction of processor accesses that leave the chip.
   [[nodiscard]] double globalMissRate() const noexcept {
@@ -29,52 +30,20 @@ struct HierarchyStats {
   }
 };
 
-/// The one statement of what the L2 sees: for an L1 access `ref` with
-/// outcome `l1Out`, append each dirty L1 victim as a write of one L1
-/// line, then, if the access missed, a read of `ref`'s bytes. The L2
-/// never back-invalidates the L1, so for a fixed L1 the stream is the
-/// same whatever the L2 is.
-void appendL2Refs(const MemRef& ref, const AccessOutcome& l1Out,
-                  std::uint32_t l1LineBytes, std::vector<MemRef>& out);
-
 /// Throws unless `l2`'s lines and capacity are at least `l1`'s.
 void checkInclusion(const CacheConfig& l1, const CacheConfig& l2);
 
 /// One pass of `trace` through a fresh `l1`: its statistics and the L2
-/// stream it produced, ready for any number of L2 candidates.
+/// stream it produced, ready for any number of L2 candidates. The one
+/// statement of what the L2 sees: for each L1 access, each dirty L1
+/// victim as a write of one L1 line, then, if the access missed, a read
+/// of the access's bytes. The L2 never back-invalidates the L1, so for a
+/// fixed L1 the stream is the same whatever the L2 is.
 struct L1Filter {
   CacheStats l1;
   Trace l2Stream;
 };
 [[nodiscard]] L1Filter filterL1(const CacheConfig& l1, const Trace& trace);
-
-/// An L1 + L2 data-cache stack. L2 line size must be >= L1 line size and
-/// L2 capacity >= L1 capacity (inclusive hierarchy).
-class CacheHierarchy {
-public:
-  /// Throws when either config is invalid or the inclusion constraints
-  /// are violated.
-  CacheHierarchy(const CacheConfig& l1, const CacheConfig& l2);
-
-  /// Present one processor reference.
-  void access(const MemRef& ref);
-
-  /// Run a whole trace.
-  void run(const Trace& trace);
-
-  /// Drop contents and statistics.
-  void reset();
-
-  [[nodiscard]] const HierarchyStats& stats() const noexcept {
-    return stats_;
-  }
-
-private:
-  CacheSim l1_;
-  CacheSim l2_;
-  HierarchyStats stats_;
-  std::vector<MemRef> l2Refs_;  ///< the current access's L2 stream
-};
 
 /// Cycle model for a two-level stack: per-access cycles
 ///   hit(L1) + missL1 * (l2HitCycles) + missL2 * (memCycles).

@@ -2,9 +2,8 @@
 //
 // Each seeded case replays one generated reference stream through every
 // production simulation path — CacheSim's bulk fast path, its
-// per-access outcome path, a MultiCacheSim bank, the two-level
-// CacheHierarchy and the sweep's L1-filter + L2 ConfigBank path, the
-// set-sampling estimator, the stack-distance bank
+// per-access outcome path, a MultiCacheSim bank, the sweep's two-level
+// L1-filter + L2 ConfigBank path, the stack-distance bank
 // (StackDistSim on an always-in-domain LRU config plus its
 // fully-associative and direct-mapped siblings) and the policy-grid
 // bank (the same sibling scheme on a seed-pure FIFO or tree-PLRU
@@ -15,11 +14,10 @@
 // conflict count (MissClassifier and the bounded countConflicts)
 // against a conflict count built from two RefCacheSims. Full
 // simulation must match bit for bit (including the Random replacement
-// policy, which both sides draw from identically-seeded engines); set
-// sampling must match the oracle's re-statement of the estimator
-// exactly. On a mismatch the runner shrinks the stream to the shortest
-// failing prefix and reports a one-line repro (`seed=S len=N ...`) that
-// reconstructs the case from the seed alone via replayDiffCase().
+// policy, which both sides draw from identically-seeded engines). On a
+// mismatch the runner shrinks the stream to the shortest failing prefix
+// and reports a one-line repro (`seed=S len=N ...`) that reconstructs
+// the case from the seed alone via replayDiffCase().
 #pragma once
 
 #include <cstdint>

@@ -186,63 +186,14 @@ RefHierarchyStats refSimulateHierarchy(const CacheConfig& l1,
                                        const Trace& trace) {
   RefCacheSim simL1(l1);
   RefCacheSim simL2(l2);
-  RefHierarchyStats stats;
   for (const MemRef& ref : trace) {
     const RefAccessOutcome l1Out = simL1.access(ref);
     for (const std::uint64_t victimAddr : l1Out.evictedDirtyLines) {
-      const MemRef writeback{victimAddr, l1.lineBytes, AccessType::Write};
-      const RefAccessOutcome out = simL2.access(writeback);
-      stats.mainWrites += out.writebacks;
+      simL2.access(MemRef{victimAddr, l1.lineBytes, AccessType::Write});
     }
-    if (!l1Out.hit) {
-      const MemRef fill{ref.addr, ref.size, AccessType::Read};
-      const RefAccessOutcome l2Out = simL2.access(fill);
-      stats.mainReads += l2Out.fills;
-      stats.mainWrites += l2Out.writebacks;
-    }
+    if (!l1Out.hit) simL2.access(MemRef{ref.addr, ref.size, AccessType::Read});
   }
-  stats.l1 = simL1.stats();
-  stats.l2 = simL2.stats();
-  return stats;
-}
-
-double refEstimateMissRateBySetSampling(const CacheConfig& config,
-                                        const Trace& trace,
-                                        std::uint32_t factor,
-                                        std::uint32_t offset) {
-  config.validate();
-  if (factor == 1) return refSimulateTrace(config, trace).missRate();
-  MEMX_EXPECTS(config.numSets() % factor == 0,
-               "factor must divide the set count");
-
-  const std::uint64_t L = config.lineBytes;
-  const std::uint64_t sets = config.numSets();
-  const std::uint64_t shrunkSets = sets / factor;
-
-  // The simulator probes every line an access touches, and each line
-  // has its own set; walk the touched lines one by one, keep the byte
-  // range falling in sampled sets, remapped so set s becomes set
-  // s/factor of a cache 1/factor the size while tags are preserved.
-  Trace remapped;
-  for (const MemRef& ref : trace) {
-    const std::uint64_t end = ref.addr + ref.size - 1;
-    for (std::uint64_t line = ref.addr / L; line <= end / L; ++line) {
-      const std::uint64_t set = line % sets;
-      if (set % factor != offset) continue;
-      const std::uint64_t lo = std::max(ref.addr, line * L);
-      const std::uint64_t hi = std::min(end, line * L + L - 1);
-      const std::uint64_t tag = line / sets;
-      const std::uint64_t newLine = tag * shrunkSets + set / factor;
-      remapped.push(MemRef{newLine * L + lo % L,
-                           static_cast<std::uint32_t>(hi - lo + 1),
-                           ref.type});
-    }
-  }
-  if (remapped.empty()) return 0.0;
-
-  CacheConfig shrunk = config;
-  shrunk.sizeBytes = config.sizeBytes / factor;
-  return refSimulateTrace(shrunk, remapped).missRate();
+  return RefHierarchyStats{simL1.stats(), simL2.stats()};
 }
 
 }  // namespace memx

@@ -91,27 +91,16 @@ private:
 [[nodiscard]] CacheStats refSimulateTrace(const CacheConfig& config,
                                           const Trace& trace);
 
-/// Statistics of a naive inclusive L1+L2 replay (the CacheHierarchy
-/// protocol re-stated on two RefCacheSims): dirty L1 victims are written
-/// into the L2, L1 misses fetch through the L2.
+/// Statistics of a naive inclusive L1+L2 replay (the filterL1 + L2
+/// bank protocol re-stated on two RefCacheSims): dirty L1 victims are
+/// written into the L2, L1 misses fetch through the L2.
 struct RefHierarchyStats {
   CacheStats l1;
   CacheStats l2;
-  std::uint64_t mainReads = 0;
-  std::uint64_t mainWrites = 0;
 };
 
 [[nodiscard]] RefHierarchyStats refSimulateHierarchy(const CacheConfig& l1,
                                                      const CacheConfig& l2,
                                                      const Trace& trace);
-
-/// Naive re-statement of estimateMissRateBySetSampling: keep the
-/// byte ranges whose line's set satisfies set % factor == offset
-/// (walking every line an access touches, as the simulator's probes
-/// do), compress the kept sets into a cache 1/factor the size, and
-/// measure the oracle's miss rate.
-[[nodiscard]] double refEstimateMissRateBySetSampling(
-    const CacheConfig& config, const Trace& trace, std::uint32_t factor,
-    std::uint32_t offset = 0);
 
 }  // namespace memx

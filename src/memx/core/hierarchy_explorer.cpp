@@ -50,6 +50,7 @@ std::vector<HierarchyPoint> evaluateHierarchy(
     const Trace& trace, const CacheConfig& l1,
     const std::vector<CacheConfig>& l2s, const EnergyParams& energy,
     const HierarchyTiming& timing, double addBs, obs::Recorder* recorder) {
+  const obs::ScopedSpan span(recorder, "hierarchy.evaluate");
   for (const CacheConfig& l2 : l2s) checkInclusion(l1, l2);
   const L1Filter filtered = filterL1(l1, trace);
   // Simulated, not analytic: see docs/MODELS.md §7 for the measurement.

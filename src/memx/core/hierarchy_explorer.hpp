@@ -49,8 +49,9 @@ struct HierarchyRanges {
 
 /// Every two-level point: `l1` paired with each of `l2s` (in order) on
 /// `trace`, whose bus activity is `addBs`. One filterL1 pass, one MultiSim
-/// ConfigBank of the L2s over its stream (counters to `recorder`), one
-/// fold per pair. Throws on empty `l2s` or a non-inclusive pair.
+/// ConfigBank of the L2s over its stream, one fold per pair; `recorder`
+/// gets one "hierarchy.evaluate" span and the bank's counters. Throws on
+/// empty `l2s` or a non-inclusive pair.
 [[nodiscard]] std::vector<HierarchyPoint> evaluateHierarchy(
     const Trace& trace, const CacheConfig& l1,
     const std::vector<CacheConfig>& l2s, const EnergyParams& energy,

@@ -26,9 +26,8 @@ bool chance(std::mt19937_64& rng, double p) { return u01(rng) < p; }
 /// the exhaustive mop-up; larger spaces never are.
 constexpr std::uint64_t kEnumerationLimit = 1ull << 20;
 
-/// A revisited child takes up to this many forced single-gene steps,
-/// then up to kDrawRetries random draws, before the enumeration.
-constexpr std::uint32_t kStepRetries = 4;
+/// A revisited child takes up to this many random draws before the
+/// enumeration.
 constexpr std::uint32_t kDrawRetries = 8;
 
 }  // namespace
@@ -50,9 +49,6 @@ NsgaSearch::NsgaSearch(Kernel kernel, DesignSpace space, ExploreOptions base,
       evaluator_(std::move(kernel), space_, std::move(base), recorder),
       workload_(evaluator_.kernel().name) {
   options_.validate();
-  for (std::size_t i = 0; i < kGeneCount; ++i) {
-    if (space_.dimSize(static_cast<Gene>(i)) > 1) movable_.push_back(i);
-  }
 }
 
 std::vector<Genome> NsgaSearch::initialPopulation(std::mt19937_64& rng) {
@@ -183,19 +179,6 @@ Genome NsgaSearch::mutate(Genome g, std::mt19937_64& rng) const {
   return g;
 }
 
-Genome NsgaSearch::step(Genome g, std::mt19937_64& rng) const {
-  // One movable gene moves one position: up or down by coin, and the
-  // other way at an end of its dimension. Pinned genes never move.
-  const std::size_t i = movable_[rng() % movable_.size()];
-  const bool up = (rng() & 1) != 0;
-  if (g[i] == 0 || (up && g[i] + 1u < space_.dimSize(static_cast<Gene>(i)))) {
-    ++g[i];
-  } else {
-    --g[i];
-  }
-  return space_.repair(g);
-}
-
 SearchResult NsgaSearch::run() {
   const obs::ScopedSpan span(recorder_, "search.run");
   std::mt19937_64 rng(options_.seed);
@@ -250,10 +233,9 @@ SearchResult NsgaSearch::run() {
   };
 
   // Breed one generation of offspring, every one a genome neither
-  // visited nor already in the batch. A revisit is stepped a few times,
-  // then replaced by a random draw, then (on enumerable spaces) by an
-  // unvisited genome of the enumeration; a child with no fresh genome
-  // left to become is dropped.
+  // visited nor already in the batch. A revisit is replaced by a random
+  // draw, then (on enumerable spaces) by an unvisited genome of the
+  // enumeration; a child with no fresh genome left to become is dropped.
   std::vector<Genome> enumeration;  // filled on first use
   const auto breed = [&](const std::vector<Individual>& parents) {
     std::vector<Genome> offspring;
@@ -276,11 +258,6 @@ SearchResult NsgaSearch::run() {
                          ? crossover(a, b, rng)
                          : a;
       child = space_.repair(mutate(child, rng));
-      for (std::uint32_t t = 0; t < kStepRetries && !fresh(child) &&
-                                !movable_.empty();
-           ++t) {
-        child = step(child, rng);
-      }
       for (std::uint32_t t = 0; t < kDrawRetries && !fresh(child); ++t) {
         child = space_.randomGenome(rng);
       }
@@ -296,8 +273,8 @@ SearchResult NsgaSearch::run() {
         }
         pooled = true;
       }
-      // Uniform pick without replacement; entries a step or draw has
-      // since put in the batch are discarded on the way.
+      // Uniform pick without replacement; entries a draw has since put
+      // in the batch are discarded on the way.
       while (!unvisited.empty()) {
         const std::size_t i =
             static_cast<std::size_t>(rng() % unvisited.size());

@@ -9,9 +9,9 @@
 //     final population: the search can only gain from points it paid
 //     for.
 //   * Every offspring is a genome the run has not seen. A child already
-//     in `visited` or in its generation's batch takes a few forced
-//     single-gene steps, then a few random draws, then (on spaces small
-//     enough to enumerate) a uniform pick among the unvisited genomes.
+//     in `visited` or in its generation's batch takes a few random
+//     draws, then (on spaces small enough to enumerate) a uniform pick
+//     among the unvisited genomes.
 //     A generation that yields no fresh genome ends the run, so the
 //     budget buys new points, and a budget-bound search ends when the
 //     budget does rather than at its generation cap. On a fresh
@@ -128,16 +128,12 @@ private:
   [[nodiscard]] Genome crossover(const Genome& a, const Genome& b,
                                  std::mt19937_64& rng) const;
   [[nodiscard]] Genome mutate(Genome g, std::mt19937_64& rng) const;
-  /// Forced single-gene step (one movable gene, one position), repaired.
-  [[nodiscard]] Genome step(Genome g, std::mt19937_64& rng) const;
 
   DesignSpace space_;
   SearchOptions options_;
   obs::Recorder* recorder_ = nullptr;
   SearchEvaluator evaluator_;
   std::string workload_;
-  /// Genes whose dimension has more than one value.
-  std::vector<std::size_t> movable_;
 };
 
 }  // namespace memx::search

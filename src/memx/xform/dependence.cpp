@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "memx/util/assert.hpp"
-#include "memx/xform/fusion.hpp"
 
 namespace memx {
 
@@ -207,53 +206,6 @@ bool interchangeIsLegal(const Kernel& kernel, std::size_t a,
     }
     std::swap(dep.distance[a], dep.distance[b]);
     if (!dep.lexNonNegative()) return false;
-  }
-  return true;
-}
-
-bool distributionIsLegal(const Kernel& kernel, std::size_t splitIndex) {
-  MEMX_EXPECTS(splitIndex > 0 && splitIndex < kernel.body.size(),
-               "split must leave both halves non-empty");
-  for (const Dependence& dep : computeDependences(kernel)) {
-    const bool crosses =
-        (dep.srcAccess < splitIndex) != (dep.dstAccess < splitIndex);
-    if (!crosses) continue;
-    // A dependence from the second group back into the first would run
-    // in reverse once all first-half iterations precede the second half.
-    if (dep.srcAccess >= splitIndex) return false;
-    // Unknown distances could hide exactly that reversed direction.
-    if (!dep.isDistanceVector()) return false;
-  }
-  return true;
-}
-
-bool fusionIsLegal(const Kernel& first, const Kernel& second) {
-  if (!sameIterationSpace(first, second)) return false;
-  // Build the fused view so shared arrays line up; fuseKernels throws
-  // on shape conflicts, which also makes fusion illegal.
-  Kernel fused;
-  try {
-    fused = fuseKernels(first, second);
-  } catch (const ContractViolation&) {
-    return false;
-  }
-  const std::size_t split = first.body.size();
-  const std::size_t depth = fused.nest.depth();
-
-  for (std::size_t i = 0; i < split; ++i) {
-    for (std::size_t j = split; j < fused.body.size(); ++j) {
-      const ArrayAccess& a = fused.body[i];
-      const ArrayAccess& b = fused.body[j];
-      if (a.arrayIndex != b.arrayIndex) continue;
-      if (a.type != AccessType::Write && b.type != AccessType::Write) {
-        continue;
-      }
-      const MaybeDistance solved = solveDistance(a, b, depth);
-      if (!solved) continue;
-      Dependence probe;
-      probe.distance = *solved;
-      if (!probe.lexNonNegative()) return false;
-    }
   }
   return true;
 }

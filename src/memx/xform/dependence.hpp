@@ -1,6 +1,6 @@
 // Data-dependence analysis for loop transforms.
 //
-// The tiling/interchange/fusion transforms in this library are purely
+// The tiling and interchange transforms in this library are purely
 // structural (they reorder a traversal for trace generation); a compiler
 // would have to prove them legal first. This module computes dependence
 // distance vectors between uniformly generated references and derives
@@ -10,9 +10,7 @@
 //    permutable — every dependence distance component in the band is
 //    known and non-negative (Wolf-Lam),
 //  * interchange is legal iff every permuted distance vector stays
-//    lexicographically non-negative,
-//  * fusion is legal iff the second kernel only consumes values the
-//    first produced at the same or an earlier iteration.
+//    lexicographically non-negative.
 //
 // Solving H d = delta_c in general needs integer linear algebra; this
 // implementation handles the common single-coefficient subscripts
@@ -80,10 +78,5 @@ struct Dependence {
 /// non-negative.
 [[nodiscard]] bool interchangeIsLegal(const Kernel& kernel, std::size_t a,
                                       std::size_t b);
-
-/// Fusing `second` after `first` (same iteration space) never makes the
-/// fused body consume a value before it is produced.
-[[nodiscard]] bool fusionIsLegal(const Kernel& first,
-                                 const Kernel& second);
 
 }  // namespace memx

@@ -108,42 +108,6 @@ Kernel tile2D(const Kernel& kernel, std::int64_t tileSize) {
   return tileLoops(kernel, {0, 1}, tileSize);
 }
 
-Kernel skew(const Kernel& kernel, std::size_t target, std::size_t source,
-            std::int64_t factor) {
-  kernel.validate();
-  MEMX_EXPECTS(target < kernel.nest.depth() &&
-                   source < kernel.nest.depth(),
-               "skew level out of range");
-  MEMX_EXPECTS(source < target, "skew source must be an outer loop");
-  requireRectangular(kernel, "skewing");
-
-  std::vector<Loop> loops = kernel.nest.loops();
-  Loop& t = loops[target];
-  // Bounds become lo + f*s .. hi + f*s (affine in the source variable).
-  for (AffineExpr& e : t.lower.exprs) {
-    e = e.plus(AffineExpr::var(source, factor));
-  }
-  for (AffineExpr& e : t.upper.exprs) {
-    e = e.plus(AffineExpr::var(source, factor));
-  }
-
-  Kernel out;
-  out.name = kernel.name + "_skew";
-  out.arrays = kernel.arrays;
-  out.nest = LoopNest(std::move(loops));
-  out.body = kernel.body;
-  // Substitute t = t' - f*s in every subscript.
-  for (ArrayAccess& acc : out.body) {
-    for (AffineExpr& e : acc.subscripts) {
-      const std::int64_t ct = e.coeff(target);
-      if (ct == 0) continue;
-      e = e.plus(AffineExpr::var(source, -factor * ct));
-    }
-  }
-  out.validate();
-  return out;
-}
-
 Kernel interchange(const Kernel& kernel, std::size_t a, std::size_t b) {
   kernel.validate();
   MEMX_EXPECTS(a < kernel.nest.depth() && b < kernel.nest.depth(),

@@ -38,14 +38,4 @@ namespace memx {
 [[nodiscard]] Kernel interchange(const Kernel& kernel, std::size_t a,
                                  std::size_t b);
 
-/// Skew loop `target` by `factor` times loop `source` (source must be an
-/// outer loop): the new induction variable is t' = t + factor * s, its
-/// bounds shift with s, and every subscript substitutes t = t' - f*s.
-/// The traversal order (and hence the trace) is unchanged; what changes
-/// is the dependence distances — d'_target = d_target + f * d_source —
-/// which is exactly what makes wavefront stencils tileable (Wolf-Lam).
-/// Requires constant bounds.
-[[nodiscard]] Kernel skew(const Kernel& kernel, std::size_t target,
-                          std::size_t source, std::int64_t factor);
-
 }  // namespace memx

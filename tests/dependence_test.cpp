@@ -3,7 +3,6 @@
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/xform/dependence.hpp"
-#include "memx/xform/fusion.hpp"
 
 namespace memx {
 namespace {
@@ -168,109 +167,10 @@ TEST(Legality, InterchangeRejectsOutOfRange) {
                ContractViolation);
 }
 
-TEST(Legality, FusionLegalForProducerConsumer) {
-  // scale: c = 2a; sum: d = c + a — sum reads what scale wrote at the
-  // same iteration: legal.
-  Kernel scale;
-  scale.name = "scale";
-  scale.arrays = {ArrayDecl{"a", {8, 8}, 1}, ArrayDecl{"c", {8, 8}, 1}};
-  scale.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
-  scale.body = {makeAccess(0, {I(), J()}),
-                makeAccess(1, {I(), J()}, AccessType::Write)};
-  Kernel sum;
-  sum.name = "sum";
-  sum.arrays = {ArrayDecl{"c", {8, 8}, 1}, ArrayDecl{"d", {8, 8}, 1}};
-  sum.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
-  sum.body = {makeAccess(0, {I(), J()}),
-              makeAccess(1, {I(), J()}, AccessType::Write)};
-  EXPECT_TRUE(fusionIsLegal(scale, sum));
-}
-
-TEST(Legality, FusionIllegalWhenConsumerLooksAhead) {
-  // second reads c[i+1][j]: at iteration i it needs a value the fused
-  // first part has not produced yet.
-  Kernel scale;
-  scale.name = "scale";
-  scale.arrays = {ArrayDecl{"c", {9, 8}, 1}};
-  scale.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
-  scale.body = {makeAccess(0, {I(), J()}, AccessType::Write)};
-  Kernel ahead;
-  ahead.name = "ahead";
-  ahead.arrays = {ArrayDecl{"c", {9, 8}, 1}, ArrayDecl{"d", {8, 8}, 1}};
-  ahead.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
-  ahead.body = {makeAccess(0, {I(+1), J()}),
-                makeAccess(1, {I(), J()}, AccessType::Write)};
-  EXPECT_FALSE(fusionIsLegal(scale, ahead));
-}
-
-TEST(Legality, FusionIllegalOnShapeConflict) {
-  Kernel a;
-  a.name = "a";
-  a.arrays = {ArrayDecl{"x", {8, 8}, 1}};
-  a.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
-  a.body = {makeAccess(0, {I(), J()}, AccessType::Write)};
-  Kernel b = a;
-  b.name = "b";
-  b.arrays[0].elemBytes = 4;
-  EXPECT_FALSE(fusionIsLegal(a, b));
-}
-
-TEST(Legality, FusionIllegalOnDifferentSpaces) {
-  EXPECT_FALSE(fusionIsLegal(flowKernel(8), flowKernel(16)));
-}
-
 TEST(Dependence, RowAntiInterchangeStillLegal) {
   // Distance (0,1): swapping loops gives (1,0) — still lexicographically
   // positive, so interchange is legal here.
   EXPECT_TRUE(interchangeIsLegal(rowAntiKernel(), 0, 1));
-}
-
-TEST(Legality, DistributionLegalForIndependentStatements) {
-  // c[i][j] = a[i][j]; d[i][j] = b[i][j]: the halves share nothing.
-  Kernel k;
-  k.name = "indep";
-  k.arrays = {ArrayDecl{"a", {8, 8}, 1}, ArrayDecl{"c", {8, 8}, 1},
-              ArrayDecl{"b", {8, 8}, 1}, ArrayDecl{"d", {8, 8}, 1}};
-  k.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
-  k.body = {makeAccess(0, {I(), J()}),
-            makeAccess(1, {I(), J()}, AccessType::Write),
-            makeAccess(2, {I(), J()}),
-            makeAccess(3, {I(), J()}, AccessType::Write)};
-  EXPECT_TRUE(distributionIsLegal(k, 2));
-}
-
-TEST(Legality, DistributionLegalForForwardFlow) {
-  // c written in the first half, read in the second at the same
-  // iteration: the dependence still points first -> second afterwards.
-  Kernel k;
-  k.name = "forward";
-  k.arrays = {ArrayDecl{"a", {8, 8}, 1}, ArrayDecl{"c", {8, 8}, 1},
-              ArrayDecl{"d", {8, 8}, 1}};
-  k.nest = LoopNest::rectangular({{0, 7}, {0, 7}});
-  k.body = {makeAccess(0, {I(), J()}),
-            makeAccess(1, {I(), J()}, AccessType::Write),
-            makeAccess(1, {I(), J()}),
-            makeAccess(2, {I(), J()}, AccessType::Write)};
-  EXPECT_TRUE(distributionIsLegal(k, 2));
-}
-
-TEST(Legality, DistributionIllegalWhenSecondFeedsFirst) {
-  // First half reads c[i-1][j] that the SECOND half writes: iteration
-  // i+1's read needs iteration i's (second-half) write — distribution
-  // runs all reads first. Illegal.
-  Kernel k;
-  k.name = "backward";
-  k.arrays = {ArrayDecl{"c", {9, 8}, 1}, ArrayDecl{"d", {8, 8}, 1}};
-  k.nest = LoopNest::rectangular({{1, 7}, {0, 7}});
-  k.body = {makeAccess(0, {I(-1), J()}),
-            makeAccess(1, {I(), J()}, AccessType::Write),
-            makeAccess(0, {I(), J()}, AccessType::Write)};
-  EXPECT_FALSE(distributionIsLegal(k, 2));
-}
-
-TEST(Legality, DistributionRejectsBadSplit) {
-  EXPECT_THROW((void)distributionIsLegal(compressKernel(), 0),
-               ContractViolation);
 }
 
 TEST(Dependence, ToStringNames) {

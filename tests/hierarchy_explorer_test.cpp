@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "memx/cachesim/bus_monitor.hpp"
+#include "memx/check/ref_cache_sim.hpp"
 #include "memx/core/hierarchy_explorer.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/loopir/trace_gen.hpp"
@@ -68,7 +69,7 @@ TEST(HierarchyExplorer, RejectsEmptyAndNonInclusiveL2s) {
                ContractViolation);
 }
 
-TEST(HierarchyExplorer, MatchesCacheHierarchyPerPair) {
+TEST(HierarchyExplorer, MatchesTheOracleHierarchyPerPair) {
   const Trace t = generateTrace(matrixAddKernel(8, 1));
   CacheConfig l1 = cfg(64, 8, 2);
   l1.writePolicy = WritePolicy::WriteBack;
@@ -77,11 +78,11 @@ TEST(HierarchyExplorer, MatchesCacheHierarchyPerPair) {
   const auto points = evaluate(t, l1, l2s);
   ASSERT_EQ(points.size(), l2s.size());
   for (std::size_t i = 0; i < l2s.size(); ++i) {
-    CacheHierarchy stack(l1, l2s[i]);
-    stack.run(t);
-    EXPECT_EQ(points[i].l1MissRate, stack.stats().l1.missRate());
-    EXPECT_EQ(points[i].globalMissRate, stack.stats().globalMissRate());
-    EXPECT_EQ(points[i].cycles, HierarchyTiming{}.cycles(stack.stats()));
+    const RefHierarchyStats ref = refSimulateHierarchy(l1, l2s[i], t);
+    const HierarchyStats want{ref.l1, ref.l2};
+    EXPECT_EQ(points[i].l1MissRate, want.l1.missRate());
+    EXPECT_EQ(points[i].globalMissRate, want.globalMissRate());
+    EXPECT_EQ(points[i].cycles, HierarchyTiming{}.cycles(want));
   }
 }
 
@@ -186,6 +187,11 @@ TEST(HierarchyExplorer, RecorderIsBitIdenticalAndCountsTheBanks) {
   }
   EXPECT_EQ(recorder.counterValue("sim.accesses"), l2Accesses);
   EXPECT_EQ(recorder.counterValue("sweep.groups_stackdist"), 0u);
+  // One hierarchy.evaluate span per evaluateHierarchy call (one per L1).
+  const obs::RunReport report = recorder.report();
+  const obs::PhaseStat* evaluate = report.phase("hierarchy.evaluate");
+  ASSERT_NE(evaluate, nullptr);
+  EXPECT_EQ(evaluate->count, 4u);
 }
 
 TEST(HierarchyExplorer, PaperBenchmarksMatchGolden) {
