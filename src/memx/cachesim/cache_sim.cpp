@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -18,7 +19,9 @@ namespace {
 /// Zeroed allocations at least this large are mapped, not heap-allocated.
 /// calloc alone is not enough: glibc raises its mmap threshold after the
 /// first large free, so later multi-MiB callocs come from the heap and
-/// are memset, committing every page.
+/// are memset, committing every page. Smaller arrays keep a cache line
+/// of padding on each side, like every array a streamed lane writes
+/// (util/cache_line.hpp).
 constexpr std::size_t kMapThresholdBytes = std::size_t{64} << 10;
 
 void* allocateZeroed(std::size_t bytes) {
@@ -29,16 +32,17 @@ void* allocateZeroed(std::size_t bytes) {
     if (p == MAP_FAILED) throw std::bad_alloc();
     return p;
   }
-  void* p = std::calloc(bytes, 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+  auto* block =
+      static_cast<std::byte*>(std::calloc(bytes + 2 * kCacheLineBytes, 1));
+  if (block == nullptr) throw std::bad_alloc();
+  return block + kCacheLineBytes;
 }
 
 void releaseZeroed(void* p, std::size_t bytes) noexcept {
   if (bytes >= kMapThresholdBytes) {
     ::munmap(p, bytes);
-  } else {
-    std::free(p);
+  } else if (p != nullptr) {
+    std::free(static_cast<std::byte*>(p) - kCacheLineBytes);
   }
 }
 

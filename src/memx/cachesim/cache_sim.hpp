@@ -14,6 +14,7 @@
 #include "memx/cachesim/cache_config.hpp"
 #include "memx/cachesim/cache_stats.hpp"
 #include "memx/trace/trace.hpp"
+#include "memx/util/cache_line.hpp"
 
 namespace memx {
 
@@ -148,7 +149,7 @@ private:
   std::uint64_t setMask_ = 0;  ///< numSets - 1
   LineArray lines_;  ///< numSets * associativity, set-major
   /// One tree per set (<= 64 ways); empty unless the policy is TreePLRU.
-  std::vector<std::uint64_t> plruBits_;
+  PaddedVector<std::uint64_t> plruBits_;
   std::uint64_t clock_ = 0;
   CacheStats stats_;
   std::mt19937_64 rng_;

@@ -7,11 +7,9 @@
 #include "memx/cachesim/fully_assoc_lru.hpp"
 #include "memx/cachesim/hierarchy.hpp"
 #include "memx/cachesim/miss_classifier.hpp"
-#include "memx/cachesim/multi_sim.hpp"
 #include "memx/check/random_gen.hpp"
 #include "memx/check/ref_cache_sim.hpp"
 #include "memx/core/config_bank.hpp"
-#include "memx/stackdist/stackdist_sim.hpp"
 
 namespace memx {
 
@@ -111,18 +109,18 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
     if (!d.empty()) return d;
   }
 
-  // Path 3: MultiCacheSim bank — primary, its L2 companion and a
+  // Path 3: MultiSim bank — primary, its L2 companion and a
   // direct-mapped sibling share one pass; every member must match a
   // fresh oracle run.
   {
     CacheConfig sibling = c.config;
     sibling.associativity = 1;
     const std::vector<CacheConfig> bank = {c.config, c.l2, sibling};
-    MultiCacheSim multi(bank);
+    ConfigBank multi(SweepBackend::MultiSim, bank);
     multi.run(trace);
     for (std::size_t i = 0; i < bank.size(); ++i) {
       const std::string d =
-          diffStats("MultiCacheSim[" + std::to_string(i) + "]",
+          diffStats("MultiSimBank[" + std::to_string(i) + "]",
                     refSimulateTrace(bank[i], trace), multi.stats(i));
       if (!d.empty()) return d;
     }
@@ -144,8 +142,8 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
 
   // Path 5 is retired; the paths after it keep their numbers.
 
-  // Path 6: stack-distance bank. c.lru is always in StackDistSim's
-  // domain; its fully-associative and direct-mapped siblings ride in
+  // Path 6: stack-distance bank. c.lru is always in the StackDist
+  // engine's domain; its fully-associative and direct-mapped siblings ride in
   // the same bank so one profile is read at three (sets, ways) corners,
   // and a write-back sibling guarantees every case exercises the
   // dirty-stack accounting even when c.lru drew write-through. Every
@@ -160,7 +158,7 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
     CacheConfig wb = c.lru;
     wb.writePolicy = WritePolicy::WriteBack;
     const std::vector<CacheConfig> bank = {c.lru, fa, dm, wb};
-    StackDistSim stackBank(bank);
+    ConfigBank stackBank(SweepBackend::StackDist, bank);
     stackBank.run(trace);
     for (std::size_t i = 0; i < bank.size(); ++i) {
       const CacheStats oracleStats = refSimulateTrace(bank[i], trace);
@@ -178,7 +176,7 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
   }
 
   // Path 7: policy-grid bank. c.grid draws FIFO or tree-PLRU (both
-  // write policies across seeds), so this bank lands on StackDistSim's
+  // write policies across seeds), so this StackDist bank lands on the
   // PolicyGridProfile engine instead of the Hill–Smith profile. The
   // same sibling scheme as path 6 reads the single pass at several
   // (sets, ways) corners — fully-associative (capped at the grid's
@@ -194,7 +192,7 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
     CacheConfig wb = c.grid;
     wb.writePolicy = WritePolicy::WriteBack;
     const std::vector<CacheConfig> bank = {c.grid, fa, dm, wb};
-    StackDistSim gridBank(bank);
+    ConfigBank gridBank(SweepBackend::StackDist, bank);
     gridBank.run(trace);
     for (std::size_t i = 0; i < bank.size(); ++i) {
       const CacheStats oracleStats = refSimulateTrace(bank[i], trace);

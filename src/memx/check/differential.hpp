@@ -2,9 +2,9 @@
 //
 // Each seeded case replays one generated reference stream through every
 // production simulation path — CacheSim's bulk fast path, its
-// per-access outcome path, a MultiCacheSim bank, the sweep's two-level
+// per-access outcome path, a MultiSim ConfigBank, the sweep's two-level
 // L1-filter + L2 ConfigBank path, the stack-distance bank
-// (StackDistSim on an always-in-domain LRU config plus its
+// (a StackDist ConfigBank on an always-in-domain LRU config plus its
 // fully-associative and direct-mapped siblings) and the policy-grid
 // bank (the same sibling scheme on a seed-pure FIFO or tree-PLRU
 // config, exercising PolicyGridProfile) — and diffs the full
@@ -35,7 +35,7 @@ struct DiffCase {
   CacheConfig config;  ///< primary configuration under test
   CacheConfig l2;      ///< inclusive outer level for the hierarchy path
   CacheConfig lru;     ///< LRU/write-allocate config for the stack-
-                       ///< distance path (StackDistSim's domain)
+                       ///< distance path (the StackDist domain)
   CacheConfig grid;    ///< FIFO/TreePLRU write-allocate config for the
                        ///< policy-grid path (PolicyGridProfile's domain)
   Trace trace;

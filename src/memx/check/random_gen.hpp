@@ -26,7 +26,7 @@ namespace memx {
 /// L/sets/ways distribution as randomCacheConfig (from an independent
 /// rng stream), but always LRU replacement with write-allocate fills;
 /// the write policy alternates write-back / write-through with
-/// `seed % 2`. Feed these to StackDistSim-vs-simulator differentials.
+/// `seed % 2`. Feed these to StackDist-vs-simulator differentials.
 [[nodiscard]] CacheConfig randomLruCacheConfig(std::uint64_t seed);
 
 /// A random geometry restricted to the policy-grid domain: same

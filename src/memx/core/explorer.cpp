@@ -13,7 +13,6 @@
 #include "memx/layout/offchip_assign.hpp"
 #include "memx/loopir/trace_gen.hpp"
 #include "memx/obs/recorder.hpp"
-#include "memx/stackdist/stackdist_sim.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 #include "memx/util/numeric_io.hpp"
@@ -32,8 +31,8 @@ SweepBackend resolveBackend(const ExploreOptions& options) noexcept {
   CacheConfig config;
   config.writePolicy = options.writePolicy;
   config.replacement = options.replacement;
-  return StackDistSim::supports(config) ? SweepBackend::StackDist
-                                        : SweepBackend::MultiSim;
+  return ConfigBank::stackDistSupports(config) ? SweepBackend::StackDist
+                                               : SweepBackend::MultiSim;
 }
 
 DesignPoint foldPoint(const ExploreOptions& options,

@@ -70,11 +70,11 @@ struct ExploreRanges {
 /// trace. A run's engine is not chosen by the caller: resolveBackend()
 /// derives it from the run's policies.
 enum class SweepBackend : std::uint8_t {
-  /// Simulate every configuration (MultiCacheSim bank). Cost scales
+  /// Simulate every configuration (a CacheSim per member). Cost scales
   /// with the number of configurations.
   MultiSim,
-  /// Stack-distance / policy-grid analysis (StackDistSim): one profile
-  /// per line size serves every (T, S) at once, with statistics
+  /// Stack-distance / policy-grid analysis: one profile per (line
+  /// size, policy) serves every (T, S) at once, with statistics
   /// identical to simulation.
   StackDist,
 };
@@ -100,8 +100,8 @@ struct ExploreOptions {
 };
 
 /// The engine a sweep under `options` runs on: StackDist exactly when
-/// StackDistSim::supports() accepts the run's configurations (every
-/// policy but Random replacement), else MultiSim. The one backend
+/// ConfigBank::stackDistSupports() accepts the run's configurations
+/// (every policy but Random replacement), else MultiSim. The one backend
 /// resolution: Explorer, the trace sweeps and canonicalModelKey all
 /// call it, and a ConfigBank is built from its answer.
 [[nodiscard]] SweepBackend resolveBackend(const ExploreOptions& options) noexcept;

@@ -17,18 +17,6 @@ bool dominates(const Objectives& a, const Objectives& b) noexcept {
   return strict;
 }
 
-std::vector<std::size_t> bruteForceFront(std::span<const Objectives> points) {
-  std::vector<std::size_t> front;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
-      dominated = j != i && dominates(points[j], points[i]);
-    }
-    if (!dominated) front.push_back(i);
-  }
-  return front;
-}
-
 namespace {
 
 /// Indices of `points` in lexicographic order, ties by index. If a
@@ -65,42 +53,6 @@ std::vector<std::size_t> nonDominatedFront(
   }
   std::sort(front.begin(), front.end());
   return front;
-}
-
-std::vector<std::uint32_t> bruteForceRanks(
-    std::span<const Objectives> points) {
-  const std::size_t n = points.size();
-  std::vector<std::uint32_t> rank(n, 0);
-  std::vector<std::uint32_t> dominatorCount(n, 0);
-  std::vector<std::vector<std::uint32_t>> dominatedBy(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dominates(points[i], points[j])) {
-        dominatedBy[i].push_back(static_cast<std::uint32_t>(j));
-        ++dominatorCount[j];
-      } else if (dominates(points[j], points[i])) {
-        dominatedBy[j].push_back(static_cast<std::uint32_t>(i));
-        ++dominatorCount[i];
-      }
-    }
-  }
-  std::vector<std::uint32_t> current;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (dominatorCount[i] == 0) current.push_back(i);
-  }
-  std::uint32_t level = 0;
-  while (!current.empty()) {
-    std::vector<std::uint32_t> next;
-    for (const std::uint32_t i : current) {
-      rank[i] = level;
-      for (const std::uint32_t j : dominatedBy[i]) {
-        if (--dominatorCount[j] == 0) next.push_back(j);
-      }
-    }
-    current = std::move(next);
-    ++level;
-  }
-  return rank;
 }
 
 std::vector<std::uint32_t> nonDominatedRanks(

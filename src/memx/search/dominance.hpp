@@ -1,7 +1,7 @@
 // Pareto dominance over the search objectives, plus the machinery
 // NSGA-II needs on top of it: front extraction and non-dominated
-// sorting (each a quadratic brute-force oracle plus a presorted
-// production version that must agree bit for bit), crowding
+// sorting (presorted versions that must agree bit for bit with the
+// quadratic brute-force oracles in check/search_diff.hpp), crowding
 // distances, and an exact 3-D hypervolume for the bench gate.
 //
 // All objectives minimize. Dominance is strict: a dominates b iff a is
@@ -24,27 +24,17 @@ using Objectives = std::array<double, 3>;
 [[nodiscard]] bool dominates(const Objectives& a,
                              const Objectives& b) noexcept;
 
-/// Indices of the non-dominated points, ascending. Quadratic in
-/// points.size(); this is the oracle the production extractor and the
-/// search front are differentially checked against.
-[[nodiscard]] std::vector<std::size_t> bruteForceFront(
-    std::span<const Objectives> points);
-
-/// Same set as bruteForceFront (asserted by tests), computed by
+/// Indices of the non-dominated points, ascending: the same set as the
+/// bruteForceFront oracle (check/search_diff.hpp), computed by
 /// lexicographic presort: any dominator of a point precedes it in lex
 /// order, so each point only checks against already-accepted front
 /// members. O(n log n + n * front).
 [[nodiscard]] std::vector<std::size_t> nonDominatedFront(
     std::span<const Objectives> points);
 
-/// Non-dominated sort by dominator counting (Deb et al.): rank[i] = 0
-/// for the first front, 1 for the front once rank-0 points are removed,
-/// and so on. O(M * n^2) time and a list per point; this is the oracle
-/// nonDominatedRanks is differentially checked against.
-[[nodiscard]] std::vector<std::uint32_t> bruteForceRanks(
-    std::span<const Objectives> points);
-
-/// Same ranks as bruteForceRanks (asserted by tests), computed by
+/// Non-dominated ranks: rank 0 for the first front, 1 for the front
+/// once rank-0 points are removed, and so on — the same ranks as the
+/// bruteForceRanks oracle (check/search_diff.hpp), computed by
 /// efficient non-dominated sort with binary search (ENS-BS, Zhang et
 /// al., IEEE TEVC 2015) over the lexicographic presort: a copy of its
 /// lex predecessor takes the predecessor's rank; every other point

@@ -222,7 +222,7 @@ std::size_t AllAssocProfile::feedPacked(const MemRef* refs,
   // Per-reference worst (deepest) bucket at each level, so a reference
   // that straddles lines is counted as a miss iff any probe misses —
   // the same per-access accounting CacheSim uses.
-  std::vector<std::uint32_t>& worst = worst_;
+  PaddedVector<std::uint32_t>& worst = worst_;
 
   for (std::size_t i = 0; i < count; ++i) {
     const MemRef& ref = refs[i];
@@ -334,16 +334,16 @@ std::size_t AllAssocProfile::feedPacked(const MemRef* refs,
 namespace {
 
 template <typename DirtyT>
-[[nodiscard]] DirtyT* dirtyArray(std::vector<std::uint8_t>& dirty8,
-                                 std::vector<std::uint32_t>& dirty32);
+[[nodiscard]] DirtyT* dirtyArray(PaddedVector<std::uint8_t>& dirty8,
+                                 PaddedVector<std::uint32_t>& dirty32);
 template <>
-std::uint8_t* dirtyArray<std::uint8_t>(std::vector<std::uint8_t>& dirty8,
-                                       std::vector<std::uint32_t>&) {
+std::uint8_t* dirtyArray<std::uint8_t>(PaddedVector<std::uint8_t>& dirty8,
+                                       PaddedVector<std::uint32_t>&) {
   return dirty8.data();
 }
 template <>
-std::uint32_t* dirtyArray<std::uint32_t>(std::vector<std::uint8_t>&,
-                                         std::vector<std::uint32_t>& dirty32) {
+std::uint32_t* dirtyArray<std::uint32_t>(
+    PaddedVector<std::uint8_t>&, PaddedVector<std::uint32_t>& dirty32) {
   return dirty32.data();
 }
 
@@ -373,7 +373,7 @@ void AllAssocProfile::feedSplit(const MemRef* refs, std::size_t count) {
   // Per-reference worst (deepest) bucket at each level, so a reference
   // that straddles lines is counted as a miss iff any probe misses —
   // the same per-access accounting CacheSim uses.
-  std::vector<std::uint32_t>& worst = worst_;
+  PaddedVector<std::uint32_t>& worst = worst_;
 
   for (std::size_t i = 0; i < count; ++i) {
     const MemRef& ref = refs[i];
@@ -440,7 +440,7 @@ unsigned AllAssocProfile::levelOf(std::uint32_t numSets) const {
   return s;
 }
 
-std::uint64_t AllAssocProfile::tailSum(const std::vector<std::uint64_t>& hist,
+std::uint64_t AllAssocProfile::tailSum(const PaddedVector<std::uint64_t>& hist,
                                        unsigned level,
                                        std::uint32_t assoc) const {
   MEMX_EXPECTS(assoc >= 1 && assoc <= maxAssoc_,

@@ -37,8 +37,8 @@
 // comparing its threshold against d+1 during the scan yields the exact
 // per-associativity writeback count with no extra passes. Lines still
 // dirty when the trace ends are never written back, matching CacheSim.
-// See StackDistSim for the config-facing wrapper and `docs/TESTING.md`
-// for the oracle layers that pin this equivalence.
+// ConfigBank (core/config_bank.hpp) is the config-facing wrapper; see
+// `docs/TESTING.md` for the oracle layers that pin this equivalence.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +47,7 @@
 #include "memx/cachesim/cache_stats.hpp"
 #include "memx/cachesim/cache_config.hpp"
 #include "memx/trace/trace.hpp"
+#include "memx/util/cache_line.hpp"
 
 namespace memx {
 
@@ -130,7 +131,7 @@ private:
     return maxAssoc_ + std::size_t{1};
   }
   [[nodiscard]] unsigned levelOf(std::uint32_t numSets) const;
-  [[nodiscard]] std::uint64_t tailSum(const std::vector<std::uint64_t>& hist,
+  [[nodiscard]] std::uint64_t tailSum(const PaddedVector<std::uint64_t>& hist,
                                       unsigned level,
                                       std::uint32_t assoc) const;
 
@@ -171,14 +172,14 @@ private:
   unsigned numS_ = 0;  ///< set-count levels: s in [0, numS_) -> 2^s sets
 
   // Flattened histograms, indexed [level * bucketCount() + bucket].
-  std::vector<std::uint64_t> refHistRead_;   ///< per-reference worst bucket
-  std::vector<std::uint64_t> refHistWrite_;
-  std::vector<std::uint64_t> lineHist_;      ///< per-line-probe bucket
+  PaddedVector<std::uint64_t> refHistRead_;  ///< per-reference worst bucket
+  PaddedVector<std::uint64_t> refHistWrite_;
+  PaddedVector<std::uint64_t> lineHist_;     ///< per-line-probe bucket
   /// Dirty evictions per exact associativity (slot a in [1, maxAssoc]
   /// counts writebacks of the a-way cache; slot 0 unused). A direct
   /// per-assoc count, not a tail distribution: an entry crossing depth
   /// a-1 -> a leaves exactly the a-way cache.
-  std::vector<std::uint64_t> dirtyEvictHist_;
+  PaddedVector<std::uint64_t> dirtyEvictHist_;
 
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
@@ -190,10 +191,10 @@ private:
   // carries its dirty threshold in the top byte, in Split modes the
   // thresholds live in the parallel dirty8_/dirty32_ array.
   Mode mode_ = Mode::Packed;
-  std::vector<std::uint64_t> slots_;
-  std::vector<std::uint8_t> dirty8_;
-  std::vector<std::uint32_t> dirty32_;
-  std::vector<std::uint32_t> worst_;  ///< per-level scratch (straddles)
+  PaddedVector<std::uint64_t> slots_;
+  PaddedVector<std::uint8_t> dirty8_;
+  PaddedVector<std::uint32_t> dirty32_;
+  PaddedVector<std::uint32_t> worst_;  ///< per-level scratch (straddles)
 };
 
 }  // namespace memx

@@ -260,7 +260,8 @@ void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
     } else {
       ++writes_;
     }
-    std::vector<std::uint64_t>& refMiss = readLike ? readMiss_ : writeMiss_;
+    PaddedVector<std::uint64_t>& refMiss =
+        readLike ? readMiss_ : writeMiss_;
 
     const std::uint64_t firstLine = ref.addr >> lineShift_;
     const std::uint64_t lastLine = (ref.addr + ref.size - 1) >> lineShift_;

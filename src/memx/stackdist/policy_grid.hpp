@@ -48,10 +48,10 @@
 // levels.
 //
 // The profile is exact — CacheSim bit-for-bit, both write policies —
-// for FIFO or TreePLRU replacement with write-allocate fills. See
-// StackDistSim for the config-facing wrapper and docs/TESTING.md for
-// the dual-oracle layers (RefCacheSim and the retired Mattson walk)
-// that pin the equivalence.
+// for FIFO or TreePLRU replacement with write-allocate fills.
+// ConfigBank (core/config_bank.hpp) is the config-facing wrapper; see
+// docs/TESTING.md for the dual-oracle layers (RefCacheSim and the
+// retired Mattson walk) that pin the equivalence.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +61,7 @@
 #include "memx/cachesim/cache_config.hpp"
 #include "memx/cachesim/cache_stats.hpp"
 #include "memx/trace/trace.hpp"
+#include "memx/util/cache_line.hpp"
 
 namespace memx {
 
@@ -219,18 +220,18 @@ private:
   /// cascade visits only the set bits (via the plan below), and levels
   /// whose mask is empty drop out of the cascade altogether — that is
   /// the whole cost model of a restricted pass.
-  std::vector<std::uint32_t> levelMask_;
+  PaddedVector<std::uint32_t> levelMask_;
   /// Active levels in ascending (coarse-to-fine) order and their
   /// active cells, flattened; rebuilt by rebuildPlan().
-  std::vector<LevelPlan> levels_;
-  std::vector<CellPlan> cellPlan_;
+  PaddedVector<LevelPlan> levels_;
+  PaddedVector<CellPlan> cellPlan_;
 
   // Per-cell counters, indexed [s * numJ_ + j]. Hits are derived
   // (reads_/writes_ minus misses), so the fast path never touches them.
-  std::vector<std::uint64_t> readMiss_;
-  std::vector<std::uint64_t> writeMiss_;
-  std::vector<std::uint64_t> lineFill_;
-  std::vector<std::uint64_t> dirtyEvict_;
+  PaddedVector<std::uint64_t> readMiss_;
+  PaddedVector<std::uint64_t> writeMiss_;
+  PaddedVector<std::uint64_t> lineFill_;
+  PaddedVector<std::uint64_t> dirtyEvict_;
 
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
@@ -244,19 +245,19 @@ private:
   // keySub within its set's strip. The per-set words — FIFO cursor,
   // PLRU tree bits, dirty way mask — are striped the same way with
   // setStride words per set.
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> cursor_;    ///< FIFO round-robin fill way
-  std::vector<std::uint64_t> treeBits_;  ///< PLRU tree, CacheSim layout
-  std::vector<std::uint64_t> dirtyMask_; ///< per-way dirty bits
+  PaddedVector<std::uint64_t> keys_;
+  PaddedVector<std::uint32_t> cursor_;    ///< FIFO round-robin fill way
+  PaddedVector<std::uint64_t> treeBits_;  ///< PLRU tree, CacheSim layout
+  PaddedVector<std::uint64_t> dirtyMask_; ///< per-way dirty bits
 
   // MRU short-circuit state: per (active set level, set), the key of
   // the last line probed there and whether that probe left it dirty in
   // every cell of the set (see the header comment for the cross-level
   // covering argument). A level's block starts at its mruBase.
-  std::vector<std::uint64_t> mruKey_;
-  std::vector<std::uint8_t> mruDirty_;
+  PaddedVector<std::uint64_t> mruKey_;
+  PaddedVector<std::uint8_t> mruDirty_;
 
-  std::vector<std::uint8_t> anyMiss_;  ///< per-cell scratch (straddles)
+  PaddedVector<std::uint8_t> anyMiss_;  ///< per-cell scratch (straddles)
 };
 
 }  // namespace memx

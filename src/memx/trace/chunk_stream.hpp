@@ -1,9 +1,10 @@
-// The streamed replay loop both simulation engines share.
+// The streamed replay loop behind ConfigBank::run(TraceSource&).
 //
 // A streamed pass has two kinds of work per chunk: decoding the next
 // references out of the source (inflate, din parse, windowing, bus
-// metering) and feeding the chunk to the engine's independent lanes
-// (StackDistSim's per-(line size, policy) profiles). streamChunks runs
+// metering) and feeding the chunk to the bank's independent lanes (one
+// per member group: a stack-distance or policy-grid profile, or the
+// simulators sharing one line size). streamChunks runs
 // them side by side: a decoder thread fills chunk k+1 while the lanes
 // consume chunk k, and the lanes of one chunk run on separate threads.
 // A pass then costs about its slowest stage instead of the sum.

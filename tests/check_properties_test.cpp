@@ -219,7 +219,7 @@ TEST_P(PropertySweep, StackDistMissesMonotoneInCacheSizeAtFixedWays) {
 
 // --- Engine contract: explore() resolves LRU, FIFO and tree-PLRU
 // sweeps to the analytic engine, and its points must be bit-identical
-// to the same plan drained with every group on MultiCacheSim, on the
+// to the same plan drained with every group on the MultiSim engine, on the
 // workloads the golden corpus pins (so any drift is double-caught).
 // The write-energy metric reads memWrites and writebacks, so the
 // write-back + includeWriteEnergy runs pin the dirty-stack and

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "memx/search/dominance.hpp"
-#include "memx/search/search_diff.hpp"
+#include "memx/check/search_diff.hpp"
 #include "ranking_cases.hpp"
 
 namespace memx::search {

@@ -18,7 +18,7 @@
 #include "memx/search/evaluator.hpp"
 #include "memx/search/front_io.hpp"
 #include "memx/search/nsga.hpp"
-#include "memx/search/search_diff.hpp"
+#include "memx/check/search_diff.hpp"
 #include "memx/util/assert.hpp"
 #include "ranking_cases.hpp"
 

@@ -1,6 +1,7 @@
 // Known-answer and oracle tests for the stack-distance engine: the
 // OrderedStack Fenwick core, the Hill-Smith all-associativity profile
-// and the StackDistSim bank. Hand-traced expectations are pinned like
+// and the policy-grid profile (the bank over both is tested in
+// config_bank_test.cpp). Hand-traced expectations are pinned like
 // ref_cache_sim_test.cpp; everything else is diffed against CacheSim
 // or the naive reference walk (memx/check/ref_stack_dist.hpp).
 #include <gtest/gtest.h>
@@ -10,13 +11,11 @@
 #include <vector>
 
 #include "memx/cachesim/cache_sim.hpp"
-#include "memx/cachesim/multi_sim.hpp"
 #include "memx/check/random_gen.hpp"
 #include "memx/check/ref_stack_dist.hpp"
 #include "memx/stackdist/all_assoc.hpp"
 #include "memx/stackdist/ordered_stack.hpp"
 #include "memx/stackdist/policy_grid.hpp"
-#include "memx/stackdist/stackdist_sim.hpp"
 #include "memx/trace/working_set.hpp"
 #include "memx/util/assert.hpp"
 
@@ -578,162 +577,6 @@ TEST(PolicyGridProfile, RejectsBadArguments) {
   Trace bad;
   bad.push(MemRef{0, 0, AccessType::Read});
   EXPECT_THROW(PGP(bad, fifo, 8, 1, 1), ContractViolation);
-}
-
-// --- StackDistSim ----------------------------------------------------
-
-TEST(StackDistSim, MatchesMultiCacheSimAcrossRandomLruBanks) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    // Mixed line sizes in one bank exercise the per-line-size grouping.
-    const std::vector<CacheConfig> bank = {
-        randomLruCacheConfig(seed),
-        randomLruCacheConfig(seed + 1000),
-        randomLruCacheConfig(seed + 2000),
-    };
-    const Trace trace = randomCheckTrace(seed, 200, 800);
-
-    StackDistSim analytic(bank);
-    analytic.run(trace);
-    MultiCacheSim simulated(bank);
-    simulated.run(trace);
-
-    for (std::size_t i = 0; i < bank.size(); ++i) {
-      const CacheStats& want = simulated.stats(i);
-      const CacheStats& got = analytic.stats(i);
-      ASSERT_EQ(got.readMisses, want.readMisses)
-          << "seed " << seed << " " << bank[i].label();
-      ASSERT_EQ(got.writeMisses, want.writeMisses)
-          << "seed " << seed << " " << bank[i].label();
-      ASSERT_EQ(got.readHits, want.readHits);
-      ASSERT_EQ(got.writeHits, want.writeHits);
-      ASSERT_EQ(got.lineFills, want.lineFills);
-      ASSERT_EQ(got.memWrites, want.memWrites);
-      ASSERT_EQ(got.writebacks, want.writebacks)
-          << "seed " << seed << " " << bank[i].label();
-    }
-  }
-}
-
-TEST(StackDistSim, GroupsSharingALineSizeUseOnePass) {
-  CacheConfig a = randomLruCacheConfig(2);  // write-back variant
-  CacheConfig b = a;
-  b.associativity = 1;
-  CacheConfig c = a;
-  c.sizeBytes *= 2;
-  CacheConfig d = a;
-  d.lineBytes *= 2;
-  d.sizeBytes *= 2;
-  const StackDistSim bankSim({a, b, c, d});
-  EXPECT_EQ(bankSim.size(), 4u);
-  EXPECT_EQ(bankSim.passCount(), 2u);  // two distinct line sizes
-}
-
-TEST(StackDistSim, RejectsConfigsOutsideItsDomain) {
-  // FIFO and tree-PLRU sweeps are served by the PolicyGridProfile
-  // engine; only Random replacement (simulator-owned rng stream) and
-  // no-write-allocate caches still require simulation.
-  CacheConfig fifo = randomLruCacheConfig(1);
-  fifo.replacement = ReplacementPolicy::FIFO;
-  EXPECT_TRUE(StackDistSim::supports(fifo));
-
-  CacheConfig plru = randomLruCacheConfig(1);
-  plru.replacement = ReplacementPolicy::TreePLRU;
-  EXPECT_TRUE(StackDistSim::supports(plru));
-
-  CacheConfig rnd = randomLruCacheConfig(1);
-  rnd.replacement = ReplacementPolicy::Random;
-  EXPECT_FALSE(StackDistSim::supports(rnd));
-  EXPECT_THROW(StackDistSim({rnd}), ContractViolation);
-
-  CacheConfig noAlloc = randomLruCacheConfig(1);
-  noAlloc.allocatePolicy = AllocatePolicy::NoWriteAllocate;
-  EXPECT_FALSE(StackDistSim::supports(noAlloc));
-  EXPECT_THROW(StackDistSim({noAlloc}), ContractViolation);
-
-  EXPECT_TRUE(StackDistSim::supports(randomLruCacheConfig(1)));
-  EXPECT_THROW(StackDistSim({}), ContractViolation);
-}
-
-TEST(StackDistSim, FifoAndPlruGroupsUseTheGridEngine) {
-  CacheConfig lru = randomLruCacheConfig(2);
-  CacheConfig fifo = lru;
-  fifo.replacement = ReplacementPolicy::FIFO;
-  CacheConfig plru = lru;
-  plru.replacement = ReplacementPolicy::TreePLRU;
-  plru.sizeBytes *= 2;
-  const StackDistSim bank({lru, fifo, plru});
-  EXPECT_EQ(bank.size(), 3u);
-  // Same line size but three distinct replacement policies: one LRU
-  // pass plus two analytic grid passes.
-  EXPECT_EQ(bank.passCount(), 3u);
-  EXPECT_EQ(bank.gridPassCount(), 2u);
-  EXPECT_GT(bank.gridCellCount(), 0u);
-}
-
-TEST(StackDistSim, MatchesMultiCacheSimAcrossRandomGridBanks) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    CacheConfig fifo = randomLruCacheConfig(seed);
-    fifo.replacement = ReplacementPolicy::FIFO;
-    CacheConfig plru = randomLruCacheConfig(seed + 1000);
-    plru.replacement = ReplacementPolicy::TreePLRU;
-    const std::vector<CacheConfig> bank = {fifo, plru,
-                                           randomLruCacheConfig(seed + 2000)};
-    const Trace trace = randomCheckTrace(seed, 200, 800);
-
-    StackDistSim analytic(bank);
-    analytic.run(trace);
-    MultiCacheSim simulated(bank);
-    simulated.run(trace);
-
-    for (std::size_t i = 0; i < bank.size(); ++i) {
-      const CacheStats& want = simulated.stats(i);
-      const CacheStats& got = analytic.stats(i);
-      ASSERT_EQ(got.readMisses, want.readMisses)
-          << "seed " << seed << " " << bank[i].label();
-      ASSERT_EQ(got.writeMisses, want.writeMisses)
-          << "seed " << seed << " " << bank[i].label();
-      ASSERT_EQ(got.readHits, want.readHits);
-      ASSERT_EQ(got.writeHits, want.writeHits);
-      ASSERT_EQ(got.lineFills, want.lineFills);
-      ASSERT_EQ(got.memWrites, want.memWrites);
-      ASSERT_EQ(got.writebacks, want.writebacks)
-          << "seed " << seed << " " << bank[i].label();
-    }
-  }
-}
-
-TEST(StackDistSim, RepeatedRunsContinueOneStream) {
-  // Like MultiCacheSim, the bank is incremental: nothing fed reads as
-  // zero, and running the same trace twice equals one run of the trace
-  // followed by itself.
-  StackDistSim bank({randomLruCacheConfig(3)});
-  EXPECT_EQ(bank.stats(0).accesses(), 0u);
-  const Trace trace = randomCheckTrace(3, 50, 100);
-  bank.run(trace);
-  bank.run(trace);
-  Trace twice = trace;
-  twice.append(trace);
-  const CacheStats want = simulateTrace(bank.config(0), twice);
-  const CacheStats& got = bank.stats(0);
-  EXPECT_EQ(got.readMisses, want.readMisses);
-  EXPECT_EQ(got.writeMisses, want.writeMisses);
-  EXPECT_EQ(got.readHits, want.readHits);
-  EXPECT_EQ(got.writeHits, want.writeHits);
-  EXPECT_EQ(got.writebacks, want.writebacks);
-}
-
-TEST(StackDistSim, ConvenienceWrapperPreservesInputOrder) {
-  const std::vector<CacheConfig> bank = {randomLruCacheConfig(5),
-                                         randomLruCacheConfig(6)};
-  const Trace trace = randomCheckTrace(5, 100, 200);
-  const std::vector<CacheStats> stats = stackDistStats(bank, trace);
-  ASSERT_EQ(stats.size(), 2u);
-  StackDistSim direct(bank);
-  direct.run(trace);
-  for (std::size_t i = 0; i < bank.size(); ++i) {
-    EXPECT_EQ(stats[i].misses(), direct.stats(i).misses());
-    EXPECT_EQ(stats[i].accesses(), direct.stats(i).accesses());
-  }
 }
 
 }  // namespace

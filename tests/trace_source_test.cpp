@@ -12,10 +12,9 @@
 #include <string>
 #include <thread>
 
-#include "memx/cachesim/multi_sim.hpp"
+#include "memx/core/config_bank.hpp"
 #include "memx/core/trace_explorer.hpp"
 #include "memx/obs/recorder.hpp"
-#include "memx/stackdist/stackdist_sim.hpp"
 #include "memx/trace/chunk_stream.hpp"
 #include "memx/trace/din_io.hpp"
 #include "memx/trace/file_source.hpp"
@@ -345,13 +344,22 @@ std::vector<CacheConfig> sweepBank() {
 }
 
 TEST(ChunkedReplay, MultiCacheSimMatchesWholeTraceRun) {
+  // FIFO and Random members join the LRU sweep, so each line size's
+  // simulators (one streamed lane each) mix every replacement state.
   const Trace trace = mixedTrace(3000, 23);
-  const std::vector<CacheConfig> configs = sweepBank();
-  MultiCacheSim whole(configs);
+  std::vector<CacheConfig> configs = sweepBank();
+  for (const ReplacementPolicy policy :
+       {ReplacementPolicy::FIFO, ReplacementPolicy::Random}) {
+    for (CacheConfig c : sweepBank()) {
+      c.replacement = policy;
+      configs.push_back(c);
+    }
+  }
+  ConfigBank whole(SweepBackend::MultiSim, configs);
   whole.run(trace);
   for (const std::size_t chunkRefs : {std::size_t{1}, std::size_t{7},
                                       std::size_t{256}}) {
-    MultiCacheSim chunked(configs);
+    ConfigBank chunked(SweepBackend::MultiSim, configs);
     VectorTraceSource source(trace);
     chunked.run(source, chunkRefs);
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -365,11 +373,11 @@ TEST(ChunkedReplay, MultiCacheSimMatchesWholeTraceRun) {
 TEST(ChunkedReplay, StackDistSimMatchesWholeTraceRun) {
   const Trace trace = mixedTrace(3000, 27);
   const std::vector<CacheConfig> configs = sweepBank();
-  StackDistSim whole(configs);
+  ConfigBank whole(SweepBackend::StackDist, configs);
   whole.run(trace);
   for (const std::size_t chunkRefs : {std::size_t{1}, std::size_t{13},
                                       std::size_t{512}}) {
-    StackDistSim chunked(configs);
+    ConfigBank chunked(SweepBackend::StackDist, configs);
     VectorTraceSource source(trace);
     chunked.run(source, chunkRefs);
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -390,13 +398,13 @@ TEST(ChunkedReplay, StackDistSimAccumulatesAcrossRunCalls) {
     (i < trace.size() / 2 ? firstHalf : secondHalf).push(trace[i]);
   }
   const std::vector<CacheConfig> configs = sweepBank();
-  StackDistSim whole(configs);
+  ConfigBank whole(SweepBackend::StackDist, configs);
   whole.run(trace);
-  StackDistSim split(configs);
+  ConfigBank split(SweepBackend::StackDist, configs);
   VectorTraceSource a(firstHalf);
   VectorTraceSource b(secondHalf);
-  split.run(a);
-  split.run(b);
+  split.run(a, kDefaultTraceChunkRefs);
+  split.run(b, kDefaultTraceChunkRefs);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     expectSameStats(split.stats(i), whole.stats(i),
                     "member " + std::to_string(i));
@@ -413,12 +421,12 @@ TEST(ChunkedReplay, StackDistSimMixesModesAsOneStream) {
     (i < 100 ? head : tail).push(trace[i]);
   }
   const std::vector<CacheConfig> configs = sweepBank();
-  StackDistSim whole(configs);
+  ConfigBank whole(SweepBackend::StackDist, configs);
   whole.run(trace);
-  StackDistSim mixed(configs);
+  ConfigBank mixed(SweepBackend::StackDist, configs);
   mixed.run(head);
   VectorTraceSource source(tail);
-  EXPECT_EQ(mixed.run(source, 13), tail.size());
+  mixed.run(source, 13);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     expectSameStats(mixed.stats(i), whole.stats(i),
                     "member " + std::to_string(i));
