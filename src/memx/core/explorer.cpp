@@ -88,7 +88,7 @@ std::string canonicalModelKey(const ExploreOptions& options) {
   const auto d = [&](const char* name, double v) {
     key += name;
     key += '=';
-    key += formatDouble17(v);
+    appendDouble17(key, v);
     key += ';';
   };
   d("alpha", e.alphaPj);
@@ -101,9 +101,15 @@ std::string canonicalModelKey(const ExploreOptions& options) {
   u("abits", e.addressBits);
   d("leak", e.leakagePjPerBytePerCycle);
   key += "hit=";
-  for (const double v : t.hitCyclesByAssoc) key += formatDouble17(v) + ",";
+  for (const double v : t.hitCyclesByAssoc) {
+    appendDouble17(key, v);
+    key += ',';
+  }
   key += ";miss=";
-  for (const double v : t.missCyclesByLine) key += formatDouble17(v) + ",";
+  for (const double v : t.missCyclesByLine) {
+    appendDouble17(key, v);
+    key += ',';
+  }
   key += ';';
   u("layout", options.optimizeLayout ? 1 : 0);
   u("bus", options.measureBusActivity ? 1 : 0);

@@ -1,7 +1,7 @@
 #include "memx/report/result_io.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -32,6 +32,19 @@ std::string csvEscape(const std::string& field) {
   out += '"';
   return out;
 }
+
+/// Append `v` in decimal. The buffer holds the longest std::uint64_t
+/// (20 digits), so a failed conversion is a bug, not a truncation.
+void appendUnsigned(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  MEMX_ENSURES(ec == std::errc(), "integer does not fit its buffer");
+  out.append(buf, end);
+}
+
+/// Longest CSV row after the workload field: four uint32 and one
+/// uint64 column, three doubles, eight commas and the newline.
+constexpr std::size_t kMaxRowTail = 4 * 10 + 20 + 3 * kDouble17Chars + 9;
 
 /// Split one CSV line honoring quoted fields ("" inside quotes is a
 /// literal quote). Throws with the 1-based `lineNo` on unbalanced quotes
@@ -105,18 +118,36 @@ double parseDouble(const std::string& cell, std::size_t lineNo,
 
 }  // namespace
 
-void writeResultCsv(std::ostream& os, const ExplorationResult& result) {
-  // Full round-trip fidelity for the floating-point fields; the classic
-  // locale pins '.' decimals and no grouping under any global locale.
-  const ClassicLocaleGuard locale(os);
-  os << std::setprecision(17);
-  os << kHeader << '\n';
+std::string toCsvString(const ExplorationResult& result) {
+  // One buffer sized for the longest rows; to_chars is locale-blind, so
+  // no stream or locale guard is involved.
+  const std::string workload = csvEscape(result.workload);
+  std::string out;
+  out.reserve(std::char_traits<char>::length(kHeader) + 1 +
+              result.points.size() * (workload.size() + kMaxRowTail));
+  out += kHeader;
+  out += '\n';
   for (const DesignPoint& p : result.points) {
-    os << csvEscape(result.workload) << ',' << p.key.cacheBytes << ','
-       << p.key.lineBytes << ',' << p.key.associativity << ','
-       << p.key.tiling << ',' << p.accesses << ',' << p.missRate << ','
-       << p.cycles << ',' << p.energyNj << '\n';
+    out += workload;
+    for (const std::uint64_t v :
+         {std::uint64_t{p.key.cacheBytes}, std::uint64_t{p.key.lineBytes},
+          std::uint64_t{p.key.associativity}, std::uint64_t{p.key.tiling},
+          p.accesses}) {
+      out += ',';
+      appendUnsigned(out, v);
+    }
+    for (const double v : {p.missRate, p.cycles, p.energyNj}) {
+      out += ',';
+      appendDouble17(out, v);
+    }
+    out += '\n';
   }
+  return out;
+}
+
+void writeResultCsv(std::ostream& os, const ExplorationResult& result) {
+  const std::string csv = toCsvString(result);
+  os.write(csv.data(), static_cast<std::streamsize>(csv.size()));
 }
 
 ExplorationResult readResultCsv(std::istream& is) {
@@ -157,42 +188,44 @@ ExplorationResult readResultCsv(std::istream& is) {
   return result;
 }
 
-void writeResultJson(std::ostream& os, const ExplorationResult& result) {
-  const ClassicLocaleGuard locale(os);
-  os << std::setprecision(17);
-  os << "{\"workload\": \"" << jsonEscape(result.workload)
-     << "\", \"points\": [";
+std::string toJsonString(const ExplorationResult& result) {
+  std::string out = "{\"workload\": \"";
+  appendJsonEscaped(out, result.workload);
+  out += "\", \"points\": [";
+  const auto u = [&](const char* name, std::uint64_t v) {
+    out += name;
+    appendUnsigned(out, v);
+  };
+  const auto d = [&](const char* name, double v) {
+    out += name;
+    appendDouble17(out, v);
+  };
   bool first = true;
   for (const DesignPoint& p : result.points) {
-    if (!first) os << ", ";
+    if (!first) out += ", ";
     first = false;
-    os << "{\"cache\": " << p.key.cacheBytes
-       << ", \"line\": " << p.key.lineBytes
-       << ", \"assoc\": " << p.key.associativity
-       << ", \"tiling\": " << p.key.tiling
-       << ", \"accesses\": " << p.accesses
-       << ", \"miss_rate\": " << p.missRate
-       << ", \"cycles\": " << p.cycles
-       << ", \"energy_nj\": " << p.energyNj << "}";
+    u("{\"cache\": ", p.key.cacheBytes);
+    u(", \"line\": ", p.key.lineBytes);
+    u(", \"assoc\": ", p.key.associativity);
+    u(", \"tiling\": ", p.key.tiling);
+    u(", \"accesses\": ", p.accesses);
+    d(", \"miss_rate\": ", p.missRate);
+    d(", \"cycles\": ", p.cycles);
+    d(", \"energy_nj\": ", p.energyNj);
+    out += '}';
   }
-  os << "]}";
+  out += "]}";
+  return out;
 }
 
-std::string toCsvString(const ExplorationResult& result) {
-  std::ostringstream os;
-  writeResultCsv(os, result);
-  return os.str();
+void writeResultJson(std::ostream& os, const ExplorationResult& result) {
+  const std::string json = toJsonString(result);
+  os.write(json.data(), static_cast<std::streamsize>(json.size()));
 }
 
 ExplorationResult fromCsvString(const std::string& text) {
   std::istringstream is(text);
   return readResultCsv(is);
-}
-
-std::string toJsonString(const ExplorationResult& result) {
-  std::ostringstream os;
-  writeResultJson(os, result);
-  return os.str();
 }
 
 }  // namespace memx

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "memx/util/assert.hpp"
+#include "memx/util/json_escape.hpp"
 #include "memx/util/numeric_io.hpp"
 
 namespace memx::serve {
@@ -273,27 +275,7 @@ private:
 
 void dumpString(std::string& out, const std::string& s) {
   out += '"';
-  for (const char ch : s) {
-    const auto uc = static_cast<unsigned char>(ch);
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (uc < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[uc >> 4];
-          out += kHex[uc & 0xF];
-        } else {
-          out += ch;
-        }
-    }
-  }
+  memx::appendJsonEscaped(out, s);
   out += '"';
 }
 
@@ -305,10 +287,14 @@ void dumpNumber(std::string& out, double v) {
     return;
   }
   if (std::nearbyint(v) == v && std::abs(v) <= kIntExact) {
-    out += std::to_string(static_cast<long long>(v));
+    char buf[20];  // "-9223372036854775808"
+    const auto [end, ec] =
+        std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v));
+    MEMX_ENSURES(ec == std::errc(), "integer does not fit its buffer");
+    out.append(buf, end);
     return;
   }
-  out += memx::formatDouble17(v);
+  memx::appendDouble17(out, v);
 }
 
 void dumpValue(std::string& out, const JsonValue& v) {

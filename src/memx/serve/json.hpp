@@ -5,8 +5,9 @@
 // escape handling including surrogate pairs), bounds nesting depth, and
 // reports the byte offset of every syntax error — a malformed request
 // must come back as a diagnostic, never as UB or a crash. Numbers parse
-// through std::from_chars and serialize through the classic locale, so
-// the daemon behaves identically under any LC_NUMERIC.
+// through std::from_chars and serialize through std::to_chars, neither
+// of which reads a locale, so the daemon behaves identically under any
+// LC_NUMERIC.
 #pragma once
 
 #include <cstdint>

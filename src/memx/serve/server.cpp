@@ -200,8 +200,8 @@ bool readLineBounded(std::istream& in, std::string& line, std::size_t cap,
 
 /// The response fields shared by explore and trace sweeps.
 [[nodiscard]] JsonValue::Object sweepResponse(
-    const Request& request, const ResultStore::Resolved& resolved,
-    const std::string& exactKey) {
+    const Request& request, obs::Recorder& recorder,
+    const ResultStore::Resolved& resolved, const std::string& exactKey) {
   const auto& result = std::get<ExplorationResult>(*resolved.value);
   JsonValue::Object response;
   response.emplace("ok", true);
@@ -214,6 +214,7 @@ bool readLineBounded(std::istream& in, std::string& line, std::size_t cap,
   response.emplace("selected",
                    selected ? pointValue(*selected) : JsonValue(nullptr));
   if (request.includePoints) {
+    const obs::ScopedSpan csv(&recorder, "serve.csv");
     response.emplace("csv", toCsvString(result));
   }
   return response;
@@ -282,7 +283,7 @@ JsonValue Server::handleExplore(const Request& request) {
           return ResultStore::Computed{explorer.explore(resolved.kernel),
                                        false};
         });
-    return sweepResponse(request, served, key.exact);
+    return sweepResponse(request, recorder, served, key.exact);
   });
 }
 
@@ -321,6 +322,7 @@ JsonValue Server::handleSearch(const Request& request) {
     response.emplace("space_size", result.spaceSize);
     response.emplace("exact", result.exact);
     if (request.includePoints) {
+      const obs::ScopedSpan span(&recorder, "serve.csv");
       std::vector<search::FrontRow> rows;
       rows.reserve(result.front.size());
       for (const search::SearchPoint& p : result.front) {
@@ -351,7 +353,7 @@ JsonValue Server::handleTrace(const Request& request) {
                            request.window, kDefaultTraceChunkRefs, &recorder),
               false};
         });
-    return sweepResponse(request, served, key.exact);
+    return sweepResponse(request, recorder, served, key.exact);
   });
 }
 

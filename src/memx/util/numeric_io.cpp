@@ -2,7 +2,8 @@
 
 #include <charconv>
 #include <cmath>
-#include <sstream>
+
+#include "memx/util/assert.hpp"
 
 namespace memx {
 
@@ -31,15 +32,28 @@ std::optional<std::uint64_t> parseUnsignedText(std::string_view text,
   return value;
 }
 
+namespace {
+
+/// Write `v` as "%.17g" into `buf` and return its length. The buffer
+/// holds the longest output, so a failed conversion is a bug, not a
+/// truncation.
+std::size_t toChars17(char (&buf)[kDouble17Chars], double v) {
+  const auto [end, ec] = std::to_chars(buf, buf + kDouble17Chars, v,
+                                       std::chars_format::general, 17);
+  MEMX_ENSURES(ec == std::errc(), "double does not fit its %.17g buffer");
+  return static_cast<std::size_t>(end - buf);
+}
+
+}  // namespace
+
 std::string formatDouble17(double v) {
-  // An imbued ostringstream reproduces C-locale "%.17g" byte for byte
-  // (general float format at precision 17, trailing zeros trimmed,
-  // two-digit exponents) while staying immune to the global locale.
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(17);
-  os << v;
-  return os.str();
+  char buf[kDouble17Chars];
+  return std::string(buf, toChars17(buf, v));
+}
+
+void appendDouble17(std::string& out, double v) {
+  char buf[kDouble17Chars];
+  out.append(buf, toChars17(buf, v));
 }
 
 }  // namespace memx

@@ -4,12 +4,15 @@
 // de_DE.UTF-8 must neither emit "3,14" nor reject "3.14". Parsing goes
 // through std::from_chars (locale-blind by specification) and fails
 // closed: the full field must be consumed and doubles must be finite.
-// Formatting goes through streams imbued with std::locale::classic(), so
-// the byte output matches the C-locale "%.17g" convention the golden
-// corpus and the benchmark JSON files were recorded with, regardless of
-// the process-global locale.
+// Doubles format through std::to_chars(general, 17), which the standard
+// defines as C-locale "%.17g" and which never reads a locale, so the
+// bytes match the convention the golden corpus and the benchmark JSON
+// files were recorded with, whatever the process-global locale.
+// ClassicLocaleGuard pins the classic locale for the writers that still
+// stream integers into a caller's std::ostream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ios>
 #include <locale>
@@ -29,9 +32,17 @@ namespace memx {
 [[nodiscard]] std::optional<std::uint64_t> parseUnsignedText(
     std::string_view text, std::uint64_t max) noexcept;
 
+/// Longest formatDouble17 text: "-2.2250738585072014e-308" and
+/// "-1.7976931348623157e+308" are 24 chars.
+inline constexpr std::size_t kDouble17Chars = 24;
+
 /// `v` formatted like C-locale "%.17g": shortest-in-style general form
 /// at 17 significant digits, '.' decimal point, round-trip exact.
 [[nodiscard]] std::string formatDouble17(double v);
+
+/// Append formatDouble17(v) to `out` without a temporary string, for
+/// writers that build one buffer.
+void appendDouble17(std::string& out, double v);
 
 /// Imbue std::locale::classic() on a stream for the current scope and
 /// restore the previous locale on destruction. Wrap every writer that

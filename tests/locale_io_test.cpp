@@ -8,9 +8,16 @@
 // '.'-decimal input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <locale>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "memx/core/explorer.hpp"
 #include "memx/kernels/benchmarks.hpp"
@@ -60,6 +67,55 @@ TEST_F(HostileLocaleTest, FormatDouble17UsesDotDecimalPoint) {
   const auto parsed = parseDoubleText(formatDouble17(v));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, v);
+}
+
+/// The "%.17g" reference the formatter is pinned to: a classic-imbued
+/// stream at precision 17 (the formatter memx used before to_chars).
+[[nodiscard]] std::string streamDouble17(double v) {
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
+  os.precision(17);
+  os << v;
+  return os.str();
+}
+
+TEST_F(HostileLocaleTest, Double17MatchesClassicStreamByteForByte) {
+  std::vector<double> values = {
+      0.0,     -0.0,     5e-324,   DBL_MIN, DBL_MAX, -DBL_MAX,
+      1e16,    1e17,     9007199254740993.0 /* 2^53 + 1, reads as 2^53 */,
+      9007199254740994.0,          1e-5,     0.1,      25075.9, -DBL_MIN};
+  // Seeded random finite bit patterns: every exponent, both signs,
+  // subnormals included.
+  std::mt19937_64 rng(20261019);
+  while (values.size() < 120000) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  // Values shaped like the sweep columns: rates in [0, 1) and
+  // cycle/energy totals with a fractional part.
+  std::uniform_real_distribution<double> rate(0.0, 1.0);
+  std::uniform_real_distribution<double> total(0.0, 1e7);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(rate(rng));
+    values.push_back(total(rng));
+  }
+  std::string appended = "x";
+  std::string expectedAppended = "x";
+  std::size_t longest = 0;
+  for (const double v : values) {
+    const std::string expected = streamDouble17(v);
+    longest = std::max(longest, expected.size());
+    ASSERT_EQ(formatDouble17(v), expected)
+        << "bits " << std::bit_cast<std::uint64_t>(v);
+    appendDouble17(appended, v);
+    expectedAppended += expected;
+  }
+  EXPECT_EQ(appended, expectedAppended);
+  // The formatter's buffer is sized for the longest output; DBL_MAX and
+  // DBL_MIN with a sign reach it.
+  EXPECT_EQ(longest, kDouble17Chars);
+  EXPECT_EQ(formatDouble17(-DBL_MAX).size(), kDouble17Chars);
+  EXPECT_EQ(formatDouble17(-DBL_MAX), "-1.7976931348623157e+308");
 }
 
 TEST_F(HostileLocaleTest, ParsersStayLocaleBlind) {

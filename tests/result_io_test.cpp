@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <locale>
+#include <sstream>
+#include <string>
+
 #include "memx/core/explorer.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/report/result_io.hpp"
 #include "memx/serve/json.hpp"
 #include "memx/util/assert.hpp"
+
+#ifndef MEMX_GOLDEN_DIR
+#error "MEMX_GOLDEN_DIR must point at tests/golden"
+#endif
 
 namespace memx {
 namespace {
@@ -201,6 +210,36 @@ TEST(ResultIo, JsonEscapesControlCharacters) {
   EXPECT_NE(json.find("line1\\nline2\\t"), std::string::npos) << json;
   const serve::JsonValue parsed = serve::JsonValue::parse(json);
   EXPECT_EQ(parsed.asObject().at("workload").asString(), r.workload);
+}
+
+/// de_DE-shaped numeric punctuation: ',' decimal point, '.' grouping.
+class GermanNumpunct : public std::numpunct<char> {
+protected:
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(ResultIo, CsvBytesMatchGoldenCorpus) {
+  // The golden sweeps pin the CSV bytes, not only the parsed values:
+  // re-encoding a parsed file must reproduce it exactly, through the
+  // string writer and through a stream whose locale groups digits and
+  // uses ',' decimals.
+  for (const char* name : {"compress", "dequant", "matadd", "transpose"}) {
+    std::ifstream file(std::string(MEMX_GOLDEN_DIR) + "/" + name + ".csv",
+                       std::ios::binary);
+    ASSERT_TRUE(file) << name;
+    std::ostringstream bytes;
+    bytes << file.rdbuf();
+    const std::string golden = bytes.str();
+    const ExplorationResult parsed = fromCsvString(golden);
+    ASSERT_FALSE(parsed.points.empty()) << name;
+    EXPECT_EQ(toCsvString(parsed), golden) << name;
+    std::ostringstream hostile;
+    hostile.imbue(std::locale(std::locale::classic(), new GermanNumpunct));
+    writeResultCsv(hostile, parsed);
+    EXPECT_EQ(hostile.str(), golden) << name;
+  }
 }
 
 }  // namespace

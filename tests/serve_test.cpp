@@ -57,6 +57,28 @@ TEST(Json, EscapesRoundTrip) {
   const JsonValue s(std::string("a\nb\x01" "c"));
   EXPECT_EQ(s.dump(), "\"a\\nb\\u0001c\"");
   EXPECT_EQ(JsonValue::parse(s.dump()).asString(), std::string("a\nb\x01") + "c");
+
+  // Every byte that needs an escape, at the start, in the middle, at
+  // the end and in runs, between long escape-free runs; 0x7F and UTF-8
+  // pass through verbatim.
+  const std::string run = "0123456789abcdefghijklmnopqrstuvwxyz";
+  std::string raw(1, '\0');
+  raw += run;
+  for (char c = 0x01; c < 0x20; ++c) raw += c;
+  raw += run + "\"\\\x7F" + run + "\xC3\xA9\xF0\x9F\x98\x80" + run + "\"" +
+         run + "\\\x1F";
+  const std::string escaped =
+      std::string("\"") + R"(\u0000)" + run +
+      R"(\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r)"
+      R"(\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017)"
+      R"(\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f)" +
+      run + R"(\"\\)" "\x7F" + run + "\xC3\xA9\xF0\x9F\x98\x80" + run +
+      R"(\")" + run + R"(\\\u001f")";
+  const JsonValue hostile(raw);
+  EXPECT_EQ(hostile.dump(), escaped);
+  EXPECT_EQ(JsonValue::parse(hostile.dump()).asString(), raw);
+  EXPECT_EQ(JsonValue(run).dump(), "\"" + run + "\"");
+  EXPECT_EQ(JsonValue(std::string()).dump(), "\"\"");
 }
 
 TEST(Json, RejectsMalformedInput) {
