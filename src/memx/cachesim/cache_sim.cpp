@@ -309,13 +309,14 @@ bool CacheSim::probeLineIndex(std::uint64_t lineIndex, AccessType type,
 }
 
 AccessOutcome CacheSim::access(const MemRef& ref) {
-  MEMX_EXPECTS(ref.size > 0, "access size must be positive");
+  const std::uint64_t lastLine = lastByte(ref) >> lineShift_;
   AccessOutcome outcome;
   bool allHit = true;
-  const std::uint64_t lastLine = (ref.addr + ref.size - 1) >> lineShift_;
-  for (std::uint64_t line = ref.addr >> lineShift_; line <= lastLine;
-       ++line) {
+  // Every line loop below ends on lastLine itself rather than testing
+  // line <= lastLine, so a span ending on line 2^64 - 1 terminates.
+  for (std::uint64_t line = ref.addr >> lineShift_;; ++line) {
     allHit &= probeLineIndex(line, ref.type, &outcome);
+    if (line == lastLine) break;
   }
   outcome.hit = allHit;
   countAccess(allHit, ref.type);
@@ -325,8 +326,9 @@ AccessOutcome CacheSim::access(const MemRef& ref) {
 bool CacheSim::accessLinesFast(std::uint64_t firstLine,
                                std::uint64_t lastLine, AccessType type) {
   bool allHit = true;
-  for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
+  for (std::uint64_t line = firstLine;; ++line) {
     allHit &= probeLineIndex(line, type, nullptr);
+    if (line == lastLine) break;
   }
   countAccess(allHit, type);
   return allHit;
@@ -352,9 +354,9 @@ void CacheSim::replaySpans(const LineSpan* spans, std::size_t count) {
   std::uint64_t writeHits = 0;
   for (std::size_t i = 0; i < count; ++i) {
     bool allHit = true;
-    for (std::uint64_t line = spans[i].first; line <= spans[i].last;
-         ++line) {
+    for (std::uint64_t line = spans[i].first;; ++line) {
       allHit &= probeLineIndex(line, spans[i].type, nullptr);
+      if (line == spans[i].last) break;
     }
     if (isReadLike(spans[i].type)) {
       ++reads;
@@ -374,9 +376,8 @@ void CacheSim::replaySpans(const LineSpan* spans, std::size_t count) {
 
 void CacheSim::run(const Trace& trace) {
   for (const MemRef& ref : trace) {
-    MEMX_EXPECTS(ref.size > 0, "access size must be positive");
-    accessLinesFast(ref.addr >> lineShift_,
-                    (ref.addr + ref.size - 1) >> lineShift_, ref.type);
+    accessLinesFast(ref.addr >> lineShift_, lastByte(ref) >> lineShift_,
+                    ref.type);
   }
 }
 

@@ -32,8 +32,9 @@ public:
               AccessType type) {
     const bool allocate = allocateWrites_ || isReadLike(type);
     bool allHit = true;
-    for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
+    for (std::uint64_t line = firstLine;; ++line) {
       allHit &= probe(line, allocate);
+      if (line == lastLine) break;
     }
     return allHit;
   }

@@ -11,13 +11,13 @@ void MissClassifier::access(const MemRef& ref) {
   const AccessOutcome real = target_.access(ref);
   const std::uint64_t firstLine =
       ref.addr / target_.config().lineBytes;
-  const std::uint64_t lastLine =
-      (ref.addr + ref.size - 1) / target_.config().lineBytes;
+  const std::uint64_t lastLine = lastByte(ref) / target_.config().lineBytes;
   const bool shadowHit = fullyAssoc_.access(firstLine, lastLine, ref.type);
 
   bool allSeen = true;
-  for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
+  for (std::uint64_t line = firstLine;; ++line) {
     allSeen &= !seenLines_.insert(line).second;
+    if (line == lastLine) break;
   }
 
   ++breakdown_.accesses;
@@ -49,10 +49,8 @@ std::uint64_t countConflicts(const CacheConfig& config, const Trace& trace,
   std::uint64_t conflicts = 0;
   for (std::size_t i = 0; i < trace.size() && conflicts < bound; ++i) {
     const MemRef& ref = trace[i];
-    MEMX_EXPECTS(ref.size > 0, "access size must be positive");
     conflicts += counter.access(ref.addr / lineBytes,
-                                (ref.addr + ref.size - 1) / lineBytes,
-                                ref.type)
+                                lastByte(ref) / lineBytes, ref.type)
                      ? 1
                      : 0;
   }

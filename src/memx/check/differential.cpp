@@ -223,6 +223,9 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
     const std::uint64_t lineBytes = fa.lineBytes;
     for (std::size_t i = 0; i < trace.size(); ++i) {
       const MemRef& ref = trace[i];
+      MEMX_EXPECTS(ref.size > 0, "access size must be positive");
+      MEMX_EXPECTS(ref.addr <= ~std::uint64_t{0} - (ref.size - 1),
+                   "access runs past the top of the 64-bit address space");
       const bool want = sim.access(ref).hit;
       const bool got = twin.access(ref.addr / lineBytes,
                                    (ref.addr + ref.size - 1) / lineBytes,

@@ -132,14 +132,19 @@ bool RefCacheSim::probeLine(std::uint64_t lineIndex, AccessType type,
 }
 
 RefAccessOutcome RefCacheSim::access(const MemRef& ref) {
+  // The span arithmetic is restated here rather than taken from
+  // lastByte(), so the oracle stays independent of the engines.
   MEMX_EXPECTS(ref.size > 0, "access size must be positive");
+  MEMX_EXPECTS(ref.addr <= ~std::uint64_t{0} - (ref.size - 1),
+               "access runs past the top of the 64-bit address space");
   const std::uint64_t firstLine = ref.addr / config_.lineBytes;
   const std::uint64_t lastLine =
       (ref.addr + ref.size - 1) / config_.lineBytes;
   RefAccessOutcome outcome;
   bool allHit = true;
-  for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
+  for (std::uint64_t line = firstLine;; ++line) {
     if (!probeLine(line, ref.type, outcome)) allHit = false;
+    if (line == lastLine) break;
   }
   outcome.hit = allHit;
   if (isReadLike(ref.type)) {

@@ -28,10 +28,18 @@ RefReuseProfile::RefReuseProfile(const Trace& trace,
     stack.insert(stack.begin(), line);
   };
 
+  // Own span arithmetic (not lastByte()), so the oracle stays
+  // independent of the engines; same precondition.
   for (const MemRef& ref : trace) {
+    MEMX_EXPECTS(ref.size > 0, "access size must be positive");
+    MEMX_EXPECTS(ref.addr <= ~std::uint64_t{0} - (ref.size - 1),
+                 "access runs past the top of the 64-bit address space");
     const std::uint64_t first = ref.addr / lineBytes;
     const std::uint64_t last = (ref.addr + ref.size - 1) / lineBytes;
-    for (std::uint64_t line = first; line <= last; ++line) touch(line);
+    for (std::uint64_t line = first;; ++line) {
+      touch(line);
+      if (line == last) break;
+    }
   }
 }
 

@@ -110,10 +110,8 @@ void ConfigBank::SimGroup::feed(const MemRef* refs, std::size_t count) {
   spans.reserve(count);
   for (std::size_t r = 0; r < count; ++r) {
     const MemRef& ref = refs[r];
-    MEMX_EXPECTS(ref.size > 0, "access size must be positive");
     spans.push_back(LineSpan{ref.addr >> lineShift,
-                             (ref.addr + ref.size - 1) >> lineShift,
-                             ref.type});
+                             lastByte(ref) >> lineShift, ref.type});
   }
   for (CacheSim& member : sims) {
     member.replaySpans(spans.data(), spans.size());

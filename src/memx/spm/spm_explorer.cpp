@@ -2,11 +2,6 @@
 
 #include <sstream>
 
-#include "memx/cachesim/bus_monitor.hpp"
-#include "memx/cachesim/cache_sim.hpp"
-#include "memx/layout/offchip_assign.hpp"
-#include "memx/loopir/trace_gen.hpp"
-#include "memx/timing/cycle_model.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 
@@ -67,23 +62,9 @@ SplitResult evaluateSplit(const Kernel& kernel, const ScratchpadConfig& spm,
     return result;
   }
 
-  CacheConfig config = cache;
-  config.writePolicy = options.base.writePolicy;
-  config.replacement = options.base.replacement;
-  const MemoryLayout layout =
-      options.base.optimizeLayout
-          ? assignConflictFree(filtered, config).layout
-          : sequentialLayout(filtered);
-  const Trace trace = generateTrace(filtered, layout);
-  const CacheStats stats = simulateTrace(config, trace);
-  const double addBs = options.base.measureBusActivity
-                           ? measureAddrActivity(trace)
-                           : kDefaultAddrSwitchesPerAccess;
-
-  // The cache half folds like every (untiled) sweep point.
+  // The cache half is an untiled sweep point of the filtered kernel.
   const DesignPoint cachePoint =
-      foldPoint(options.base, CycleModel(options.base.timing), config, 1,
-                stats, addBs);
+      Explorer(options.base).evaluate(filtered, cache);
   result.cacheMissRate = cachePoint.missRate;
   result.cycles = spmCycles + cachePoint.cycles;
   result.energyNj = spmEnergy + cachePoint.energyNj;

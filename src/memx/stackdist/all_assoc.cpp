@@ -16,6 +16,76 @@ namespace {
   return (((std::size_t{1} << s) - 1)) * maxAssoc;
 }
 
+// Slot encodings. Each (level, set) recency list is a row of maxAssoc
+// entries; slot d holds the (d+1)-th most recently touched line of that
+// set as key = line + 1 (0 = empty) together with its dirty threshold,
+// the smallest associativity at which the line is dirty (maxAssoc + 1 =
+// clean everywhere; by inclusion dirtiness is monotone in
+// associativity, so one threshold captures every tracked cache). A row
+// type names where the two halves live: at(off) is the row `off`
+// entries further on, load/store move whole entries, and key/threshold/
+// entry take an entry apart and build one.
+
+constexpr unsigned kDirtyShift = 56;
+constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kDirtyShift) - 1;
+
+/// Packed: the threshold rides in the top byte of the key slot, so the
+/// ripple scan streams one array instead of two. Needs maxAssoc <= 254
+/// (threshold fits a byte) and line indices up to kMaxLine (key fits
+/// the low 56 bits).
+struct PackedRow {
+  using Entry = std::uint64_t;
+  static constexpr std::uint64_t kMaxLine = kKeyMask - 1;
+
+  std::uint64_t* slot;
+
+  [[nodiscard]] PackedRow at(std::size_t off) const { return {slot + off}; }
+  [[nodiscard]] Entry load(std::uint32_t d) const { return slot[d]; }
+  void store(std::uint32_t d, Entry e) const { slot[d] = e; }
+  [[nodiscard]] static std::uint64_t key(Entry e) { return e & kKeyMask; }
+  [[nodiscard]] static std::uint32_t threshold(Entry e) {
+    return static_cast<std::uint32_t>(e >> kDirtyShift);
+  }
+  [[nodiscard]] static Entry entry(std::uint64_t key,
+                                   std::uint32_t threshold) {
+    return key | (std::uint64_t{threshold} << kDirtyShift);
+  }
+};
+
+/// Split: 32-bit thresholds in an array beside the keys. Serves every
+/// geometry and every line index but 2^64 - 1, whose key would wrap to
+/// the empty marker (reachable only with 1-byte lines).
+struct SplitRow {
+  struct Entry {
+    std::uint64_t key;
+    std::uint32_t threshold;
+  };
+  static constexpr std::uint64_t kMaxLine =
+      std::numeric_limits<std::uint64_t>::max() - 1;
+
+  std::uint64_t* slot;
+  std::uint32_t* dirty;
+
+  [[nodiscard]] SplitRow at(std::size_t off) const {
+    return {slot + off, dirty + off};
+  }
+  [[nodiscard]] Entry load(std::uint32_t d) const {
+    return {slot[d], dirty[d]};
+  }
+  void store(std::uint32_t d, Entry e) const {
+    slot[d] = e.key;
+    dirty[d] = e.threshold;
+  }
+  [[nodiscard]] static std::uint64_t key(Entry e) { return e.key; }
+  [[nodiscard]] static std::uint32_t threshold(Entry e) {
+    return e.threshold;
+  }
+  [[nodiscard]] static Entry entry(std::uint64_t key,
+                                   std::uint32_t threshold) {
+    return {key, threshold};
+  }
+};
+
 /// Move-to-front touch of one bounded recency list: push the key in at
 /// depth 0 and ripple the displaced entries down until we either find
 /// the key's old position (its per-set stack distance), hit the empty
@@ -25,98 +95,41 @@ namespace {
 /// threshold below, so dropping loses no writeback either). Cold and
 /// dropped both return maxAssoc: "misses at every tracked way count".
 ///
-/// `dirty` parallels `slot`: dirty[d] is the smallest associativity at
-/// which slot[d]'s line is dirty (maxAssoc + 1 = clean everywhere; by
-/// inclusion dirtiness is monotone in associativity, so one threshold
-/// captures every tracked cache). An entry displaced from depth d to
-/// d + 1 leaves exactly the (d+1)-way cache; when it is dirty there
-/// (threshold <= d + 1) that cache writes it back, counted into
-/// dirtyEvict[d + 1]. The touched key's own threshold becomes 1 on a
-/// write (hits dirty it, write-allocate fills insert it dirty) and
-/// max(old, distance + 1) on a read (caches that missed refill clean).
-///
-/// Packed-entry layout (the default pass): the dirty threshold rides in
-/// the top byte of the key slot itself, so the ripple scan touches one
-/// array instead of two. Usable whenever the threshold fits a byte
-/// (maxAssoc <= 254) and key = line + 1 fits the low 56 bits.
-constexpr unsigned kDirtyShift = 56;
-constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kDirtyShift) - 1;
-/// Largest packable line index: key = line + 1 must stay below 2^56.
-constexpr std::uint64_t kMaxPackedLine = kKeyMask - 1;
-
-/// touchSet with the packed layout; same contract as the split-array
-/// overload below, minus the separate dirty row.
-[[nodiscard]] inline std::uint32_t touchSetPacked(std::uint64_t* slot,
-                                                  std::uint64_t key,
-                                                  bool isWrite,
-                                                  std::uint32_t maxAssoc,
-                                                  std::uint64_t* dirtyEvict) {
-  const std::uint64_t head = slot[0];
-  if ((head & kKeyMask) == key) {  // MRU re-touch: order already correct
-    if (isWrite) slot[0] = key | (std::uint64_t{1} << kDirtyShift);
+/// An entry displaced from depth d to d + 1 leaves exactly the
+/// (d+1)-way cache; when it is dirty there (threshold <= d + 1) that
+/// cache writes it back, counted into dirtyEvict[d + 1]. The touched
+/// key's own threshold becomes 1 on a write (hits dirty it,
+/// write-allocate fills insert it dirty) and max(old, distance + 1) on
+/// a read (caches that missed refill clean).
+template <typename Row>
+[[nodiscard]] inline std::uint32_t touchSet(Row row, std::uint64_t key,
+                                            bool isWrite,
+                                            std::uint32_t maxAssoc,
+                                            std::uint64_t* dirtyEvict) {
+  if (Row::key(row.load(0)) == key) {  // MRU re-touch: order already correct
+    if (isWrite) row.store(0, Row::entry(key, 1));
     return 0;
   }
   const std::uint32_t clean = maxAssoc + 1;
-  std::uint64_t carry = key;  // threshold patched into slot[0] below
+  auto carry = Row::entry(key, clean);  // threshold patched below
   std::uint32_t dist = maxAssoc;
   std::uint32_t oldDirty = clean;  // cold/dropped keys refill afresh
   for (std::uint32_t d = 0; d < maxAssoc; ++d) {
-    const std::uint64_t cur = slot[d];
-    const std::uint64_t curKey = cur & kKeyMask;
-    slot[d] = carry;
+    const auto cur = row.load(d);
+    const std::uint64_t curKey = Row::key(cur);
+    row.store(d, carry);
     if (curKey == key) {
       dist = d;
-      oldDirty = static_cast<std::uint32_t>(cur >> kDirtyShift);
+      oldDirty = Row::threshold(cur);
       break;
     }
     if (curKey == 0) break;
     // Branchless tally: adding the comparison bit beats a mostly-not-
     // taken branch that turns unpredictable under write-heavy traces.
-    dirtyEvict[d + 1] += (cur >> kDirtyShift) <= d + 1;
+    dirtyEvict[d + 1] += Row::threshold(cur) <= d + 1;
     carry = cur;
   }
-  const std::uint64_t thresh = isWrite ? 1u : std::max(oldDirty, dist + 1);
-  slot[0] = key | (thresh << kDirtyShift);
-  return dist;
-}
-
-/// DirtyT is the threshold element type — uint8_t whenever
-/// maxAssoc + 1 fits (see AllAssocProfile::buildProfile), so the whole
-/// per-set dirty row rides along in one cache line.
-template <typename DirtyT>
-[[nodiscard]] inline std::uint32_t touchSet(std::uint64_t* slot,
-                                            DirtyT* dirty, std::uint64_t key,
-                                            bool isWrite,
-                                            std::uint32_t maxAssoc,
-                                            std::uint64_t* dirtyEvict) {
-  if (slot[0] == key) {  // MRU re-touch: order already correct
-    if (isWrite) dirty[0] = 1;
-    return 0;
-  }
-  const std::uint32_t clean = maxAssoc + 1;
-  std::uint64_t carry = key;
-  DirtyT carryDirty = static_cast<DirtyT>(clean);  // patched below
-  std::uint32_t dist = maxAssoc;
-  std::uint32_t oldDirty = clean;  // cold/dropped keys refill afresh
-  for (std::uint32_t d = 0; d < maxAssoc; ++d) {
-    const std::uint64_t cur = slot[d];
-    const DirtyT curDirty = dirty[d];
-    slot[d] = carry;
-    dirty[d] = carryDirty;
-    if (cur == key) {
-      dist = d;
-      oldDirty = curDirty;
-      break;
-    }
-    if (cur == 0) break;
-    // Branchless tally: adding the comparison bit beats a mostly-not-
-    // taken branch that turns unpredictable under write-heavy traces.
-    dirtyEvict[d + 1] += curDirty <= d + 1;
-    carry = cur;
-    carryDirty = curDirty;
-  }
-  dirty[0] = static_cast<DirtyT>(
-      isWrite ? 1u : std::max(oldDirty, dist + 1));
+  row.store(0, Row::entry(key, isWrite ? 1u : std::max(oldDirty, dist + 1)));
   return dist;
 }
 
@@ -147,22 +160,15 @@ AllAssocProfile::AllAssocProfile(std::uint32_t lineBytes,
   dirtyEvictHist_.assign(numS_ * buckets, 0);
   worst_.assign(numS_, 0);
 
-  // Recency lists for every (level, set): slot d holds the (d+1)-th
-  // most recently touched line of that set, encoded as line+1 so 0 is
-  // "empty". Fast path: thresholds fit a byte for every geometry with
-  // maxAssoc <= 254 and line indices fit 56 bits for every address
-  // below 2^(56 + lineShift), so the packed single-array pass serves
-  // essentially all real traces; feed() migrates to the split arrays
-  // the moment a reference breaks the address bound. Geometries whose
-  // thresholds don't fit a byte start split with 32-bit thresholds.
+  // Every geometry with maxAssoc <= 254 starts packed; feed() migrates
+  // to split the moment a line index outgrows 56 bits. Wider geometries
+  // start split.
   slots_.assign(static_cast<std::size_t>(totalSlots), 0);
-  const bool fitsByte =
-      maxAssoc_ + 1 <= std::numeric_limits<std::uint8_t>::max();
-  if (fitsByte) {
+  if (maxAssoc_ + 1 <= std::numeric_limits<std::uint8_t>::max()) {
     mode_ = Mode::Packed;
   } else {
-    mode_ = Mode::Split32;
-    dirty32_.assign(static_cast<std::size_t>(totalSlots), maxAssoc_ + 1);
+    mode_ = Mode::Split;
+    dirty_.assign(static_cast<std::size_t>(totalSlots), maxAssoc_ + 1);
   }
 }
 
@@ -174,65 +180,56 @@ AllAssocProfile::AllAssocProfile(const Trace& trace, std::uint32_t lineBytes,
 }
 
 void AllAssocProfile::feed(const MemRef* refs, std::size_t count) {
-  if (count == 0) return;
   if (mode_ == Mode::Packed) {
-    const std::size_t consumed = feedPacked(refs, count);
+    const std::size_t consumed =
+        feedRows(PackedRow{slots_.data()}, refs, count);
     if (consumed == count) return;
     migrateFromPacked();
     refs += consumed;
     count -= consumed;
   }
-  if (mode_ == Mode::Split8) {
-    feedSplit<std::uint8_t>(refs, count);
-  } else {
-    feedSplit<std::uint32_t>(refs, count);
-  }
+  const std::size_t consumed =
+      feedRows(SplitRow{slots_.data(), dirty_.data()}, refs, count);
+  MEMX_EXPECTS(consumed == count,
+               "line index 2^64 - 1 has no recency key (key = line + 1 "
+               "wraps)");
 }
 
 void AllAssocProfile::migrateFromPacked() {
-  // Unpack threshold-in-top-byte entries into the parallel byte array.
   // Empty slots (0) stay key 0; their threshold is never read by the
   // ripple scan but gets the "clean everywhere" value anyway.
-  dirty8_.assign(slots_.size(), static_cast<std::uint8_t>(maxAssoc_ + 1));
+  dirty_.assign(slots_.size(), maxAssoc_ + 1);
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const std::uint64_t packed = slots_[i];
     if (packed == 0) continue;
-    dirty8_[i] = static_cast<std::uint8_t>(packed >> kDirtyShift);
-    slots_[i] = packed & kKeyMask;
+    dirty_[i] = PackedRow::threshold(packed);
+    slots_[i] = PackedRow::key(packed);
   }
-  mode_ = Mode::Split8;
+  mode_ = Mode::Split;
 }
 
-std::size_t AllAssocProfile::feedPacked(const MemRef* refs,
-                                        std::size_t count) {
+template <typename Row>
+std::size_t AllAssocProfile::feedRows(Row slots, const MemRef* refs,
+                                      std::size_t count) {
   const std::size_t buckets = bucketCount();
 
-  // Hoisted per-level slot bases and set masks: the ripple scan runs
-  // once per (probe, level), so index arithmetic shaved here is the
-  // profile's dominant cost after the scan itself. Rebuilt per feed
-  // call — pointers into slots_ must not outlive a call (migration
-  // reuses the storage).
-  std::vector<std::uint64_t*> base(numS_);
+  // Hoisted per-level rows and set masks: the ripple scan runs once per
+  // (probe, level), so index arithmetic shaved here is the profile's
+  // dominant cost after the scan itself. Rebuilt per call — rows point
+  // into slots_, which migration rewrites.
+  std::vector<Row> level;
   std::vector<std::uint64_t> mask(numS_);
+  level.reserve(numS_);
   for (unsigned s = 0; s < numS_; ++s) {
-    base[s] = slots_.data() + levelOffset(s, maxAssoc_);
+    level.push_back(slots.at(levelOffset(s, maxAssoc_)));
     mask[s] = (std::uint64_t{1} << s) - 1;
   }
 
-  // Per-reference worst (deepest) bucket at each level, so a reference
-  // that straddles lines is counted as a miss iff any probe misses —
-  // the same per-access accounting CacheSim uses.
-  PaddedVector<std::uint32_t>& worst = worst_;
-
   for (std::size_t i = 0; i < count; ++i) {
     const MemRef& ref = refs[i];
-    MEMX_EXPECTS(ref.size > 0, "access size must be positive");
-
     const std::uint64_t firstLine = ref.addr >> lineShift_;
-    const std::uint64_t lastLine = (ref.addr + ref.size - 1) >> lineShift_;
-    if (firstLine > kMaxPackedLine || lastLine > kMaxPackedLine) {
-      return i;  // beyond the packable range (or wrapped): migrate
-    }
+    const std::uint64_t lastLine = lastByte(ref) >> lineShift_;
+    if (lastLine > Row::kMaxLine) return i;  // the caller migrates
 
     const bool readLike = isReadLike(ref.type);
     if (readLike) {
@@ -242,195 +239,69 @@ std::size_t AllAssocProfile::feedPacked(const MemRef* refs,
     }
     auto& refHist = readLike ? refHistRead_ : refHistWrite_;
 
-    if (firstLine == lastLine) {
-      // Fast path — an access contained in one line (the overwhelmingly
-      // common case): the reference's worst bucket at each level is the
-      // single probe's bucket, so both histograms update in one sweep
-      // and the per-reference `worst` merge is skipped entirely.
-      ++probes_;
-      if (!readLike) ++writeProbes_;
-      const std::uint64_t key = firstLine + 1;
-      std::size_t row = 0;
-      unsigned s = 0;
-      for (; s < numS_; ++s, row += buckets) {
-        const std::size_t off = (firstLine & mask[s]) * maxAssoc_;
-        const std::uint32_t bucket =
-            touchSetPacked(base[s] + off, key, !readLike, maxAssoc_,
-                           dirtyEvictHist_.data() + row);
-        ++lineHist_[row + bucket];
-        ++refHist[row + bucket];
-        if (bucket == 0) {
-          ++s;
-          row += buckets;
-          break;
-        }
-      }
-      // Per-set stack distance is non-increasing in the set count (the
-      // finer set is a subset of the coarser conflict set), so once a
-      // level reports MRU every remaining level is an MRU re-touch too:
-      // no displacement, no eviction, only the bucket-0 tallies — and
-      // on a write, the threshold drop to 1 that touchSetPacked's MRU
-      // path would have applied.
-      if (readLike) {
-        for (; s < numS_; ++s, row += buckets) {
-          ++lineHist_[row];
-          ++refHist[row];
-        }
-      } else {
-        const std::uint64_t dirtyHead =
-            key | (std::uint64_t{1} << kDirtyShift);
-        for (; s < numS_; ++s, row += buckets) {
-          base[s][(firstLine & mask[s]) * maxAssoc_] = dirtyHead;
-          ++lineHist_[row];
-          ++refHist[row];
-        }
-      }
-      continue;
-    }
-
-    worst.assign(numS_, 0);
-    for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
+    // Probe one line at every level; tally(s, row, bucket) sees each
+    // level's bucket. Per-set stack distance is non-increasing in the
+    // set count (the finer set is a subset of the coarser conflict
+    // set), so once a level reports MRU every remaining level is an MRU
+    // re-touch too: no displacement, no eviction, only the bucket-0
+    // tallies — and on a write, the threshold drop to 1 that
+    // touchSet's MRU path would have applied.
+    const auto probe = [&](std::uint64_t line, auto&& tally) {
       ++probes_;
       if (!readLike) ++writeProbes_;
       const std::uint64_t key = line + 1;
       std::size_t row = 0;
       unsigned s = 0;
       for (; s < numS_; ++s, row += buckets) {
-        const std::size_t off = (line & mask[s]) * maxAssoc_;
         const std::uint32_t bucket =
-            touchSetPacked(base[s] + off, key, !readLike, maxAssoc_,
-                           dirtyEvictHist_.data() + row);
-        ++lineHist_[row + bucket];
-        if (bucket > worst[s]) worst[s] = bucket;
+            touchSet(level[s].at((line & mask[s]) * maxAssoc_), key,
+                     !readLike, maxAssoc_, dirtyEvictHist_.data() + row);
+        tally(s, row, bucket);
         if (bucket == 0) {
           ++s;
           row += buckets;
           break;
         }
       }
-      // Same MRU cascade as the single-line path (bucket 0 never
-      // raises `worst`, so only the tallies and the write-path
-      // threshold drop remain).
       if (readLike) {
-        for (; s < numS_; ++s, row += buckets) ++lineHist_[row];
+        for (; s < numS_; ++s, row += buckets) tally(s, row, 0u);
       } else {
-        const std::uint64_t dirtyHead =
-            key | (std::uint64_t{1} << kDirtyShift);
+        const auto dirtyHead = Row::entry(key, 1);
         for (; s < numS_; ++s, row += buckets) {
-          base[s][(line & mask[s]) * maxAssoc_] = dirtyHead;
-          ++lineHist_[row];
+          level[s].at((line & mask[s]) * maxAssoc_).store(0, dirtyHead);
+          tally(s, row, 0u);
         }
       }
+    };
+
+    if (firstLine == lastLine) {
+      // Fast path — an access contained in one line (the overwhelmingly
+      // common case): the reference's worst bucket at each level is the
+      // single probe's bucket, so both histograms update in one sweep.
+      probe(firstLine, [&](unsigned, std::size_t row, std::uint32_t bucket) {
+        ++lineHist_[row + bucket];
+        ++refHist[row + bucket];
+      });
+      continue;
     }
 
+    // A straddling reference misses a level iff any of its probes does
+    // (CacheSim's per-access rule): keep its worst (deepest) bucket per
+    // level.
+    worst_.assign(numS_, 0);
+    for (std::uint64_t line = firstLine;; ++line) {
+      probe(line, [&](unsigned s, std::size_t row, std::uint32_t bucket) {
+        ++lineHist_[row + bucket];
+        if (bucket > worst_[s]) worst_[s] = bucket;
+      });
+      if (line == lastLine) break;
+    }
     std::size_t row = 0;
     for (unsigned s = 0; s < numS_; ++s, row += buckets) {
-      ++refHist[row + worst[s]];
+      ++refHist[row + worst_[s]];
     }
   }
   return count;
-}
-
-namespace {
-
-template <typename DirtyT>
-[[nodiscard]] DirtyT* dirtyArray(PaddedVector<std::uint8_t>& dirty8,
-                                 PaddedVector<std::uint32_t>& dirty32);
-template <>
-std::uint8_t* dirtyArray<std::uint8_t>(PaddedVector<std::uint8_t>& dirty8,
-                                       PaddedVector<std::uint32_t>&) {
-  return dirty8.data();
-}
-template <>
-std::uint32_t* dirtyArray<std::uint32_t>(
-    PaddedVector<std::uint8_t>&, PaddedVector<std::uint32_t>& dirty32) {
-  return dirty32.data();
-}
-
-}  // namespace
-
-template <typename DirtyT>
-void AllAssocProfile::feedSplit(const MemRef* refs, std::size_t count) {
-  // `dirtyFrom` parallels slots_ with each entry's dirty threshold (the
-  // smallest associativity at which the line is dirty; maxAssoc + 1 =
-  // clean everywhere).
-  DirtyT* const dirtyFrom = dirtyArray<DirtyT>(dirty8_, dirty32_);
-
-  const std::size_t buckets = bucketCount();
-
-  // Hoisted per-level slot bases and set masks: the ripple scan runs
-  // once per (probe, level), so index arithmetic shaved here is the
-  // profile's dominant cost after the scan itself.
-  std::vector<std::uint64_t*> base(numS_);
-  std::vector<DirtyT*> dirtyBase(numS_);
-  std::vector<std::uint64_t> mask(numS_);
-  for (unsigned s = 0; s < numS_; ++s) {
-    base[s] = slots_.data() + levelOffset(s, maxAssoc_);
-    dirtyBase[s] = dirtyFrom + levelOffset(s, maxAssoc_);
-    mask[s] = (std::uint64_t{1} << s) - 1;
-  }
-
-  // Per-reference worst (deepest) bucket at each level, so a reference
-  // that straddles lines is counted as a miss iff any probe misses —
-  // the same per-access accounting CacheSim uses.
-  PaddedVector<std::uint32_t>& worst = worst_;
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const MemRef& ref = refs[i];
-    MEMX_EXPECTS(ref.size > 0, "access size must be positive");
-    const bool readLike = isReadLike(ref.type);
-    if (readLike) {
-      ++reads_;
-    } else {
-      ++writes_;
-    }
-    auto& refHist = readLike ? refHistRead_ : refHistWrite_;
-
-    const std::uint64_t firstLine = ref.addr >> lineShift_;
-    const std::uint64_t lastLine = (ref.addr + ref.size - 1) >> lineShift_;
-
-    if (firstLine == lastLine) {
-      // Fast path — an access contained in one line (the overwhelmingly
-      // common case): the reference's worst bucket at each level is the
-      // single probe's bucket, so both histograms update in one sweep
-      // and the per-reference `worst` merge is skipped entirely.
-      ++probes_;
-      if (!readLike) ++writeProbes_;
-      const std::uint64_t key = firstLine + 1;
-      std::size_t row = 0;
-      for (unsigned s = 0; s < numS_; ++s, row += buckets) {
-        const std::size_t off = (firstLine & mask[s]) * maxAssoc_;
-        const std::uint32_t bucket =
-            touchSet(base[s] + off, dirtyBase[s] + off, key, !readLike,
-                     maxAssoc_, dirtyEvictHist_.data() + row);
-        ++lineHist_[row + bucket];
-        ++refHist[row + bucket];
-      }
-      continue;
-    }
-
-    worst.assign(numS_, 0);
-    for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
-      ++probes_;
-      if (!readLike) ++writeProbes_;
-      const std::uint64_t key = line + 1;
-      std::size_t row = 0;
-      for (unsigned s = 0; s < numS_; ++s, row += buckets) {
-        const std::size_t off = (line & mask[s]) * maxAssoc_;
-        const std::uint32_t bucket =
-            touchSet(base[s] + off, dirtyBase[s] + off, key, !readLike,
-                     maxAssoc_, dirtyEvictHist_.data() + row);
-        ++lineHist_[row + bucket];
-        if (bucket > worst[s]) worst[s] = bucket;
-      }
-      if (line == std::numeric_limits<std::uint64_t>::max()) break;
-    }
-
-    std::size_t row = 0;
-    for (unsigned s = 0; s < numS_; ++s, row += buckets) {
-      ++refHist[row + worst[s]];
-    }
-  }
 }
 
 unsigned AllAssocProfile::levelOf(std::uint32_t numSets) const {

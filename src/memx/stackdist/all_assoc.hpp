@@ -73,7 +73,9 @@ public:
   /// histograms to one whole-trace pass — recency state persists across
   /// calls — which is what lets out-of-core traces stream through in
   /// chunks. Every accessor below is valid between feeds and reports
-  /// the profile of the references seen so far.
+  /// the profile of the references seen so far. Throws
+  /// ContractViolation on a reference lastByte() rejects, or one that
+  /// touches line index 2^64 - 1.
   void feed(const MemRef* refs, std::size_t count);
   void feed(const Trace& trace) { feed(trace.refs().data(), trace.size()); }
 
@@ -135,36 +137,30 @@ private:
                                       unsigned level,
                                       std::uint32_t assoc) const;
 
-  /// Packed feeding pass: each recency entry carries its dirty
-  /// threshold in the top byte of the 64-bit key slot, so the ripple
-  /// scan streams one array instead of a keys array plus a parallel
-  /// thresholds array. Requires maxAssoc_ <= 254 (threshold fits a
-  /// byte) and every touched line index below 2^56 - 1 (key = line + 1
-  /// fits the low 56 bits). Returns the number of references consumed;
-  /// a short count means the next reference breaks the address bound
-  /// (its state is untouched) and feed() migrates to the split-array
-  /// representation before continuing. Defined in all_assoc.cpp.
-  [[nodiscard]] std::size_t feedPacked(const MemRef* refs,
-                                       std::size_t count);
+  /// The one feeding pass, templated on the recency-slot encoding
+  /// `Row` (all_assoc.cpp): PackedRow keeps each entry's dirty threshold
+  /// in the top byte of its 64-bit key slot, so the ripple scan streams
+  /// one array; SplitRow keeps 32-bit thresholds in dirty_ beside the
+  /// keys. `slots` addresses the whole slot array. Returns the number of
+  /// references consumed: a short count means the next reference touches
+  /// a line index above Row::kMaxLine (its state is untouched) and feed()
+  /// migrates to the split encoding before continuing; past the split
+  /// bound (line 2^64 - 1, only reachable with 1-byte lines) feed()
+  /// throws.
+  template <typename Row>
+  [[nodiscard]] std::size_t feedRows(Row slots, const MemRef* refs,
+                                     std::size_t count);
 
-  /// Split-array feeding pass, parameterized on the dirty-threshold
-  /// element type (uint8_t whenever maxAssoc_ <= 254, else uint32_t):
-  /// the general fallback for geometries or address ranges the packed
-  /// pass cannot encode. Defined in all_assoc.cpp.
-  template <typename DirtyT>
-  void feedSplit(const MemRef* refs, std::size_t count);
-
-  /// Decode the packed slots into split key + threshold arrays
-  /// (byte-wide thresholds; only packed-eligible geometries ever reach
-  /// the packed representation). The decoded state is exactly what a
-  /// split-array pass over the same prefix would hold, so feeding
-  /// continues bit-identically after migration.
+  /// Decode the packed slots into split key + threshold arrays. The
+  /// decoded state is exactly what a split pass over the same prefix
+  /// would hold, so feeding continues bit-identically after migration.
   void migrateFromPacked();
 
-  /// Recency-state representation currently in use; feed() migrates
-  /// Packed -> Split8 at most once, when a line index outgrows the
-  /// packed encoding.
-  enum class Mode { Packed, Split8, Split32 };
+  /// Recency-slot encoding in use. A profile with maxAssoc <= 254 (its
+  /// thresholds fit a byte) starts Packed and migrates to Split at most
+  /// once, when a line index outgrows 56 bits; a wider profile starts
+  /// Split.
+  enum class Mode { Packed, Split };
 
   std::uint32_t lineBytes_ = 0;
   std::uint32_t maxAssoc_ = 0;
@@ -188,12 +184,11 @@ private:
 
   // Recency state, persistent across feed() calls. slots_ holds the
   // bounded per-(level, set) recency lists; in Packed mode each entry
-  // carries its dirty threshold in the top byte, in Split modes the
-  // thresholds live in the parallel dirty8_/dirty32_ array.
+  // carries its dirty threshold in the top byte, in Split mode the
+  // thresholds live in the parallel dirty_ array.
   Mode mode_ = Mode::Packed;
   PaddedVector<std::uint64_t> slots_;
-  PaddedVector<std::uint8_t> dirty8_;
-  PaddedVector<std::uint32_t> dirty32_;
+  PaddedVector<std::uint32_t> dirty_;
   PaddedVector<std::uint32_t> worst_;  ///< per-level scratch (straddles)
 };
 

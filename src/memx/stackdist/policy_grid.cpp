@@ -253,7 +253,8 @@ template <bool kFifo>
 void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const MemRef& ref = refs[i];
-    MEMX_EXPECTS(ref.size > 0, "access size must be positive");
+    const std::uint64_t firstLine = ref.addr >> lineShift_;
+    const std::uint64_t lastLine = lastByte(ref) >> lineShift_;
     const bool readLike = isReadLike(ref.type);
     if (readLike) {
       ++reads_;
@@ -262,9 +263,6 @@ void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
     }
     PaddedVector<std::uint64_t>& refMiss =
         readLike ? readMiss_ : writeMiss_;
-
-    const std::uint64_t firstLine = ref.addr >> lineShift_;
-    const std::uint64_t lastLine = (ref.addr + ref.size - 1) >> lineShift_;
 
     if (firstLine == lastLine) {
       // Fast path — an access contained in one line (the overwhelmingly

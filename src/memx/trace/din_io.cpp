@@ -128,6 +128,12 @@ std::optional<MemRef> parseDinLine(std::string_view line, std::size_t lineNo,
     }
     addr = (addr << 4) | static_cast<std::uint64_t>(v);
   }
+  // The reference must end at or below 2^64 - 1 (see lastByte).
+  if (addr > ~std::uint64_t{0} - (refSize - 1)) {
+    badLine(lineNo, "address '" + std::string(addrText) + "' plus " +
+                        std::to_string(refSize) +
+                        "-byte access runs past 2^64 - 1");
+  }
 
   // Nothing may follow the address — trailing tokens used to be
   // silently dropped, which turned column misalignment into a
@@ -170,7 +176,10 @@ std::size_t DinStreamSource::fill(MemRef* out, std::size_t max) {
       for (int v = 0; i < 18 && (v = hexValue(line[i])) >= 0; ++i) {
         addr = (addr << 4) | static_cast<std::uint64_t>(v);
       }
-      if (i > 2 && line[i] == '\n') {
+      // A reference wrapping past 2^64 - 1 falls through to
+      // parseDinLine, which reports it.
+      if (i > 2 && line[i] == '\n' &&
+          addr <= ~std::uint64_t{0} - (refSize_ - 1)) {
         out[n++] = MemRef{addr, refSize_, kTypes[label]};
         pos_ += i + 1;
         continue;

@@ -35,7 +35,9 @@ void writeDin(std::ostream& os, const Trace& trace);
 /// prefix. Signed addresses ("-1" would silently wrap to 2^64-1 through
 /// a lenient strtoull-style parse), out-of-range values and trailing
 /// tokens all throw memx::ContractViolation naming `lineNo`.
-/// `refSize` is stamped on the returned reference.
+/// `refSize` is stamped on the returned reference, which must end at or
+/// below the top of the address space: an address above
+/// 2^64 - refSize (its last byte would wrap past 2^64 - 1) throws too.
 [[nodiscard]] std::optional<MemRef> parseDinLine(std::string_view line,
                                                  std::size_t lineNo,
                                                  std::uint32_t refSize = 4);

@@ -6,6 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+
+#include "memx/util/assert.hpp"
 
 namespace memx {
 
@@ -24,6 +27,9 @@ enum class AccessType : std::uint8_t {
 }
 
 /// One data-memory reference: byte address, access width, direction.
+/// A well-formed reference touches at least one byte and ends at or
+/// below the top of the address space: addr + size - 1 <= 2^64 - 1.
+/// lastByte() checks both.
 struct MemRef {
   std::uint64_t addr = 0;   ///< byte address of the first byte touched
   std::uint32_t size = 4;   ///< access width in bytes (element size)
@@ -32,6 +38,19 @@ struct MemRef {
   [[nodiscard]] friend bool operator==(const MemRef&,
                                        const MemRef&) = default;
 };
+
+/// Address of the last byte `ref` touches, addr + size - 1: the one
+/// statement of a reference's byte span, so every engine probes the
+/// same lines. Throws ContractViolation when size is 0 or the span runs
+/// past 2^64 - 1 (the sum would wrap, and a wrapped span probes no line
+/// at all — a free hit).
+[[nodiscard]] inline std::uint64_t lastByte(const MemRef& ref) {
+  MEMX_EXPECTS(ref.size > 0, "access size must be positive");
+  MEMX_EXPECTS(
+      ref.addr <= std::numeric_limits<std::uint64_t>::max() - (ref.size - 1),
+      "access runs past the top of the 64-bit address space");
+  return ref.addr + (ref.size - 1);
+}
 
 /// Convenience factory for a read reference.
 [[nodiscard]] constexpr MemRef readRef(std::uint64_t addr,

@@ -24,13 +24,13 @@ TraceStats computeStats(const Trace& trace, std::uint32_t lineSize) {
     } else {
       ++s.writes;
     }
-    const std::uint64_t last = r.addr + r.size - 1;
+    const std::uint64_t last = lastByte(r);
     s.minAddr = std::min(s.minAddr, r.addr);
     s.maxAddr = std::max(s.maxAddr, last);
     addrs.insert(r.addr);
-    for (std::uint64_t line = r.addr / lineSize; line <= last / lineSize;
-         ++line) {
+    for (std::uint64_t line = r.addr / lineSize;; ++line) {
       lines.insert(line);
+      if (line == last / lineSize) break;
     }
   }
   s.uniqueAddresses = addrs.size();

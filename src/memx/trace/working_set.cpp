@@ -27,8 +27,11 @@ ReuseProfile::ReuseProfile(const Trace& trace, std::uint32_t lineBytes) {
 
   for (const MemRef& ref : trace) {
     const std::uint64_t first = ref.addr / lineBytes;
-    const std::uint64_t last = (ref.addr + ref.size - 1) / lineBytes;
-    for (std::uint64_t line = first; line <= last; ++line) touch(line);
+    const std::uint64_t last = lastByte(ref) / lineBytes;
+    for (std::uint64_t line = first;; ++line) {
+      touch(line);
+      if (line == last) break;
+    }
   }
 }
 

@@ -13,6 +13,8 @@
 #include "memx/check/random_gen.hpp"
 #include "memx/core/config_bank.hpp"
 #include "memx/obs/recorder.hpp"
+#include "memx/stackdist/all_assoc.hpp"
+#include "memx/stackdist/policy_grid.hpp"
 #include "memx/trace/trace_source.hpp"
 #include "memx/util/assert.hpp"
 
@@ -298,6 +300,79 @@ TEST(StackDistSim, RepeatedRunsContinueOneStream) {
   EXPECT_EQ(got.readHits, want.readHits);
   EXPECT_EQ(got.writeHits, want.writeHits);
   EXPECT_EQ(got.writebacks, want.writebacks);
+}
+
+// --- Reference spans ---------------------------------------------------
+
+TEST(ConfigBank, EveryEngineRejectsAReferenceThatWrapsPastTheTop) {
+  // addr + size - 1 overflows: a wrapped span probes no line, which
+  // used to count the access as a free hit in every engine.
+  const MemRef wrapping{0xfffffffffffffffeull, 4, AccessType::Read};
+  Trace trace;
+  trace.push(readRef(0x40));
+  trace.push(wrapping);
+
+  CacheConfig lru;
+  lru.sizeBytes = 64;
+  lru.lineBytes = 8;
+  lru.associativity = 2;
+  CacheSim sim(lru);
+  EXPECT_THROW((void)sim.access(wrapping), ContractViolation);
+  EXPECT_THROW((void)simulateTrace(lru, trace), ContractViolation);
+
+  CacheConfig fifo = lru;
+  fifo.replacement = ReplacementPolicy::FIFO;
+  CacheConfig plru = lru;
+  plru.replacement = ReplacementPolicy::TreePLRU;
+  CacheConfig rnd = lru;
+  rnd.replacement = ReplacementPolicy::Random;
+  ConfigBank multi(SweepBackend::MultiSim, {lru, rnd});
+  EXPECT_THROW(multi.run(trace), ContractViolation);
+  for (const CacheConfig& c : {lru, fifo, plru}) {
+    ConfigBank bank(SweepBackend::StackDist, {c});
+    EXPECT_THROW(bank.run(trace), ContractViolation)
+        << toString(c.replacement);
+  }
+
+  // Both profiles, and the all-associativity profile in both slot
+  // encodings (maxAssoc 512 starts split).
+  EXPECT_THROW(AllAssocProfile(trace, 8, 8, 4), ContractViolation);
+  EXPECT_THROW(AllAssocProfile(trace, 8, 1, 512), ContractViolation);
+  EXPECT_THROW(PolicyGridProfile(trace, ReplacementPolicy::FIFO, 8, 8, 4),
+               ContractViolation);
+}
+
+TEST(ConfigBank, SpansEndingOnTheTopLineTerminateAndCount) {
+  // The last byte of memory sits on line 2^64 - 1 of a 1-byte-line
+  // cache; a line loop testing `line <= last` never ends there.
+  CacheConfig tiny;
+  tiny.sizeBytes = 8;
+  tiny.lineBytes = 1;
+  Trace top;
+  top.push(readRef(0xffffffffffffffffull, 1));
+  top.push(readRef(0xffffffffffffffffull, 1));
+  top.push(writeRef(0xfffffffffffffffeull, 2));  // lines 2^64-2 and -1
+  const CacheStats got = simulateTrace(tiny, top);
+  EXPECT_EQ(got.accesses(), 3u);
+  EXPECT_EQ(got.misses(), 2u);  // cold, hit, cold straddle
+  EXPECT_EQ(got.lineFills, 2u);
+  ConfigBank multi(SweepBackend::MultiSim, {tiny});
+  multi.run(top);
+  expectStatsEqual(multi.stats(0), got, "MultiSim");
+
+  // A span ending on the top byte at a wider line size is an ordinary
+  // reference: the profile and the simulator agree on it.
+  CacheConfig wide;
+  wide.sizeBytes = 64;
+  wide.lineBytes = 8;
+  Trace high;
+  high.push(readRef(0xfffffffffffffffcull, 4));
+  high.push(writeRef(0xfffffffffffffffaull, 4));  // straddles two lines
+  high.push(readRef(0xfffffffffffffffcull, 4));
+  ConfigBank analytic(SweepBackend::StackDist, {wide});
+  analytic.run(high);
+  expectStatsEqual(analytic.stats(0), simulateTrace(wide, high),
+                   "StackDist at the top line");
 }
 
 // --- Counters --------------------------------------------------------

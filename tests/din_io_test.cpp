@@ -110,9 +110,45 @@ TEST(DinIo, RejectsAddressOverflow) {
   const Trace t = fromDinString("0 000000000000000000ff\n");
   ASSERT_EQ(t.size(), 1u);
   EXPECT_EQ(t[0].addr, 0xffu);
-  // The full 64-bit range round-trips.
-  const Trace big = fromDinString("0 ffffffffffffffff\n");
+  // The full 64-bit range round-trips (a 1-byte access at the top
+  // address ends on the last byte; a wider one would wrap).
+  const Trace big = fromDinString("0 ffffffffffffffff\n", 1);
   EXPECT_EQ(big[0].addr, 0xffffffffffffffffull);
+}
+
+TEST(DinIo, RejectsReferencesThatRunPastTheTopOfMemory) {
+  // A 4-byte access at 2^64 - 2 would end at byte 2^64 + 1: its span
+  // wraps, so the line is rejected with its number rather than decoded
+  // into a reference that probes no line.
+  try {
+    (void)fromDinString("0 fffffffffffffffe\n", 4);
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)parseDinLine("0 fffffffffffffffe", 1, 4),
+               ContractViolation);
+  // The canonical fast path hands the line to parseDinLine, which names
+  // it; so does the slow path (the 0x prefix is non-canonical).
+  for (const char* text : {"0 10\n1 fffffffffffffffd\n",
+                           "0 10\n1 0xfffffffffffffffd\n"}) {
+    try {
+      (void)fromDinString(text, 4);
+      FAIL() << "expected ContractViolation for " << text;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Spans that end exactly on the last byte are accepted.
+  const Trace top = fromDinString("0 ffffffffffffffff\n", 1);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].addr, 0xffffffffffffffffull);
+  const Trace word = fromDinString("2 fffffffffffffffc\n", 4);
+  ASSERT_EQ(word.size(), 1u);
+  EXPECT_EQ(word[0].addr, 0xfffffffffffffffcull);
 }
 
 TEST(DinIo, AcceptsHexPrefix) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "memx/cachesim/cache_sim.hpp"
@@ -336,6 +337,133 @@ TEST(AllAssocProfile, RejectsBadArguments) {
   Trace bad;
   bad.push(MemRef{0, 0, AccessType::Read});
   EXPECT_THROW(AllAssocProfile(bad, 8, 1, 1), ContractViolation);
+}
+
+// --- AllAssocProfile slot encodings ----------------------------------
+//
+// A profile with maxAssoc <= 254 keeps its recency slots packed (key
+// and dirty threshold in one word) until a line index outgrows 56 bits,
+// then migrates to split arrays; a wider profile is split from the
+// start. These cases drive the split encoding both ways.
+
+void expectSameStats(const CacheStats& got, const CacheStats& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.reads, want.reads) << what;
+  EXPECT_EQ(got.writes, want.writes) << what;
+  EXPECT_EQ(got.readHits, want.readHits) << what;
+  EXPECT_EQ(got.readMisses, want.readMisses) << what;
+  EXPECT_EQ(got.writeHits, want.writeHits) << what;
+  EXPECT_EQ(got.writeMisses, want.writeMisses) << what;
+  EXPECT_EQ(got.lineFills, want.lineFills) << what;
+  EXPECT_EQ(got.writebacks, want.writebacks) << what;
+  EXPECT_EQ(got.memWrites, want.memWrites) << what;
+}
+
+/// Feed `trace` to `profile` in chunks of 1, 3, 7, 15, ... references.
+void feedRagged(AllAssocProfile& profile, const Trace& trace) {
+  std::size_t pos = 0;
+  std::size_t step = 1;
+  while (pos < trace.size()) {
+    const std::size_t n = std::min(step, trace.size() - pos);
+    profile.feed(trace.refs().data() + pos, n);
+    pos += n;
+    step = step * 2 + 1;
+  }
+}
+
+/// `count` random references over `lines` lines of 8 bytes from `base`:
+/// reads, writes and ifetches, some line-straddling, and a share that
+/// repeat the previous line (MRU re-touches, often flipping to a write).
+Trace encodingTrace(std::uint64_t base, std::uint64_t lines,
+                    std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::uint64_t> line(0, lines - 1);
+  std::uniform_int_distribution<int> kind(0, 9);
+  Trace t;
+  std::uint64_t prev = base;
+  for (std::size_t i = 0; i < count; ++i) {
+    const int k = kind(rng);
+    const std::uint64_t addr = k < 3 ? prev : base + line(rng) * 8;
+    const AccessType type = k % 3 == 0   ? AccessType::Write
+                            : k % 3 == 1 ? AccessType::Read
+                                         : AccessType::Instr;
+    if (k >= 8) {
+      t.push(MemRef{addr + 6, 4, type});  // straddles into the next line
+    } else {
+      t.push(MemRef{addr, 4, type});
+    }
+    prev = addr;
+  }
+  return t;
+}
+
+TEST(AllAssocProfile, SplitEncodingMatchesCacheSimAt512Ways) {
+  // 512 ways need 10-bit dirty thresholds, so the profile is split from
+  // its first reference. 1536 lines against up to 512 ways gives hits at
+  // every depth and dirty evictions at every way count.
+  const Trace trace = encodingTrace(0, 1536, 20000, 7);
+  AllAssocProfile profile(8, 1, 512);
+  feedRagged(profile, trace);
+  for (const std::uint32_t assoc : {1u, 2u, 64u, 256u, 512u}) {
+    for (const WritePolicy wp :
+         {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+      CacheConfig c;
+      c.lineBytes = 8;
+      c.associativity = assoc;
+      c.sizeBytes = 8 * assoc;
+      c.writePolicy = wp;
+      expectSameStats(profile.stats(1, assoc, wp), simulateTrace(c, trace),
+                      c.label() + " " + toString(wp));
+    }
+  }
+}
+
+TEST(AllAssocProfile, MigratedSplitPassMatchesCacheSimAtHighAddresses) {
+  // Low references run packed; the first line index past 2^56 - 2
+  // migrates the state to split arrays, and the split pass then takes
+  // MRU re-touches (reads and writes), line-straddling references and
+  // spans ending on the last byte of memory — the paths where the MRU
+  // cascade skips the finer set counts.
+  Trace trace = encodingTrace(0, 96, 800, 11);
+  trace.append(encodingTrace(std::uint64_t{1} << 62, 96, 1500, 12));
+  trace.append(encodingTrace(0, 96, 400, 13));
+  // The highest straddle of this window ends 14 bytes below the top.
+  trace.append(encodingTrace(0xffffffffffffffffull - 783, 96, 1500, 14));
+  trace.push(writeRef(0xfffffffffffffffcull, 4));
+  trace.push(writeRef(0xfffffffffffffffcull, 4));
+  trace.push(readRef(0xfffffffffffffffaull, 4));
+
+  AllAssocProfile profile(8, 16, 4);
+  feedRagged(profile, trace);
+  for (const std::uint32_t sets : {1u, 2u, 4u, 16u}) {
+    for (const std::uint32_t assoc : {1u, 2u, 4u}) {
+      for (const WritePolicy wp :
+           {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+        CacheConfig c;
+        c.lineBytes = 8;
+        c.associativity = assoc;
+        c.sizeBytes = 8 * sets * assoc;
+        c.writePolicy = wp;
+        expectSameStats(profile.stats(sets, assoc, wp),
+                        simulateTrace(c, trace),
+                        c.label() + " " + toString(wp));
+      }
+    }
+  }
+}
+
+TEST(AllAssocProfile, TopLineIndexThrowsRatherThanReadAsResident) {
+  // With 1-byte lines the last byte of memory is line 2^64 - 1, whose
+  // key (line + 1) would wrap to the empty marker and read as an MRU
+  // hit. The profile refuses it instead of answering wrongly.
+  Trace t;
+  t.push(readRef(0xffffffffffffffffull, 1));
+  EXPECT_THROW(AllAssocProfile(t, 1, 1, 1), ContractViolation);
+  EXPECT_THROW(AllAssocProfile(t, 1, 1, 512), ContractViolation);
+  // One line below it is an ordinary cold miss.
+  Trace below;
+  below.push(readRef(0xfffffffffffffffeull, 1));
+  EXPECT_EQ(AllAssocProfile(below, 1, 1, 1).misses(1, 1), 1u);
 }
 
 // --- PolicyGridProfile known answers ---------------------------------
