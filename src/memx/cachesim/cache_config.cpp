@@ -12,11 +12,6 @@ std::string toString(WritePolicy p) {
   return p == WritePolicy::WriteThrough ? "write-through" : "write-back";
 }
 
-std::string toString(AllocatePolicy p) {
-  return p == AllocatePolicy::WriteAllocate ? "write-allocate"
-                                            : "no-write-allocate";
-}
-
 std::string toString(ReplacementPolicy p) {
   switch (p) {
     case ReplacementPolicy::LRU:

@@ -10,16 +10,11 @@
 
 namespace memx {
 
-/// What happens to writes that hit.
+/// What happens to writes. Every cache is write-allocate: a write miss
+/// fetches the line, then writes it under this policy.
 enum class WritePolicy : std::uint8_t {
   WriteThrough,  ///< every write also goes to main memory
   WriteBack,     ///< dirty lines written back on eviction
-};
-
-/// What happens to writes that miss.
-enum class AllocatePolicy : std::uint8_t {
-  WriteAllocate,    ///< fetch the line, then write it
-  NoWriteAllocate,  ///< write around the cache
 };
 
 /// Victim selection within a set.
@@ -31,7 +26,6 @@ enum class ReplacementPolicy : std::uint8_t {
 };
 
 [[nodiscard]] std::string toString(WritePolicy p);
-[[nodiscard]] std::string toString(AllocatePolicy p);
 [[nodiscard]] std::string toString(ReplacementPolicy p);
 
 /// A fully-specified data-cache configuration.
@@ -45,7 +39,6 @@ struct CacheConfig {
   std::uint32_t lineBytes = 8;       ///< line (block) size L
   std::uint32_t associativity = 1;   ///< ways per set S (1 = direct mapped)
   WritePolicy writePolicy = WritePolicy::WriteBack;
-  AllocatePolicy allocatePolicy = AllocatePolicy::WriteAllocate;
   ReplacementPolicy replacement = ReplacementPolicy::LRU;
 
   /// Total number of lines T / L.

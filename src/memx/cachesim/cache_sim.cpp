@@ -9,6 +9,7 @@
 #include <new>
 #include <utility>
 
+#include "memx/cachesim/plru_tree.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 
@@ -97,47 +98,10 @@ CacheSim::CacheSim(const CacheConfig& config, std::uint64_t rngSeed)
 }
 
 void CacheSim::plruTouch(std::uint32_t setIndex, std::size_t way) {
-  // The tree is only consulted by plruVictim, so policies other than
+  // The tree is only consulted by victimWay, so policies other than
   // TreePLRU need not maintain it.
-  if (config_.replacement != ReplacementPolicy::TreePLRU ||
-      config_.associativity < 2) {
-    return;
-  }
-  std::uint64_t& bits = plruBits_[setIndex];
-  std::size_t node = 0;
-  std::size_t lo = 0;
-  std::size_t hi = config_.associativity;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (way < mid) {
-      bits |= (std::uint64_t{1} << node);  // point right, away from
-      node = 2 * node + 1;                 // the touched way
-      hi = mid;
-    } else {
-      bits &= ~(std::uint64_t{1} << node);  // point left
-      node = 2 * node + 2;
-      lo = mid;
-    }
-  }
-}
-
-std::size_t CacheSim::plruVictim(std::uint32_t setIndex) const {
-  if (config_.associativity < 2) return 0;
-  const std::uint64_t bits = plruBits_[setIndex];
-  std::size_t node = 0;
-  std::size_t lo = 0;
-  std::size_t hi = config_.associativity;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (bits & (std::uint64_t{1} << node)) {  // points right
-      node = 2 * node + 2;
-      lo = mid;
-    } else {
-      node = 2 * node + 1;
-      hi = mid;
-    }
-  }
-  return lo;
+  if (config_.replacement != ReplacementPolicy::TreePLRU) return;
+  plruTreeTouch(plruBits_[setIndex], way, config_.associativity);
 }
 
 std::uint32_t CacheSim::setIndexOf(std::uint64_t addr) const noexcept {
@@ -198,7 +162,7 @@ std::size_t CacheSim::victimWay(std::uint32_t setIndex) {
       for (std::size_t w = 0; w < config_.associativity; ++w) {
         if (!lines_[base + w].valid) return w;
       }
-      return plruVictim(setIndex);
+      return plruTreeVictim(plruBits_[setIndex], config_.associativity);
     }
   }
   return 0;
@@ -223,11 +187,6 @@ bool CacheSim::probeLineIndex(std::uint64_t lineIndex, AccessType type,
         }
       }
       return true;
-    }
-    if (!isReadLike(type) &&
-        config_.allocatePolicy != AllocatePolicy::WriteAllocate) {
-      ++stats_.memWrites;
-      return false;
     }
     if (line.valid && line.dirty) {
       ++stats_.writebacks;
@@ -272,14 +231,7 @@ bool CacheSim::probeLineIndex(std::uint64_t lineIndex, AccessType type,
     }
   }
 
-  // Miss.
-  const bool allocate = isReadLike(type) ||
-                        config_.allocatePolicy == AllocatePolicy::WriteAllocate;
-  if (!allocate) {
-    ++stats_.memWrites;  // write straight around the cache
-    return false;
-  }
-
+  // Miss: every miss fills.
   const std::size_t w = victimWay(set);
   Line& victim = lines_[base + w];
   if (victim.valid && victim.dirty) {

@@ -136,10 +136,9 @@ private:
   void countAccess(bool allHit, AccessType type);
   [[nodiscard]] std::size_t victimWay(std::uint32_t setIndex);
 
-  /// Point the set's PLRU tree away from the just-touched way.
+  /// Point the set's PLRU tree away from the just-touched way (TreePLRU
+  /// only).
   void plruTouch(std::uint32_t setIndex, std::size_t way);
-  /// Way the set's PLRU tree currently points at.
-  [[nodiscard]] std::size_t plruVictim(std::uint32_t setIndex) const;
 
   CacheConfig config_;
   // Geometry is all powers of two (validated), so the address splits

@@ -16,7 +16,7 @@ struct CacheStats {
   std::uint64_t lineFills = 0;    ///< lines fetched from main memory
   std::uint64_t writebacks = 0;   ///< dirty lines written back on eviction
   std::uint64_t memWrites = 0;    ///< word writes to memory (write-through
-                                  ///< stores + no-allocate write misses)
+                                  ///< stores)
 
   [[nodiscard]] std::uint64_t accesses() const noexcept {
     return reads + writes;

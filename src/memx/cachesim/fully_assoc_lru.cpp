@@ -4,7 +4,6 @@ namespace memx {
 
 FullyAssocLru::FullyAssocLru(const CacheConfig& config) {
   config.validate();
-  allocateWrites_ = config.allocatePolicy == AllocatePolicy::WriteAllocate;
   capacity_ = config.numLines();
   lineOf_.resize(capacity_);
   prev_.resize(capacity_);

@@ -6,34 +6,31 @@
 // answers by scanning every way of its single set; this structure
 // answers with an open-addressed hash lookup plus a splice in an
 // index-linked recency list. It tracks residency only (no dirtiness, no
-// statistics) and follows CacheSim's fill rule: a write miss under
-// no-write-allocate leaves the contents unchanged.
+// statistics) and follows CacheSim's fill rule: every miss fills, so
+// reads and writes probe alike.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "memx/cachesim/cache_config.hpp"
-#include "memx/trace/memref.hpp"
 
 namespace memx {
 
 class FullyAssocLru {
 public:
-  /// An empty cache of `config.numLines()` lines filling under
-  /// `config.allocatePolicy`; the set/way split and replacement policy
-  /// of `config` are ignored. Throws on invalid config.
+  /// An empty cache of `config.numLines()` lines; the set/way split and
+  /// the write and replacement policies of `config` are ignored. Throws
+  /// on invalid config.
   explicit FullyAssocLru(const CacheConfig& config);
 
   /// Present one access covering line indices [firstLine, lastLine],
   /// probing the lines in order like CacheSim::access. Returns true
   /// when every line hit.
-  bool access(std::uint64_t firstLine, std::uint64_t lastLine,
-              AccessType type) {
-    const bool allocate = allocateWrites_ || isReadLike(type);
+  bool access(std::uint64_t firstLine, std::uint64_t lastLine) {
     bool allHit = true;
     for (std::uint64_t line = firstLine;; ++line) {
-      allHit &= probe(line, allocate);
+      allHit &= probe(line);
       if (line == lastLine) break;
     }
     return allHit;
@@ -53,7 +50,7 @@ private:
                                     hashShift_);
   }
 
-  bool probe(std::uint64_t line, bool allocate) {
+  bool probe(std::uint64_t line) {
     std::size_t pos = home(line);
     while (table_[pos].slot != kNone) {
       if (table_[pos].line == line) {
@@ -62,7 +59,7 @@ private:
       }
       pos = (pos + 1) & tableMask_;
     }
-    if (allocate) fill(line, pos);
+    fill(line, pos);
     return false;
   }
 
@@ -79,7 +76,6 @@ private:
     pushFront(slot);
   }
 
-  bool allocateWrites_ = true;
   std::uint32_t capacity_ = 0;
   std::uint32_t used_ = 0;
   /// Per slot: the resident line and its recency-list neighbours

@@ -26,7 +26,10 @@ L1Filter filterL1(const CacheConfig& l1, const Trace& trace) {
   return L1Filter{sim.stats(), Trace(std::move(stream))};
 }
 
-double HierarchyTiming::cycles(const HierarchyStats& stats) const {
+double hierarchyCycles(const HierarchyStats& stats) {
+  constexpr double l1HitCycles = 1.0;
+  constexpr double l2HitCycles = 8.0;  // added on an L1 miss, L2 hit
+  constexpr double memCycles = 40.0;   // added on an L2 miss
   const double n = static_cast<double>(stats.l1.accesses());
   const double l1Miss = static_cast<double>(stats.l1.misses());
   const double l2Miss = static_cast<double>(stats.l2.misses());

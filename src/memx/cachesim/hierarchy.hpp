@@ -45,14 +45,8 @@ struct L1Filter {
 };
 [[nodiscard]] L1Filter filterL1(const CacheConfig& l1, const Trace& trace);
 
-/// Cycle model for a two-level stack: per-access cycles
-///   hit(L1) + missL1 * (l2HitCycles) + missL2 * (memCycles).
-struct HierarchyTiming {
-  double l1HitCycles = 1.0;
-  double l2HitCycles = 8.0;   ///< additional cycles on an L1 miss, L2 hit
-  double memCycles = 40.0;    ///< additional cycles on an L2 miss
-
-  [[nodiscard]] double cycles(const HierarchyStats& stats) const;
-};
+/// Cycles of a two-level run: 1 per access, 8 more per L1 miss (the L2
+/// access) and 40 more per L2 miss (main memory).
+[[nodiscard]] double hierarchyCycles(const HierarchyStats& stats);
 
 }  // namespace memx

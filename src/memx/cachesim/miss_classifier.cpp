@@ -12,7 +12,7 @@ void MissClassifier::access(const MemRef& ref) {
   const std::uint64_t firstLine =
       ref.addr / target_.config().lineBytes;
   const std::uint64_t lastLine = lastByte(ref) / target_.config().lineBytes;
-  const bool shadowHit = fullyAssoc_.access(firstLine, lastLine, ref.type);
+  const bool shadowHit = fullyAssoc_.access(firstLine, lastLine);
 
   bool allSeen = true;
   for (std::uint64_t line = firstLine;; ++line) {

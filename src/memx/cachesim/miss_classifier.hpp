@@ -88,7 +88,7 @@ public:
   bool access(std::uint64_t firstLine, std::uint64_t lastLine,
               AccessType type) {
     const bool targetHit = target_.accessLinesFast(firstLine, lastLine, type);
-    const bool twinHit = twin_.access(firstLine, lastLine, type);
+    const bool twinHit = twin_.access(firstLine, lastLine);
     return !targetHit && twinHit;
   }
 

@@ -32,7 +32,6 @@ std::string diffCaseRepro(const DiffCase& c, std::size_t len) {
      << " cfg=" << c.config.label()
      << " repl=" << toString(c.config.replacement)
      << " write=" << toString(c.config.writePolicy)
-     << " alloc=" << toString(c.config.allocatePolicy)
      << " l2=" << c.l2.label()
      << " lru=" << c.lru.label()
      << " grid=" << c.grid.label()
@@ -209,15 +208,12 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
   }
 
   // Path 8: the O(1) fully-associative LRU twin against CacheSim with
-  // associativity = numLines, LRU, hit for hit, under both allocate
-  // policies (c.config's and the other one), so straddling references
-  // and write misses that must not fill are covered on every case.
-  for (const AllocatePolicy alloc :
-       {AllocatePolicy::WriteAllocate, AllocatePolicy::NoWriteAllocate}) {
+  // associativity = numLines, LRU, hit for hit, so straddling references
+  // are covered on every case.
+  {
     CacheConfig fa = c.config;
     fa.associativity = fa.numLines();
     fa.replacement = ReplacementPolicy::LRU;
-    fa.allocatePolicy = alloc;
     CacheSim sim(fa);
     FullyAssocLru twin(fa);
     const std::uint64_t lineBytes = fa.lineBytes;
@@ -228,11 +224,10 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
                    "access runs past the top of the 64-bit address space");
       const bool want = sim.access(ref).hit;
       const bool got = twin.access(ref.addr / lineBytes,
-                                   (ref.addr + ref.size - 1) / lineBytes,
-                                   ref.type);
+                                   (ref.addr + ref.size - 1) / lineBytes);
       if (got != want) {
         std::ostringstream os;
-        os << "FullyAssocLru[" << toString(alloc) << "] at ref " << i
+        os << "FullyAssocLru at ref " << i
            << ": CacheSim(FA-LRU) hit=" << want << " twin hit=" << got;
         return os.str();
       }

@@ -34,10 +34,10 @@ struct DiffCase {
   std::uint64_t seed = 0;
   CacheConfig config;  ///< primary configuration under test
   CacheConfig l2;      ///< inclusive outer level for the hierarchy path
-  CacheConfig lru;     ///< LRU/write-allocate config for the stack-
-                       ///< distance path (the StackDist domain)
-  CacheConfig grid;    ///< FIFO/TreePLRU write-allocate config for the
-                       ///< policy-grid path (PolicyGridProfile's domain)
+  CacheConfig lru;     ///< LRU config for the stack-distance path
+                       ///< (the StackDist domain)
+  CacheConfig grid;    ///< FIFO/TreePLRU config for the policy-grid
+                       ///< path (PolicyGridProfile's domain)
   Trace trace;
 };
 

@@ -22,7 +22,7 @@ std::uint64_t pickU64(std::mt19937_64& rng, std::uint64_t lo,
 
 AccessType pickType(std::mt19937_64& rng) {
   // Reads dominate, as in real kernels; writes and ifetches keep the
-  // write/allocate policies and the Instr plumbing exercised.
+  // write policies and the Instr plumbing exercised.
   const int r = pickInt(rng, 0, 9);
   if (r < 6) return AccessType::Read;
   if (r < 9) return AccessType::Write;
@@ -52,8 +52,8 @@ CacheConfig randomCacheConfig(std::uint64_t seed) {
   config.associativity = 1u << pickInt(rng, 0, 3);        // 1..8
   config.sizeBytes = config.lineBytes * sets * config.associativity;
 
-  // seed % 16 walks every replacement x write x allocate combination.
-  const std::uint64_t combo = seed % 16;
+  // seed % 8 walks every replacement x write combination.
+  const std::uint64_t combo = seed % 8;
   switch (combo % 4) {
     case 0: config.replacement = ReplacementPolicy::LRU; break;
     case 1: config.replacement = ReplacementPolicy::FIFO; break;
@@ -62,9 +62,6 @@ CacheConfig randomCacheConfig(std::uint64_t seed) {
   }
   config.writePolicy = ((combo / 4) % 2 == 0) ? WritePolicy::WriteBack
                                               : WritePolicy::WriteThrough;
-  config.allocatePolicy = ((combo / 8) % 2 == 0)
-                              ? AllocatePolicy::WriteAllocate
-                              : AllocatePolicy::NoWriteAllocate;
   config.validate();
   return config;
 }
@@ -77,7 +74,6 @@ CacheConfig randomLruCacheConfig(std::uint64_t seed) {
   config.associativity = 1u << pickInt(rng, 0, 3);        // 1..8
   config.sizeBytes = config.lineBytes * sets * config.associativity;
   config.replacement = ReplacementPolicy::LRU;
-  config.allocatePolicy = AllocatePolicy::WriteAllocate;
   config.writePolicy = (seed % 2 == 0) ? WritePolicy::WriteBack
                                        : WritePolicy::WriteThrough;
   config.validate();
@@ -93,7 +89,6 @@ CacheConfig randomGridCacheConfig(std::uint64_t seed) {
   config.sizeBytes = config.lineBytes * sets * config.associativity;
   config.replacement = (seed % 2 == 0) ? ReplacementPolicy::FIFO
                                        : ReplacementPolicy::TreePLRU;
-  config.allocatePolicy = AllocatePolicy::WriteAllocate;
   config.writePolicy = ((seed / 2) % 2 == 0) ? WritePolicy::WriteBack
                                              : WritePolicy::WriteThrough;
   config.validate();
@@ -111,7 +106,6 @@ CacheConfig randomL2Config(const CacheConfig& l1, std::uint64_t seed) {
   l2.replacement = (seed % 2 == 0) ? ReplacementPolicy::LRU
                                    : ReplacementPolicy::FIFO;
   l2.writePolicy = WritePolicy::WriteBack;
-  l2.allocatePolicy = AllocatePolicy::WriteAllocate;
   l2.validate();
   return l2;
 }

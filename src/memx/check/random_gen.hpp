@@ -17,23 +17,22 @@ namespace memx {
 
 /// A random valid cache geometry: L in {4..32}, 1..16 sets, 1..8 ways
 /// (sizeBytes = L * sets * ways, so the config always validates) with
-/// the replacement/write/allocate policies cycling through all 16
-/// combinations as `seed % 16` — 16 consecutive seeds cover every
-/// policy combination.
+/// the replacement/write policies cycling through all 8 combinations
+/// as `seed % 8` — 8 consecutive seeds cover every policy combination.
 [[nodiscard]] CacheConfig randomCacheConfig(std::uint64_t seed);
 
 /// A random geometry restricted to the stack-distance domain: same
 /// L/sets/ways distribution as randomCacheConfig (from an independent
-/// rng stream), but always LRU replacement with write-allocate fills;
-/// the write policy alternates write-back / write-through with
-/// `seed % 2`. Feed these to StackDist-vs-simulator differentials.
+/// rng stream), but always LRU replacement; the write policy
+/// alternates write-back / write-through with `seed % 2`. Feed these to
+/// StackDist-vs-simulator differentials.
 [[nodiscard]] CacheConfig randomLruCacheConfig(std::uint64_t seed);
 
 /// A random geometry restricted to the policy-grid domain: same
 /// L/sets/ways distribution again (independent rng stream), FIFO for
-/// even seeds and tree-PLRU for odd ones, always write-allocate, with
-/// the write policy alternating on `(seed / 2) % 2` so four consecutive
-/// seeds cover both policies under both write policies. Feed these to
+/// even seeds and tree-PLRU for odd ones, with the write policy
+/// alternating on `(seed / 2) % 2` so four consecutive seeds cover both
+/// policies under both write policies. Feed these to
 /// PolicyGridProfile-vs-simulator differentials.
 [[nodiscard]] CacheConfig randomGridCacheConfig(std::uint64_t seed);
 

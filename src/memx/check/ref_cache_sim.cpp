@@ -102,13 +102,7 @@ bool RefCacheSim::probeLine(std::uint64_t lineIndex, AccessType type,
     }
   }
 
-  // Miss. A no-allocate write goes around the cache untouched.
-  if (type == AccessType::Write &&
-      config_.allocatePolicy == AllocatePolicy::NoWriteAllocate) {
-    ++stats_.memWrites;
-    return false;
-  }
-
+  // Miss: every miss fills.
   const std::size_t w = chooseVictim(setIndex);
   Way& victim = set[w];
   if (victim.valid && victim.dirty) {

@@ -5,10 +5,10 @@
 // last-use and fill-time fields instead of the merged replacement stamp,
 // plain division/modulo instead of shift/mask address splitting, and a
 // recursive tree-PLRU. It covers every replacement (LRU, FIFO, Random,
-// TreePLRU), write (write-back, write-through) and allocate
-// (write-allocate, no-write-allocate) policy CacheSim supports, and is
-// specified to produce bit-identical CacheStats for any reference
-// stream when seeded identically. It is the obviously-correct side of
+// TreePLRU) and write (write-back, write-through) policy CacheSim
+// supports, fills on every miss as CacheSim does, and is specified to
+// produce bit-identical CacheStats for any reference stream when seeded
+// identically. It is the obviously-correct side of
 // the differential harness (see docs/TESTING.md); never use it on a hot
 // path.
 #pragma once

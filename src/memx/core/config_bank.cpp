@@ -23,7 +23,7 @@ ConfigBank::ConfigBank(SweepBackend backend,
     config.validate();
     MEMX_EXPECTS(simulated || stackDistSupports(config),
                  "the StackDist engine handles LRU, FIFO and TreePLRU "
-                 "write-allocate configs only");
+                 "configs only");
     const auto it = std::find_if(
         groups_.begin(), groups_.end(), [&](const Group& g) {
           const CacheConfig& first = configs_[g.members.front()];

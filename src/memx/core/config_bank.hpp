@@ -46,13 +46,12 @@ public:
   ConfigBank(SweepBackend backend, const std::vector<CacheConfig>& configs);
 
   /// True iff the StackDist engine yields exact statistics for
-  /// `config`: LRU, FIFO or tree-PLRU replacement with write-allocate
-  /// fills, any geometry, both write policies. Random replacement draws
-  /// from a simulator-owned rng stream and stays simulation-only.
+  /// `config`: LRU, FIFO or tree-PLRU replacement, any geometry, both
+  /// write policies. Random replacement draws from a simulator-owned rng
+  /// stream and stays simulation-only.
   [[nodiscard]] static bool stackDistSupports(
       const CacheConfig& config) noexcept {
-    return config.replacement != ReplacementPolicy::Random &&
-           config.allocatePolicy == AllocatePolicy::WriteAllocate;
+    return config.replacement != ReplacementPolicy::Random;
   }
 
   /// Replay an in-memory trace through every member, on the caller's

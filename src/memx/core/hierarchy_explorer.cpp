@@ -32,12 +32,11 @@ namespace {
 /// the L2 array, and every L2 miss pays the L2 line's I/O + main memory.
 HierarchyPoint foldHierarchyPoint(const CacheConfig& l1, const CacheConfig& l2,
                                   const HierarchyStats& s,
-                                  const EnergyParams& energy,
-                                  const HierarchyTiming& timing, double addBs) {
+                                  const EnergyParams& energy, double addBs) {
   const CacheEnergyModel l1Model(l1, energy, addBs);
   const CacheEnergyModel l2Model(l2, energy, addBs);
   return HierarchyPoint{
-      l1, l2, s.l1.missRate(), s.globalMissRate(), timing.cycles(s),
+      l1, l2, s.l1.missRate(), s.globalMissRate(), hierarchyCycles(s),
       static_cast<double>(s.l1.accesses()) * l1Model.hitEnergyNj() +
           static_cast<double>(s.l2.accesses()) * l2Model.hitEnergyNj() +
           static_cast<double>(s.l2.misses()) *
@@ -49,7 +48,7 @@ HierarchyPoint foldHierarchyPoint(const CacheConfig& l1, const CacheConfig& l2,
 std::vector<HierarchyPoint> evaluateHierarchy(
     const Trace& trace, const CacheConfig& l1,
     const std::vector<CacheConfig>& l2s, const EnergyParams& energy,
-    const HierarchyTiming& timing, double addBs, obs::Recorder* recorder) {
+    double addBs, obs::Recorder* recorder) {
   const obs::ScopedSpan span(recorder, "hierarchy.evaluate");
   for (const CacheConfig& l2 : l2s) checkInclusion(l1, l2);
   const L1Filter filtered = filterL1(l1, trace);
@@ -61,7 +60,7 @@ std::vector<HierarchyPoint> evaluateHierarchy(
   for (std::size_t i = 0; i < l2s.size(); ++i) {
     points.push_back(foldHierarchyPoint(l1, l2s[i],
                                         {filtered.l1, bank.stats(i)},
-                                        energy, timing, addBs));
+                                        energy, addBs));
   }
   return points;
 }
@@ -69,7 +68,6 @@ std::vector<HierarchyPoint> evaluateHierarchy(
 std::vector<HierarchyPoint> exploreHierarchy(const Trace& trace,
                                              const HierarchyRanges& ranges,
                                              const EnergyParams& energy,
-                                             const HierarchyTiming& timing,
                                              obs::Recorder* recorder) {
   const obs::ScopedSpan span(recorder, "exploreHierarchy");
   ranges.validate();
@@ -88,7 +86,7 @@ std::vector<HierarchyPoint> exploreHierarchy(const Trace& trace,
     if (l2s.empty()) continue;
     const CacheConfig l1{static_cast<std::uint32_t>(s1), ranges.l1LineBytes};
     const std::vector<HierarchyPoint> row =
-        evaluateHierarchy(trace, l1, l2s, energy, timing, addBs, recorder);
+        evaluateHierarchy(trace, l1, l2s, energy, addBs, recorder);
     points.insert(points.end(), row.begin(), row.end());
   }
   if (recorder != nullptr) {

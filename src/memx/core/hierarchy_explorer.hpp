@@ -3,8 +3,8 @@
 //
 // Energy: every access pays the L1 hit energy; L1 misses add the L2
 // access energy; L2 misses add the I/O + main-memory energy of the L2's
-// line. Cycles use the two-level latency model. Both levels sweep in
-// powers of two, inclusion constraints enforced.
+// line. Cycles use the two-level latency model (hierarchyCycles). Both
+// levels sweep in powers of two, inclusion constraints enforced.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +55,7 @@ struct HierarchyRanges {
 [[nodiscard]] std::vector<HierarchyPoint> evaluateHierarchy(
     const Trace& trace, const CacheConfig& l1,
     const std::vector<CacheConfig>& l2s, const EnergyParams& energy,
-    const HierarchyTiming& timing, double addBs,
-    obs::Recorder* recorder = nullptr);
+    double addBs, obs::Recorder* recorder = nullptr);
 
 /// Sweep every valid (L1, L2) pair (L2 >= L1) over `trace`, one
 /// evaluateHierarchy per L1 size. `recorder` (optional) collects an
@@ -64,7 +63,6 @@ struct HierarchyRanges {
 /// results are identical with or without it.
 [[nodiscard]] std::vector<HierarchyPoint> exploreHierarchy(
     const Trace& trace, const HierarchyRanges& ranges,
-    const EnergyParams& energy = {}, const HierarchyTiming& timing = {},
-    obs::Recorder* recorder = nullptr);
+    const EnergyParams& energy = {}, obs::Recorder* recorder = nullptr);
 
 }  // namespace memx

@@ -23,10 +23,12 @@ bool cyclesLess(const DesignPoint& a, const DesignPoint& b) {
 }  // namespace
 
 std::optional<DesignPoint> minEnergyPoint(
-    std::span<const DesignPoint> points, std::optional<double> cycleBound) {
+    std::span<const DesignPoint> points, std::optional<double> cycleBound,
+    std::optional<double> energyBound) {
   std::optional<DesignPoint> best;
   for (const DesignPoint& p : points) {
     if (cycleBound && p.cycles > *cycleBound) continue;
+    if (energyBound && p.energyNj > *energyBound) continue;
     if (!best || energyLess(p, *best)) best = p;
   }
   return best;
@@ -76,18 +78,6 @@ std::optional<DesignPoint> minEnergyPointWithinArea(
   std::optional<DesignPoint> best;
   for (const DesignPoint& p : points) {
     if (estimateArea(p.cacheConfig()).totalRbe() > maxAreaRbe) continue;
-    if (!best || energyLess(p, *best)) best = p;
-  }
-  return best;
-}
-
-std::optional<DesignPoint> bestUnderBounds(
-    std::span<const DesignPoint> points, std::optional<double> cycleBound,
-    std::optional<double> energyBound) {
-  std::optional<DesignPoint> best;
-  for (const DesignPoint& p : points) {
-    if (cycleBound && p.cycles > *cycleBound) continue;
-    if (energyBound && p.energyNj > *energyBound) continue;
     if (!best || energyLess(p, *best)) best = p;
   }
   return best;

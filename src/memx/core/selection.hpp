@@ -13,11 +13,13 @@
 namespace memx {
 
 /// The point with minimal energy among those with cycles <= cycleBound
-/// (no bound = global energy minimum). Ties broken by fewer cycles, then
-/// smaller cache. Returns nullopt when no point meets the bound.
+/// and energy <= energyBound (an absent bound does not constrain; none
+/// = global energy minimum). Ties broken by fewer cycles, then smaller
+/// cache. Returns nullopt when no point meets the bounds.
 [[nodiscard]] std::optional<DesignPoint> minEnergyPoint(
     std::span<const DesignPoint> points,
-    std::optional<double> cycleBound = std::nullopt);
+    std::optional<double> cycleBound = std::nullopt,
+    std::optional<double> energyBound = std::nullopt);
 
 /// The point with minimal cycles among those with energy <= energyBound
 /// (no bound = global cycle minimum). Ties broken by lower energy, then
@@ -30,11 +32,6 @@ namespace memx {
 /// and < in one. Sorted by ascending cycles.
 [[nodiscard]] std::vector<DesignPoint> paretoFront(
     std::span<const DesignPoint> points);
-
-/// Minimum-energy point satisfying both bounds (either may be absent).
-[[nodiscard]] std::optional<DesignPoint> bestUnderBounds(
-    std::span<const DesignPoint> points, std::optional<double> cycleBound,
-    std::optional<double> energyBound);
 
 /// Minimum energy-delay product (energy * cycles): the standard single
 /// scalar when neither metric is a hard constraint. Ties broken by lower

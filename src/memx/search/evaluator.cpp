@@ -148,7 +148,7 @@ std::vector<Objectives> SearchEvaluator::evaluate(
         }
         const std::vector<HierarchyPoint> hps = evaluateHierarchy(
             trace, state.explorer->configFor(key), l2s, base_.energy,
-            HierarchyTiming{}, activity, recorder_);
+            activity, recorder_);
         for (std::size_t j = 0; j < indices.size(); ++j) {
           points[indices[j]] =
               DesignPoint{key, trace.size(), hps[j].globalMissRate,

@@ -30,15 +30,17 @@ constexpr std::uint64_t kEnumerationLimit = 1ull << 20;
 /// enumeration.
 constexpr std::uint32_t kDrawRetries = 8;
 
+/// Competitors per tournament pick (binary tournament).
+constexpr std::uint32_t kTournamentSize = 2;
+/// Probability a parent pair recombines.
+constexpr double kCrossoverRate = 0.9;
+/// Per-gene mutation probability.
+constexpr double kMutationRate = 0.15;
+
 }  // namespace
 
 void SearchOptions::validate() const {
   MEMX_EXPECTS(populationSize >= 2, "population needs at least 2");
-  MEMX_EXPECTS(tournamentSize >= 1, "tournament needs at least 1 pick");
-  MEMX_EXPECTS(crossoverRate >= 0.0 && crossoverRate <= 1.0,
-               "crossover rate out of [0, 1]");
-  MEMX_EXPECTS(mutationRate >= 0.0 && mutationRate <= 1.0,
-               "mutation rate out of [0, 1]");
 }
 
 NsgaSearch::NsgaSearch(Kernel kernel, DesignSpace space, ExploreOptions base,
@@ -134,7 +136,7 @@ std::size_t NsgaSearch::tournament(const std::vector<Individual>& pop,
     return pop[a].key < pop[b].key;
   };
   std::size_t best = static_cast<std::size_t>(rng() % pop.size());
-  for (std::uint32_t k = 1; k < options_.tournamentSize; ++k) {
+  for (std::uint32_t k = 1; k < kTournamentSize; ++k) {
     const std::size_t challenger =
         static_cast<std::size_t>(rng() % pop.size());
     if (better(challenger, best)) best = challenger;
@@ -162,7 +164,7 @@ Genome NsgaSearch::crossover(const Genome& a, const Genome& b,
 
 Genome NsgaSearch::mutate(Genome g, std::mt19937_64& rng) const {
   for (std::size_t i = 0; i < kGeneCount; ++i) {
-    if (!chance(rng, options_.mutationRate)) continue;
+    if (!chance(rng, kMutationRate)) continue;
     const std::size_t dim = space_.dimSize(static_cast<Gene>(i));
     if (chance(rng, 0.5)) {
       // Creep: one step along the (ordered) dimension.
@@ -254,7 +256,7 @@ SearchResult NsgaSearch::run() {
     for (std::uint32_t k = 0; k < options_.populationSize; ++k) {
       const Genome& a = parents[tournament(parents, rng)].genome;
       const Genome& b = parents[tournament(parents, rng)].genome;
-      Genome child = chance(rng, options_.crossoverRate)
+      Genome child = chance(rng, kCrossoverRate)
                          ? crossover(a, b, rng)
                          : a;
       child = space_.repair(mutate(child, rng));

@@ -56,10 +56,6 @@ struct SearchOptions {
   /// Generation cap. A run also stops when the budget is spent or no
   /// unvisited genome is left.
   std::uint32_t generations = 40;
-  /// Competitors per tournament pick (>= 1; 2 = binary tournament).
-  std::uint32_t tournamentSize = 2;
-  double crossoverRate = 0.9;   ///< probability a pair recombines
-  double mutationRate = 0.15;   ///< per-gene mutation probability
   /// Hard cap on the distinct genomes a run visits, and so on its fresh
   /// evaluations. 0 means populationSize * (generations + 1).
   std::uint64_t maxEvaluations = 0;

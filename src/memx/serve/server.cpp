@@ -20,7 +20,6 @@
 #include "memx/search/front_io.hpp"
 #include "memx/serve/job_queue.hpp"
 #include "memx/trace/file_source.hpp"
-#include "memx/util/numeric_io.hpp"
 
 namespace memx::serve {
 
@@ -81,9 +80,6 @@ struct ResolvedKernel {
   return "seed=" + std::to_string(s.seed) +
          ";pop=" + std::to_string(s.populationSize) +
          ";gens=" + std::to_string(s.generations) +
-         ";tourn=" + std::to_string(s.tournamentSize) +
-         ";cx=" + formatDouble17(s.crossoverRate) +
-         ";mut=" + formatDouble17(s.mutationRate) +
          ";budget=" + std::to_string(s.maxEvaluations) +
          ";finish=" + (s.finishExhaustively ? "1" : "0") +
          ";joint=" + (request.jointSpace ? "1" : "0") + ";";
@@ -107,8 +103,8 @@ struct ResolvedKernel {
     const Request& request, const ExplorationResult& result) {
   switch (request.metric) {
     case SelectionMetric::MinEnergy:
-      return bestUnderBounds(result.points, request.cycleBound,
-                             request.energyBound);
+      return minEnergyPoint(result.points, request.cycleBound,
+                            request.energyBound);
     case SelectionMetric::MinCycles:
       return minCyclePoint(result.points, request.energyBound);
     case SelectionMetric::MinEdp:

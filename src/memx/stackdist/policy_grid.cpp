@@ -4,56 +4,11 @@
 #include <bit>
 #include <limits>
 
+#include "memx/cachesim/plru_tree.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 
 namespace memx {
-namespace {
-
-/// CacheSim::plruTouch on a caller-held word: walk the lo/hi/mid tree
-/// toward `way`, pointing every traversed node away from it. Identical
-/// bit layout to CacheSim for every associativity it can represent (its
-/// tree word is 32-bit, capping it at 33 ways; this one is 64-bit and
-/// serves the full ways <= 64 grid).
-inline void plruTouchWord(std::uint64_t& bits, std::size_t way,
-                          std::uint32_t assoc) {
-  std::size_t node = 0;
-  std::size_t lo = 0;
-  std::size_t hi = assoc;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (way < mid) {
-      bits |= (std::uint64_t{1} << node);  // point right, away
-      node = 2 * node + 1;
-      hi = mid;
-    } else {
-      bits &= ~(std::uint64_t{1} << node);  // point left
-      node = 2 * node + 2;
-      lo = mid;
-    }
-  }
-}
-
-/// CacheSim::plruVictim on a caller-held word: follow the pointers.
-[[nodiscard]] inline std::size_t plruVictimWord(std::uint64_t bits,
-                                                std::uint32_t assoc) {
-  std::size_t node = 0;
-  std::size_t lo = 0;
-  std::size_t hi = assoc;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (bits & (std::uint64_t{1} << node)) {  // points right
-      node = 2 * node + 2;
-      lo = mid;
-    } else {
-      node = 2 * node + 1;
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-}  // namespace
 
 PolicyGridProfile::PolicyGridProfile(ReplacementPolicy policy,
                                      std::uint32_t lineBytes,
@@ -210,7 +165,7 @@ void PolicyGridProfile::probeLevel(const LevelPlan& level,
     if (hitWay < ways) {
       // Hit: FIFO leaves its fill order untouched; PLRU re-points the
       // tree; a write dirties the way. No counters — hits are derived.
-      if constexpr (!kFifo) plruTouchWord(treeBits_[m], hitWay, ways);
+      if constexpr (!kFifo) plruTreeTouch(treeBits_[m], hitWay, ways);
       if constexpr (kWrite) dirtyMask_[m] |= (std::uint64_t{1} << hitWay);
       continue;
     }
@@ -227,7 +182,7 @@ void PolicyGridProfile::probeLevel(const LevelPlan& level,
       victim = firstEmpty < ways
                    ? firstEmpty
                    : static_cast<std::uint32_t>(
-                         plruVictimWord(treeBits_[m], ways));
+                         plruTreeVictim(treeBits_[m], ways));
     }
     const std::uint64_t evicted = keys[victim];
     if (evicted != 0 && ((dirtyMask_[m] >> victim) & 1) != 0) {
@@ -239,7 +194,7 @@ void PolicyGridProfile::probeLevel(const LevelPlan& level,
     } else {
       dirtyMask_[m] &= ~(std::uint64_t{1} << victim);
     }
-    if constexpr (!kFifo) plruTouchWord(treeBits_[m], victim, ways);
+    if constexpr (!kFifo) plruTreeTouch(treeBits_[m], victim, ways);
     ++lineFill_[cp->cell];
     if constexpr (kStraddle) {
       anyMiss_[cp->cell] = 1;
@@ -255,6 +210,11 @@ void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
     const MemRef& ref = refs[i];
     const std::uint64_t firstLine = ref.addr >> lineShift_;
     const std::uint64_t lastLine = lastByte(ref) >> lineShift_;
+    // Keys are line + 1 so that 0 can mark an empty slot; no 64-bit key
+    // is left for line 2^64 - 1 (reachable only with 1-byte lines).
+    MEMX_EXPECTS(lastLine != std::numeric_limits<std::uint64_t>::max(),
+                 "line index 2^64 - 1 has no recency key (key = line + 1 "
+                 "wraps)");
     const bool readLike = isReadLike(ref.type);
     if (readLike) {
       ++reads_;
@@ -299,7 +259,7 @@ void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
     // misses a cell iff any probe does (CacheSim's per-access rule),
     // merged through the per-cell scratch flags.
     for (const CellPlan& cp : cellPlan_) anyMiss_[cp.cell] = 0;
-    for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
+    for (std::uint64_t line = firstLine;; ++line) {
       ++probes_;
       if (!readLike) ++writeProbes_;
       const std::uint64_t key = line + 1;
@@ -315,7 +275,7 @@ void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
         mruKey_[m] = key;
         mruDirty_[m] = readLike ? 0 : 1;
       }
-      if (line == std::numeric_limits<std::uint64_t>::max()) break;
+      if (line == lastLine) break;
     }
     for (const CellPlan& cp : cellPlan_) {
       if (anyMiss_[cp.cell] != 0) ++refMiss[cp.cell];

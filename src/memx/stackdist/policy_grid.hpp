@@ -100,7 +100,9 @@ public:
   /// trace into any sequence of feed() calls yields bit-identical
   /// counts to one whole-trace pass — cell state persists across calls
   /// — so out-of-core traces stream through in chunks. Every accessor
-  /// below is valid between feeds.
+  /// below is valid between feeds. Throws ContractViolation on a
+  /// reference lastByte() rejects, or one that touches line index
+  /// 2^64 - 1.
   void feed(const MemRef* refs, std::size_t count);
   void feed(const Trace& trace) { feed(trace.refs().data(), trace.size()); }
 
@@ -247,7 +249,7 @@ private:
   // setStride words per set.
   PaddedVector<std::uint64_t> keys_;
   PaddedVector<std::uint32_t> cursor_;    ///< FIFO round-robin fill way
-  PaddedVector<std::uint64_t> treeBits_;  ///< PLRU tree, CacheSim layout
+  PaddedVector<std::uint64_t> treeBits_;  ///< PLRU tree (plru_tree.hpp)
   PaddedVector<std::uint64_t> dirtyMask_; ///< per-way dirty bits
 
   // MRU short-circuit state: per (active set level, set), the key of

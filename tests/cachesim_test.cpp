@@ -163,18 +163,6 @@ TEST(CacheSim, WriteThroughWritesEveryStore) {
   EXPECT_EQ(sim.stats().writebacks, 0u);
 }
 
-TEST(CacheSim, NoWriteAllocateBypassesCache) {
-  CacheConfig c = dm(64, 8);
-  c.allocatePolicy = AllocatePolicy::NoWriteAllocate;
-  c.writePolicy = WritePolicy::WriteThrough;
-  CacheSim sim(c);
-  sim.access(writeRef(0));
-  EXPECT_FALSE(sim.contains(0));
-  EXPECT_EQ(sim.stats().writeMisses, 1u);
-  EXPECT_EQ(sim.stats().lineFills, 0u);
-  EXPECT_EQ(sim.stats().memWrites, 1u);
-}
-
 TEST(CacheSim, AccessStraddlingLinesMissesBothSides) {
   CacheSim sim(dm(64, 8));
   const AccessOutcome out = sim.access(readRef(6, 4));  // lines 0 and 1

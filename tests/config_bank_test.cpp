@@ -49,8 +49,7 @@ Trace mixedRandomTrace(std::size_t count, std::uint64_t seed) {
 /// line-decomposition groups are actually exercised, plus repeated line
 /// sizes within a group.
 std::vector<CacheConfig> bankConfigs(ReplacementPolicy replacement,
-                                     WritePolicy write,
-                                     AllocatePolicy allocate) {
+                                     WritePolicy write) {
   std::vector<CacheConfig> configs;
   const std::uint32_t geometries[][3] = {
       {64, 8, 1}, {64, 8, 2}, {128, 8, 4}, {64, 16, 2},
@@ -63,7 +62,6 @@ std::vector<CacheConfig> bankConfigs(ReplacementPolicy replacement,
     c.associativity = g[2];
     c.replacement = replacement;
     c.writePolicy = write;
-    c.allocatePolicy = allocate;
     configs.push_back(c);
   }
   return configs;
@@ -98,29 +96,24 @@ TEST(MultiCacheSim, MatchesIndependentSimsEveryPolicyCombination) {
         ReplacementPolicy::Random, ReplacementPolicy::TreePLRU}) {
     for (const WritePolicy write :
          {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
-      for (const AllocatePolicy allocate :
-           {AllocatePolicy::WriteAllocate, AllocatePolicy::NoWriteAllocate}) {
-        const std::vector<CacheConfig> configs =
-            bankConfigs(replacement, write, allocate);
-        ConfigBank bank(SweepBackend::MultiSim, configs);
-        bank.run(trace);
-        ASSERT_EQ(bank.size(), configs.size());
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-          const CacheStats solo = simulateTrace(configs[i], trace);
-          expectStatsEqual(bank.stats(i), solo,
-                           configs[i].label() + " " + toString(replacement) +
-                               "/" + toString(write) + "/" +
-                               toString(allocate));
-        }
+      const std::vector<CacheConfig> configs =
+          bankConfigs(replacement, write);
+      ConfigBank bank(SweepBackend::MultiSim, configs);
+      bank.run(trace);
+      ASSERT_EQ(bank.size(), configs.size());
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        const CacheStats solo = simulateTrace(configs[i], trace);
+        expectStatsEqual(bank.stats(i), solo,
+                         configs[i].label() + " " + toString(replacement) +
+                             "/" + toString(write));
       }
     }
   }
 }
 
 TEST(MultiCacheSim, MatchesIndependentSimsOnSeveralSeeds) {
-  const std::vector<CacheConfig> configs = bankConfigs(
-      ReplacementPolicy::LRU, WritePolicy::WriteBack,
-      AllocatePolicy::WriteAllocate);
+  const std::vector<CacheConfig> configs =
+      bankConfigs(ReplacementPolicy::LRU, WritePolicy::WriteBack);
   for (const std::uint64_t seed : {1u, 7u, 1234u}) {
     const Trace trace = mixedRandomTrace(1500, seed);
     ConfigBank bank(SweepBackend::MultiSim, configs);
@@ -208,8 +201,8 @@ TEST(StackDistSim, GroupsSharingALineSizeUseOnePass) {
 
 TEST(StackDistSim, RejectsConfigsOutsideItsDomain) {
   // FIFO and tree-PLRU sweeps are served by the PolicyGridProfile
-  // engine; only Random replacement (simulator-owned rng stream) and
-  // no-write-allocate caches still require simulation.
+  // engine; only Random replacement (simulator-owned rng stream) still
+  // requires simulation.
   CacheConfig fifo = randomLruCacheConfig(1);
   fifo.replacement = ReplacementPolicy::FIFO;
   EXPECT_TRUE(ConfigBank::stackDistSupports(fifo));
@@ -222,12 +215,6 @@ TEST(StackDistSim, RejectsConfigsOutsideItsDomain) {
   rnd.replacement = ReplacementPolicy::Random;
   EXPECT_FALSE(ConfigBank::stackDistSupports(rnd));
   EXPECT_THROW(ConfigBank(SweepBackend::StackDist, {rnd}), ContractViolation);
-
-  CacheConfig noAlloc = randomLruCacheConfig(1);
-  noAlloc.allocatePolicy = AllocatePolicy::NoWriteAllocate;
-  EXPECT_FALSE(ConfigBank::stackDistSupports(noAlloc));
-  EXPECT_THROW(ConfigBank(SweepBackend::StackDist, {noAlloc}),
-               ContractViolation);
 
   EXPECT_TRUE(ConfigBank::stackDistSupports(randomLruCacheConfig(1)));
   EXPECT_THROW(ConfigBank(SweepBackend::StackDist, {}), ContractViolation);
@@ -375,6 +362,40 @@ TEST(ConfigBank, SpansEndingOnTheTopLineTerminateAndCount) {
                    "StackDist at the top line");
 }
 
+TEST(ConfigBank, GridEnginesRefuseTheTopLineRatherThanReadItAsResident) {
+  // With 1-byte lines the last byte of memory is line 2^64 - 1, whose
+  // key (line + 1) would wrap to the grid's empty/MRU marker and read a
+  // cold access as a hit. Both grid policies refuse it, on the one-line
+  // path and on the straddling path, and so does a StackDist bank.
+  Trace oneLine;
+  oneLine.push(readRef(0xffffffffffffffffull, 1));
+  Trace straddle;
+  straddle.push(readRef(0xfffffffffffffffeull, 2));  // lines 2^64-2 and -1
+  for (const ReplacementPolicy policy :
+       {ReplacementPolicy::FIFO, ReplacementPolicy::TreePLRU}) {
+    for (const Trace* t : {&oneLine, &straddle}) {
+      EXPECT_THROW(PolicyGridProfile(*t, policy, 1, 1, 1), ContractViolation)
+          << toString(policy);
+      EXPECT_THROW(PolicyGridProfile(*t, policy, 1, 8, 8), ContractViolation)
+          << toString(policy);
+    }
+    CacheConfig c;
+    c.sizeBytes = 8;
+    c.lineBytes = 1;
+    c.replacement = policy;
+    for (const Trace* t : {&oneLine, &straddle}) {
+      ConfigBank bank(SweepBackend::StackDist, {c});
+      EXPECT_THROW(bank.run(*t), ContractViolation) << toString(policy);
+    }
+  }
+  // One line below it is an ordinary cold miss.
+  Trace below;
+  below.push(readRef(0xfffffffffffffffeull, 1));
+  EXPECT_EQ(PolicyGridProfile(below, ReplacementPolicy::FIFO, 1, 1, 1)
+                .misses(1, 1),
+            1u);
+}
+
 // --- Counters --------------------------------------------------------
 
 TEST(ConfigBank, RecordEmitsThePinnedEngineCounters) {
@@ -409,8 +430,7 @@ TEST(ConfigBank, RecordEmitsThePinnedEngineCounters) {
   }
   ConfigBank random(SweepBackend::MultiSim,
                     bankConfigs(ReplacementPolicy::Random,
-                                WritePolicy::WriteBack,
-                                AllocatePolicy::WriteAllocate));
+                                WritePolicy::WriteBack));
   random.run(head);
   VectorTraceSource source(tail);
   random.run(source, 64);

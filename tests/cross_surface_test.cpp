@@ -292,8 +292,7 @@ void checkL2Case(const Case& c) {
     if (!decoded.l2) continue;
     const HierarchyPoint want =
         evaluateHierarchy(trace, explorer.configFor(decoded.key),
-                          {*decoded.l2}, options.energy, HierarchyTiming{},
-                          addBs)
+                          {*decoded.l2}, options.energy, addBs)
             .front();
     const std::string where =
         c.repro("search L2") + " key=" + decoded.key.label();

@@ -14,7 +14,7 @@
 namespace memx {
 namespace {
 
-/// Case count: 512 by default (32 cases per policy combination), with
+/// Case count: 512 by default (64 cases per policy combination), with
 /// MEMX_DIFF_CASES overriding for the short sanitizer run in CI.
 std::size_t caseCount() {
   if (const char* env = std::getenv("MEMX_DIFF_CASES")) {
@@ -25,13 +25,16 @@ std::size_t caseCount() {
 }
 
 TEST(Differential, SixteenConsecutiveSeedsCoverEveryPolicyCombo) {
-  std::set<std::tuple<ReplacementPolicy, WritePolicy, AllocatePolicy>>
-      combos;
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    const CacheConfig c = randomCacheConfig(seed);
-    combos.insert({c.replacement, c.writePolicy, c.allocatePolicy});
+  // seed % 8 walks replacement x write, so each run of eight
+  // consecutive seeds covers all eight combinations.
+  for (const std::uint64_t first : {1u, 9u}) {
+    std::set<std::pair<ReplacementPolicy, WritePolicy>> combos;
+    for (std::uint64_t seed = first; seed < first + 8; ++seed) {
+      const CacheConfig c = randomCacheConfig(seed);
+      combos.insert({c.replacement, c.writePolicy});
+    }
+    EXPECT_EQ(combos.size(), 8u) << "seeds from " << first;
   }
-  EXPECT_EQ(combos.size(), 16u);
 }
 
 TEST(Differential, FourConsecutiveSeedsCoverEveryGridCombo) {
@@ -43,7 +46,6 @@ TEST(Differential, FourConsecutiveSeedsCoverEveryGridCombo) {
     const CacheConfig c = randomGridCacheConfig(seed);
     EXPECT_TRUE(c.replacement == ReplacementPolicy::FIFO ||
                 c.replacement == ReplacementPolicy::TreePLRU);
-    EXPECT_EQ(c.allocatePolicy, AllocatePolicy::WriteAllocate);
     combos.insert({c.replacement, c.writePolicy});
   }
   EXPECT_EQ(combos.size(), 4u);

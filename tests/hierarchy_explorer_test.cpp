@@ -44,7 +44,7 @@ TEST(HierarchyExplorer, RangesValidate) {
 /// evaluateHierarchy at the default models, bus activity measured.
 std::vector<HierarchyPoint> evaluate(const Trace& t, const CacheConfig& l1,
                                      const std::vector<CacheConfig>& l2s) {
-  return evaluateHierarchy(t, l1, l2s, EnergyParams{}, HierarchyTiming{},
+  return evaluateHierarchy(t, l1, l2s, EnergyParams{},
                            measureAddrActivity(t));
 }
 
@@ -82,7 +82,7 @@ TEST(HierarchyExplorer, MatchesTheOracleHierarchyPerPair) {
     const HierarchyStats want{ref.l1, ref.l2};
     EXPECT_EQ(points[i].l1MissRate, want.l1.missRate());
     EXPECT_EQ(points[i].globalMissRate, want.globalMissRate());
-    EXPECT_EQ(points[i].cycles, HierarchyTiming{}.cycles(want));
+    EXPECT_EQ(points[i].cycles, hierarchyCycles(want));
   }
 }
 
@@ -163,8 +163,7 @@ TEST(HierarchyExplorer, RecorderIsBitIdenticalAndCountsTheBanks) {
   const auto plain = exploreHierarchy(t, ranges);
   obs::Recorder recorder;
   const auto traced =
-      exploreHierarchy(t, ranges, EnergyParams{}, HierarchyTiming{},
-                       &recorder);
+      exploreHierarchy(t, ranges, EnergyParams{}, &recorder);
   ASSERT_EQ(plain.size(), traced.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(traced[i].label(), plain[i].label());

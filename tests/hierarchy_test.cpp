@@ -84,8 +84,7 @@ TEST(Hierarchy, TimingModelAccumulates) {
   s.l2.reads = 10;
   s.l2.readHits = 8;
   s.l2.readMisses = 2;
-  const HierarchyTiming t;
-  EXPECT_DOUBLE_EQ(t.cycles(s), 100 * 1.0 + 10 * 8.0 + 2 * 40.0);
+  EXPECT_DOUBLE_EQ(hierarchyCycles(s), 100 * 1.0 + 10 * 8.0 + 2 * 40.0);
 }
 
 TEST(Hierarchy, L2ReducesOffChipTrafficOnKernels) {

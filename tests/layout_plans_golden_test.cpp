@@ -1,8 +1,8 @@
 // Golden Section-4.1 layout plans: every field of assignConflictFree's
 // answer, pinned in tests/golden/layout_plans.csv, for the paper kernels
 // and the nine MPEG kernels over the Section-5 geometry range (T 16..512,
-// L 4..16, S <= 8) under all four replacement policies, both allocate
-// policies and B in {1, 4}. The certification may get faster; the plans
+// L 4..16, S <= 8) under all four replacement policies and B in
+// {1, 4}. The certification may get faster; the plans
 // it certifies may not change. A drift fails with the row and the first
 // differing column.
 //
@@ -34,11 +34,11 @@ namespace memx {
 namespace {
 
 constexpr const char* kHeader =
-    "kernel,cache,line,assoc,replacement,allocate,tiling,complete,"
-    "signature,group_slots,arrays";
+    "kernel,cache,line,assoc,replacement,tiling,complete,signature,"
+    "group_slots,arrays";
 
 /// Leading columns that identify a row (everything before `complete`).
-constexpr int kKeyColumns = 7;
+constexpr int kKeyColumns = 6;
 
 std::vector<Kernel> corpusKernels() {
   std::vector<Kernel> kernels = paperBenchmarks();
@@ -56,7 +56,7 @@ std::string planRow(const Kernel& kernel, const CacheConfig& cache,
   std::ostringstream os;
   os << kernel.name << ',' << cache.sizeBytes << ',' << cache.lineBytes
      << ',' << cache.associativity << ',' << toString(cache.replacement)
-     << ',' << toString(cache.allocatePolicy) << ',' << tiling << ','
+     << ',' << tiling << ','
      << (plan.complete ? 1 : 0) << ",\"" << plan.layout.signature()
      << "\",";
   for (std::size_t g = 0; g < plan.groupSlots.size(); ++g) {
@@ -102,8 +102,6 @@ std::vector<std::string> currentRows() {
   const ReplacementPolicy policies[] = {
       ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
       ReplacementPolicy::Random, ReplacementPolicy::TreePLRU};
-  const AllocatePolicy allocs[] = {AllocatePolicy::WriteAllocate,
-                                   AllocatePolicy::NoWriteAllocate};
   std::vector<std::string> rows;
   for (const Kernel& kernel : corpusKernels()) {
     for (const std::uint32_t tiling : {1u, 4u}) {
@@ -119,17 +117,14 @@ std::vector<std::string> currentRows() {
           for (const std::uint64_t S :
                pow2Range(1, std::min<std::uint64_t>(8, T / L))) {
             for (const ReplacementPolicy repl : policies) {
-              for (const AllocatePolicy alloc : allocs) {
-                CacheConfig cache;
-                cache.sizeBytes = static_cast<std::uint32_t>(T);
-                cache.lineBytes = static_cast<std::uint32_t>(L);
-                cache.associativity = static_cast<std::uint32_t>(S);
-                cache.replacement = repl;
-                cache.allocatePolicy = alloc;
-                const AssignmentPlan plan =
-                    assignConflictFree(kernel, cache, 0, &probe);
-                rows.push_back(planRow(kernel, cache, tiling, plan));
-              }
+              CacheConfig cache;
+              cache.sizeBytes = static_cast<std::uint32_t>(T);
+              cache.lineBytes = static_cast<std::uint32_t>(L);
+              cache.associativity = static_cast<std::uint32_t>(S);
+              cache.replacement = repl;
+              const AssignmentPlan plan =
+                  assignConflictFree(kernel, cache, 0, &probe);
+              rows.push_back(planRow(kernel, cache, tiling, plan));
             }
           }
         }

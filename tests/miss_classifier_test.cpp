@@ -77,34 +77,21 @@ TEST(MissClassifier, ConflictRateComputed) {
 TEST(FullyAssocLru, HandTracedLruOrder) {
   // Two lines of capacity: touching 0 makes 1 the LRU victim of 2.
   FullyAssocLru twin(dm(16, 8));
-  EXPECT_FALSE(twin.access(0, 0, AccessType::Read));
-  EXPECT_FALSE(twin.access(1, 1, AccessType::Read));
-  EXPECT_TRUE(twin.access(0, 0, AccessType::Read));
-  EXPECT_FALSE(twin.access(2, 2, AccessType::Read));  // evicts 1
-  EXPECT_TRUE(twin.access(0, 0, AccessType::Read));
-  EXPECT_FALSE(twin.access(1, 1, AccessType::Read));  // evicts 2
-  EXPECT_TRUE(twin.access(0, 0, AccessType::Write));
-  EXPECT_FALSE(twin.access(2, 2, AccessType::Read));  // evicts 1
+  EXPECT_FALSE(twin.access(0, 0));
+  EXPECT_FALSE(twin.access(1, 1));
+  EXPECT_TRUE(twin.access(0, 0));
+  EXPECT_FALSE(twin.access(2, 2));  // evicts 1
+  EXPECT_TRUE(twin.access(0, 0));
+  EXPECT_FALSE(twin.access(1, 1));  // evicts 2
+  EXPECT_TRUE(twin.access(0, 0));
+  EXPECT_FALSE(twin.access(2, 2));  // evicts 1
 }
 
 TEST(FullyAssocLru, StraddlingAccessHitsOnlyWhenEveryLineHits) {
   FullyAssocLru twin(dm(32, 8));
-  EXPECT_FALSE(twin.access(0, 0, AccessType::Read));
-  EXPECT_FALSE(twin.access(0, 1, AccessType::Read));  // line 1 misses
-  EXPECT_TRUE(twin.access(0, 1, AccessType::Read));
-}
-
-TEST(FullyAssocLru, NoWriteAllocateWriteMissLeavesContents) {
-  CacheConfig c = dm(16, 8);
-  c.allocatePolicy = AllocatePolicy::NoWriteAllocate;
-  FullyAssocLru twin(c);
-  EXPECT_FALSE(twin.access(5, 5, AccessType::Write));
-  EXPECT_FALSE(twin.access(5, 5, AccessType::Read));  // still cold
-  EXPECT_TRUE(twin.access(5, 5, AccessType::Write));  // write hit
-  c.allocatePolicy = AllocatePolicy::WriteAllocate;
-  FullyAssocLru allocating(c);
-  EXPECT_FALSE(allocating.access(5, 5, AccessType::Write));
-  EXPECT_TRUE(allocating.access(5, 5, AccessType::Read));
+  EXPECT_FALSE(twin.access(0, 0));
+  EXPECT_FALSE(twin.access(0, 1));  // line 1 misses
+  EXPECT_TRUE(twin.access(0, 1));
 }
 
 TEST(FullyAssocLru, EvictionKeepsCollidingLinesFindable) {
@@ -114,8 +101,8 @@ TEST(FullyAssocLru, EvictionKeepsCollidingLinesFindable) {
   FullyAssocLru twin(dm(32, 4));  // 8 lines
   for (std::uint64_t i = 0; i < 4096; ++i) {
     const std::uint64_t line = (i * 2654435761u) % 61;
-    (void)twin.access(line, line, AccessType::Read);
-    ASSERT_TRUE(twin.access(line, line, AccessType::Read)) << i;
+    (void)twin.access(line, line);
+    ASSERT_TRUE(twin.access(line, line)) << i;
   }
 }
 

@@ -12,15 +12,13 @@ namespace {
 CacheConfig config(std::uint32_t size, std::uint32_t line,
                    std::uint32_t assoc,
                    ReplacementPolicy repl = ReplacementPolicy::LRU,
-                   WritePolicy write = WritePolicy::WriteBack,
-                   AllocatePolicy alloc = AllocatePolicy::WriteAllocate) {
+                   WritePolicy write = WritePolicy::WriteBack) {
   CacheConfig c;
   c.sizeBytes = size;
   c.lineBytes = line;
   c.associativity = assoc;
   c.replacement = repl;
   c.writePolicy = write;
-  c.allocatePolicy = alloc;
   return c;
 }
 
@@ -98,19 +96,6 @@ TEST(RefCacheSim, WriteThroughSendsEveryWriteToMemory) {
   sim.access(readRef(8));   // evicts line 0 - clean, no writeback
   EXPECT_EQ(sim.stats().memWrites, 2u);
   EXPECT_EQ(sim.stats().writebacks, 0u);
-}
-
-TEST(RefCacheSim, NoWriteAllocateGoesAroundTheCache) {
-  RefCacheSim sim(config(8, 8, 1, ReplacementPolicy::LRU,
-                         WritePolicy::WriteBack,
-                         AllocatePolicy::NoWriteAllocate));
-  const RefAccessOutcome out = sim.access(writeRef(0));
-  EXPECT_FALSE(out.hit);
-  EXPECT_EQ(out.fills, 0u);
-  EXPECT_EQ(sim.stats().memWrites, 1u);
-  EXPECT_EQ(sim.stats().lineFills, 0u);
-  // The line was not allocated: a read still misses.
-  EXPECT_FALSE(sim.access(readRef(0)).hit);
 }
 
 TEST(RefCacheSim, StraddlingAccessCountsOnceButFillsTwice) {

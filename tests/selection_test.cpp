@@ -50,12 +50,11 @@ TEST(Selection, MinCyclesUnderEnergyBound) {
 TEST(Selection, UnsatisfiableBoundsReturnNothing) {
   EXPECT_FALSE(minEnergyPoint(kPoints, 100.0).has_value());
   EXPECT_FALSE(minCyclePoint(kPoints, 100.0).has_value());
-  EXPECT_FALSE(
-      bestUnderBounds(kPoints, 4500.0, 4000.0).has_value());
+  EXPECT_FALSE(minEnergyPoint(kPoints, 4500.0, 4000.0).has_value());
 }
 
 TEST(Selection, BestUnderBothBounds) {
-  const auto p = bestUnderBounds(kPoints, 7500.0, 4000.0);
+  const auto p = minEnergyPoint(kPoints, 7500.0, 4000.0);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->key.cacheBytes, 32u);
 }
@@ -125,17 +124,17 @@ TEST(Selection, CycleBoundJustBelowFastestIsInfeasible) {
 }
 
 TEST(Selection, BestUnderBoundsWithSingleOrNoBound) {
-  // Only a cycle bound: behaves like minEnergyPoint under that bound.
-  const auto cycOnly = bestUnderBounds(kPoints, 5000.0, std::nullopt);
+  // Only a cycle bound: an absent energy bound is the default.
+  const auto cycOnly = minEnergyPoint(kPoints, 5000.0, std::nullopt);
   ASSERT_TRUE(cycOnly.has_value());
   EXPECT_EQ(cycOnly->key, minEnergyPoint(kPoints, 5000.0)->key);
   // Only an energy bound: min energy among the feasible ones - kPoints'
   // global optimum is also the cheapest, so it survives its own bound.
-  const auto enOnly = bestUnderBounds(kPoints, std::nullopt, 3000.0);
+  const auto enOnly = minEnergyPoint(kPoints, std::nullopt, 3000.0);
   ASSERT_TRUE(enOnly.has_value());
   EXPECT_EQ(enOnly->key.cacheBytes, 16u);
   // No bounds at all: the global energy optimum.
-  const auto none = bestUnderBounds(kPoints, std::nullopt, std::nullopt);
+  const auto none = minEnergyPoint(kPoints, std::nullopt, std::nullopt);
   ASSERT_TRUE(none.has_value());
   EXPECT_EQ(none->key, minEnergyPoint(kPoints)->key);
 }

@@ -648,7 +648,7 @@ TEST(Server, BoundsChangeReselectsWithoutRecomputing) {
   const ExplorationResult direct =
       Explorer(smallOptions()).explore(registeredKernel("matadd"));
   const auto expected =
-      bestUnderBounds(direct.points, unboundedCycles * 0.999, std::nullopt);
+      minEnergyPoint(direct.points, unboundedCycles * 0.999, std::nullopt);
   if (expected.has_value()) {
     EXPECT_EQ(field(field(bounded, "selected"), "label").asString(),
               expected->label());
