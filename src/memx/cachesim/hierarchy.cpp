@@ -1,6 +1,11 @@
 #include "memx/cachesim/hierarchy.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+
 #include "memx/util/assert.hpp"
+#include "memx/util/bits.hpp"
 
 namespace memx {
 
@@ -24,6 +29,28 @@ L1Filter filterL1(const CacheConfig& l1, const Trace& trace) {
     }
   }
   return L1Filter{sim.stats(), Trace(std::move(stream))};
+}
+
+CacheConfig spanSizedL2(const CacheConfig& l2, const Trace& l2Stream) {
+  l2.validate();
+  const unsigned lineShift = log2Exact(l2.lineBytes);
+  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t hi = 0;
+  for (const MemRef& ref : l2Stream) {
+    lo = std::min(lo, ref.addr >> lineShift);
+    hi = std::max(hi, lastByte(ref) >> lineShift);
+  }
+  std::uint64_t sets = 1;
+  if (!l2Stream.empty()) {
+    // hi - lo + 1 wraps to 0 on a stream that spans every line index,
+    // so the guard compares hi - lo.
+    if (hi - lo >= l2.numSets()) return l2;
+    sets = hi - lo + 1;
+  }
+  CacheConfig sized = l2;
+  sized.sizeBytes = static_cast<std::uint32_t>(std::bit_ceil(sets)) *
+                    l2.lineBytes * l2.associativity;
+  return sized;
 }
 
 double hierarchyCycles(const HierarchyStats& stats) {

@@ -45,6 +45,17 @@ struct L1Filter {
 };
 [[nodiscard]] L1Filter filterL1(const CacheConfig& l1, const Trace& trace);
 
+/// The smallest cache with `l2`'s statistics on `l2Stream`: `l2` with
+/// only its capacity shrunk to bitCeil(hi - lo + 1) sets, where [lo, hi]
+/// is the stream's line-index range, when hi - lo < l2.numSets(); `l2`
+/// itself otherwise. Every line of such a stream owns a set in both
+/// caches, so neither ever evicts, draws a Random victim or writes back:
+/// every CacheStats field agrees under every replacement and write
+/// policy. An empty stream gets one set. Replaying a 108-byte stream on
+/// a 2 MiB L2 then costs the stream, not the line array.
+[[nodiscard]] CacheConfig spanSizedL2(const CacheConfig& l2,
+                                      const Trace& l2Stream);
+
 /// Cycles of a two-level run: 1 per access, 8 more per L1 miss (the L2
 /// access) and 40 more per L2 miss (main memory).
 [[nodiscard]] double hierarchyCycles(const HierarchyStats& stats);

@@ -126,13 +126,15 @@ std::string diffAllPaths(const DiffCase& c, const Trace& trace) {
   }
 
   // Path 4: the sweep's two-level path (one L1 filter pass, its
-  // recorded L2 stream replayed through a MultiSim ConfigBank) against
-  // the oracle's re-statement of the inclusive protocol.
+  // recorded L2 stream replayed through a MultiSim ConfigBank on the
+  // span-sized L2, as evaluateHierarchy does) against the oracle's
+  // re-statement of the inclusive protocol at the L2's full size.
   {
     const RefHierarchyStats want =
         refSimulateHierarchy(c.config, c.l2, trace);
     const L1Filter filtered = filterL1(c.config, trace);
-    ConfigBank bank(SweepBackend::MultiSim, {c.l2});
+    ConfigBank bank(SweepBackend::MultiSim,
+                    {spanSizedL2(c.l2, filtered.l2Stream)});
     bank.run(filtered.l2Stream);
     std::string d = diffStats("L1Filter.l1", want.l1, filtered.l1);
     if (d.empty()) d = diffStats("L2Bank", want.l2, bank.stats(0));

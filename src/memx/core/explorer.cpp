@@ -287,6 +287,11 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
   // Probe prefixes that certify layouts, per trace tiling; the full
   // trace-generating patterns are recorded later, once per group tiling.
   PatternCache probes;
+  // Memo nodes never move, so a (trace tiling, memo entry) pair names
+  // one traceKey: its signature and key string are built once per pair.
+  // Two entries with equal signatures still meet in groupIndex.
+  std::map<std::pair<std::uint32_t, const MemoryLayout*>, std::size_t>
+      groupOf;
   std::map<std::string, std::size_t> groupIndex;
   for (std::size_t i = 0; i < plan.keys.size(); ++i) {
     const ConfigKey& key = plan.keys[i];
@@ -302,15 +307,20 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
     const MemoryLayout& layout =
         layoutFor(kernel, tag, config, traceTiling, probes);
 
-    const std::string traceKey = tag + "|B" + std::to_string(traceTiling) +
-                                 '|' + layout.signature();
-    const auto [it, inserted] =
-        groupIndex.try_emplace(traceKey, plan.groups.size());
-    if (inserted) {
-      plan.groups.push_back(
-          SweepPlan::Group{traceTiling, traceKey, &layout, {}, backend});
+    const auto [memo, fresh] =
+        groupOf.try_emplace({traceTiling, &layout}, plan.groups.size());
+    if (fresh) {
+      std::string traceKey = tag + "|B" + std::to_string(traceTiling) +
+                             '|' + layout.signature();
+      const auto [it, inserted] =
+          groupIndex.try_emplace(traceKey, plan.groups.size());
+      if (inserted) {
+        plan.groups.push_back(SweepPlan::Group{
+            traceTiling, std::move(traceKey), &layout, {}, backend});
+      }
+      memo->second = it->second;
     }
-    plan.groups[it->second].keyIndices.push_back(i);
+    plan.groups[memo->second].keyIndices.push_back(i);
   }
   if (recorder_ != nullptr) {
     recorder_->counter("plan.keys").add(plan.keys.size());

@@ -52,10 +52,24 @@ std::vector<HierarchyPoint> evaluateHierarchy(
   const obs::ScopedSpan span(recorder, "hierarchy.evaluate");
   for (const CacheConfig& l2 : l2s) checkInclusion(l1, l2);
   const L1Filter filtered = filterL1(l1, trace);
+  // Each L2 replays on the fewest sets that hold the stream, with the
+  // same statistics; the fold below still prices the real L2.
   // Simulated, not analytic: see docs/MODELS.md §7 for the measurement.
-  ConfigBank bank(SweepBackend::MultiSim, l2s);
+  std::vector<CacheConfig> replayed;
+  replayed.reserve(l2s.size());
+  for (const CacheConfig& l2 : l2s) {
+    replayed.push_back(spanSizedL2(l2, filtered.l2Stream));
+  }
+  ConfigBank bank(SweepBackend::MultiSim, replayed);
   bank.run(filtered.l2Stream);
   bank.record(recorder);
+  if (recorder != nullptr) {
+    std::uint64_t spanSized = 0;
+    for (std::size_t i = 0; i < l2s.size(); ++i) {
+      spanSized += replayed[i] != l2s[i] ? 1 : 0;
+    }
+    recorder->counter("hierarchy.l2_span_sized").add(spanSized);
+  }
   std::vector<HierarchyPoint> points;
   for (std::size_t i = 0; i < l2s.size(); ++i) {
     points.push_back(foldHierarchyPoint(l1, l2s[i],

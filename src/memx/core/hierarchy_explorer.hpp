@@ -49,9 +49,12 @@ struct HierarchyRanges {
 
 /// Every two-level point: `l1` paired with each of `l2s` (in order) on
 /// `trace`, whose bus activity is `addBs`. One filterL1 pass, one MultiSim
-/// ConfigBank of the L2s over its stream, one fold per pair; `recorder`
-/// gets one "hierarchy.evaluate" span and the bank's counters. Throws on
-/// empty `l2s` or a non-inclusive pair.
+/// ConfigBank over its stream, one fold per pair. The bank replays each
+/// L2 as spanSizedL2 (same statistics on fewer sets, so the cost follows
+/// the stream, not the L2's capacity); the fold prices the real L2.
+/// `recorder` gets one "hierarchy.evaluate" span, the bank's counters
+/// and hierarchy.l2_span_sized. Throws on empty `l2s` or a non-inclusive
+/// pair.
 [[nodiscard]] std::vector<HierarchyPoint> evaluateHierarchy(
     const Trace& trace, const CacheConfig& l1,
     const std::vector<CacheConfig>& l2s, const EnergyParams& energy,

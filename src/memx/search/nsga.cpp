@@ -346,7 +346,9 @@ SearchResult NsgaSearch::run() {
   std::vector<Objectives> objs;
   objs.reserve(keys.size());
   for (const std::uint64_t key : keys) objs.push_back(visited.at(key).second);
-  for (const std::size_t i : nonDominatedFront(objs)) {
+  const std::vector<std::size_t> front = nonDominatedFront(objs);
+  result.front.reserve(front.size());  // callers keep results: no slack
+  for (const std::size_t i : front) {
     const auto& [genome, objectives] = visited.at(keys[i]);
     result.front.push_back(
         SearchPoint{genome, space_.decode(genome), objectives});

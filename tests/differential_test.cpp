@@ -8,6 +8,7 @@
 #include <set>
 #include <utility>
 
+#include "memx/cachesim/hierarchy.hpp"
 #include "memx/check/differential.hpp"
 #include "memx/check/random_gen.hpp"
 
@@ -70,6 +71,21 @@ TEST(Differential, SweepMatchesOracleOnAllPaths) {
   for (const std::string& failure : summary.failures) {
     ADD_FAILURE() << failure;
   }
+}
+
+TEST(Differential, SweepReachesBothL2ReplaySizes) {
+  // Path 4 replays the L2 on spanSizedL2: the sweep must hold both the
+  // span-sized branch and the full-size fallback to the oracle.
+  std::size_t spanSized = 0;
+  std::size_t fullSize = 0;
+  const std::size_t count = caseCount();
+  for (std::uint64_t seed = 1; seed <= count; ++seed) {
+    const DiffCase c = makeDiffCase(seed);
+    const L1Filter filtered = filterL1(c.config, c.trace);
+    ++(spanSizedL2(c.l2, filtered.l2Stream) == c.l2 ? fullSize : spanSized);
+  }
+  EXPECT_GT(spanSized, 0u);
+  EXPECT_GT(fullSize, 0u);
 }
 
 TEST(Differential, ReplayFromSeedIsDeterministic) {

@@ -159,7 +159,8 @@ std::vector<std::string> splitCsv(const std::string& line) {
 
 TEST(HierarchyExplorer, RecorderIsBitIdenticalAndCountsTheBanks) {
   const Trace t = generateTrace(sorKernel());
-  const HierarchyRanges ranges;
+  HierarchyRanges ranges;
+  ranges.maxL2Bytes = 16384;
   const auto plain = exploreHierarchy(t, ranges);
   obs::Recorder recorder;
   const auto traced =
@@ -172,8 +173,8 @@ TEST(HierarchyExplorer, RecorderIsBitIdenticalAndCountsTheBanks) {
     EXPECT_EQ(traced[i].cycles, plain[i].cycles);
     EXPECT_EQ(traced[i].energyNj, plain[i].energyNj);
   }
-  // Default ranges: L1 in {32..256}, L2 in {256..4096}, all pairs
-  // inclusive, so four L1 banks of five L2s each.
+  // L1 in {32..256}, L2 in {256..16384}, all pairs inclusive, so four
+  // L1 banks of seven L2s each.
   EXPECT_EQ(recorder.counterValue("hierarchy.points"), plain.size());
   EXPECT_EQ(recorder.counterValue("hierarchy.accesses"),
             t.size() * plain.size());
@@ -182,9 +183,13 @@ TEST(HierarchyExplorer, RecorderIsBitIdenticalAndCountsTheBanks) {
   EXPECT_EQ(recorder.counterValue("sweep.points"), plain.size());
   std::uint64_t l2Accesses = 0;
   for (const std::uint32_t s1 : {32u, 64u, 128u, 256u}) {
-    l2Accesses += 5 * filterL1(cfg(s1, 8), t).l2Stream.size();
+    l2Accesses += 7 * filterL1(cfg(s1, 8), t).l2Stream.size();
   }
   EXPECT_EQ(recorder.counterValue("sim.accesses"), l2Accesses);
+  // Every L1's stream spans 68 16-byte L2 lines, so it needs 128
+  // sets: the 256- and 512-set L2s (8 and 16 KiB) replay span-sized, the
+  // rest at full size.
+  EXPECT_EQ(recorder.counterValue("hierarchy.l2_span_sized"), 4u * 2u);
   EXPECT_EQ(recorder.counterValue("sweep.groups_stackdist"), 0u);
   // One hierarchy.evaluate span per evaluateHierarchy call (one per L1).
   const obs::RunReport report = recorder.report();

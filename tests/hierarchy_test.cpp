@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "memx/cachesim/hierarchy.hpp"
+#include "memx/check/ref_cache_sim.hpp"
 #include "memx/core/config_bank.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/loopir/trace_gen.hpp"
@@ -20,13 +25,14 @@ CacheConfig cfg(std::uint32_t size, std::uint32_t line,
 }
 
 /// The production two-level path: one L1 filter pass, its L2 stream
-/// replayed through a one-member MultiSim bank. The L2's line fills are
-/// the stack's off-chip traffic.
+/// replayed through a one-member MultiSim bank of the span-sized L2. The
+/// L2's line fills are the stack's off-chip traffic.
 HierarchyStats runStack(const CacheConfig& l1, const CacheConfig& l2,
                         const Trace& trace) {
   checkInclusion(l1, l2);
   const L1Filter filtered = filterL1(l1, trace);
-  ConfigBank bank(SweepBackend::MultiSim, {l2});
+  ConfigBank bank(SweepBackend::MultiSim,
+                  {spanSizedL2(l2, filtered.l2Stream)});
   bank.run(filtered.l2Stream);
   return HierarchyStats{filtered.l1, bank.stats(0)};
 }
@@ -93,6 +99,95 @@ TEST(Hierarchy, L2ReducesOffChipTrafficOnKernels) {
   CacheSim without(cfg(64, 8));
   without.run(t);
   EXPECT_LT(with.l2.lineFills, without.stats().lineFills);
+}
+
+void expectSameStats(const CacheStats& got, const CacheStats& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.reads, want.reads) << what;
+  EXPECT_EQ(got.writes, want.writes) << what;
+  EXPECT_EQ(got.readHits, want.readHits) << what;
+  EXPECT_EQ(got.readMisses, want.readMisses) << what;
+  EXPECT_EQ(got.writeHits, want.writeHits) << what;
+  EXPECT_EQ(got.writeMisses, want.writeMisses) << what;
+  EXPECT_EQ(got.lineFills, want.lineFills) << what;
+  EXPECT_EQ(got.writebacks, want.writebacks) << what;
+  EXPECT_EQ(got.memWrites, want.memWrites) << what;
+}
+
+/// A stream touching `lines` consecutive 16-byte lines from line `first`:
+/// a write to each, a read of each, then a write to the first again, so
+/// write-back, write-through and every hit/miss counter see traffic.
+Trace lineWalk(std::uint64_t first, std::uint64_t lines) {
+  Trace t;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (std::uint64_t i = 0; i < lines; ++i) {
+      const std::uint64_t addr = (first + i) * 16;
+      t.push(round == 0 ? writeRef(addr) : readRef(addr + 4));
+    }
+  }
+  t.push(writeRef(first * 16 + 8));
+  return t;
+}
+
+TEST(Hierarchy, SpanSizedL2MatchesFullSizeL2) {
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  Trace straddling;  // 8-byte references across line boundaries
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    straddling.push(i % 2 == 0 ? writeRef(100 * 16 + i * 16 + 12, 8)
+                               : readRef(100 * 16 + i * 16 + 12, 8));
+  }
+  straddling.push(readRef(100 * 16 + 12, 8));
+  Trace extremes;  // line index range [0, 2^64 - 1]: hi - lo + 1 wraps
+  extremes.push(writeRef(0, 1));
+  extremes.push(readRef(kTop, 1));
+  extremes.push(readRef(0, 1));
+  extremes.push(writeRef(kTop, 1));
+  struct Case {
+    const char* name;
+    CacheConfig l2;  // geometry; policies come from the loops below
+    Trace stream;
+    std::uint32_t sizedSets;  // sets of spanSizedL2
+  };
+  // 2 KiB, 16-byte lines, 2 ways: 64 sets. The direct-mapped 64-set
+  // twin makes span == sets + 1 conflict at full size.
+  const std::vector<Case> cases = {
+      {"span < sets", cfg(2048, 16, 2), lineWalk(7, 20), 32},
+      {"span == sets", cfg(2048, 16, 2), lineWalk(7, 64), 64},
+      {"span == sets + 1", cfg(1024, 16, 1), lineWalk(7, 65), 64},
+      {"straddling", cfg(2048, 16, 2), straddling, 16},
+      {"empty", cfg(2048, 16, 2), Trace{}, 1},
+      {"1-byte lines at 0 and 2^64-1", cfg(64, 1, 1), extremes, 64},
+  };
+  for (const Case& c : cases) {
+    for (const ReplacementPolicy repl :
+         {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+          ReplacementPolicy::TreePLRU, ReplacementPolicy::Random}) {
+      for (const WritePolicy write :
+           {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+        CacheConfig l2 = c.l2;
+        l2.replacement = repl;
+        l2.writePolicy = write;
+        const std::string what = std::string(c.name) + " " + toString(repl) +
+                                 " " + toString(write);
+        const CacheConfig sized = spanSizedL2(l2, c.stream);
+        EXPECT_EQ(sized.numSets(), c.sizedSets) << what;
+        CacheConfig rest = sized;  // everything but the capacity is l2's
+        rest.sizeBytes = l2.sizeBytes;
+        EXPECT_EQ(rest, l2) << what;
+        if (c.sizedSets == l2.numSets()) {
+          EXPECT_EQ(sized, l2) << what;
+        }
+
+        ConfigBank full(SweepBackend::MultiSim, {l2});
+        full.run(c.stream);
+        ConfigBank spanned(SweepBackend::MultiSim, {sized});
+        spanned.run(c.stream);
+        expectSameStats(spanned.stats(0), full.stats(0), what + " vs bank");
+        expectSameStats(spanned.stats(0), refSimulateTrace(l2, c.stream),
+                        what + " vs RefCacheSim");
+      }
+    }
+  }
 }
 
 /// Property: the L2 never sees more accesses than L1 misses + L1
