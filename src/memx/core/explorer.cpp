@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <thread>
 #include <utility>
 
@@ -17,6 +16,7 @@
 #include "memx/util/bits.hpp"
 #include "memx/util/numeric_io.hpp"
 #include "memx/util/pow2_range.hpp"
+#include "memx/util/worker_set.hpp"
 #include "memx/xform/tiling.hpp"
 
 namespace memx {
@@ -376,11 +376,11 @@ namespace {
 
 /// The one sweep loop behind explore() and exploreParallel(): plan on
 /// the calling thread (it fills the layout memo the group pointers
-/// alias), then drain the group queue with `threads` workers — on the
-/// calling thread itself when threads == 1. Each group's trace is
-/// materialized, evaluated and dropped; patterns are memoized per
-/// worker, so the nest walk happens at most once per distinct tiling
-/// per worker.
+/// alias), then drain the group queue on a WorkerSet of `threads`
+/// workers, the calling thread among them (alone when threads == 1).
+/// Each group's trace is materialized, evaluated and dropped; patterns
+/// are memoized per worker, so the nest walk happens at most once per
+/// distinct tiling per worker.
 ExplorationResult drainSweep(const Explorer& grid, const Kernel& kernel,
                              unsigned threads) {
   obs::Recorder* const recorder = grid.recorder();
@@ -415,31 +415,16 @@ ExplorationResult drainSweep(const Explorer& grid, const Kernel& kernel,
                          plan.keys, points);
     }
   };
-
-  if (threads == 1) {
-    drain();
-  } else {
-    // Exceptions are captured per worker and the first is rethrown on
-    // the calling thread after all workers joined, so none reaches a
-    // thread boundary.
-    std::vector<std::exception_ptr> errors(threads);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        try {
-          drain();
-        } catch (...) {
-          errors[t] = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      });
+  WorkerSet(threads).run([&](std::size_t) {
+    try {
+      drain();
+    } catch (...) {
+      // The set rethrows it on the calling thread; the other workers
+      // stop claiming groups.
+      failed.store(true, std::memory_order_relaxed);
+      throw;
     }
-    for (std::thread& w : workers) w.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-  }
+  });
 
   ExplorationResult result;
   result.workload = kernel.name;

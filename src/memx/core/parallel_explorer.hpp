@@ -2,17 +2,20 @@
 //
 // The sweep is partitioned into trace groups — sets of (T, L, S, B)
 // points sharing one tiling and one memory layout, hence one reference
-// trace. Workers claim whole groups from a shared counter; each worker
-// materializes the group's trace once (with a worker-local access-pattern
-// cache) and evaluates the group's configuration bank against it in a
-// single ConfigBank pass. Explorer::explore() is the same drain with one
-// worker on the calling thread, so results are identical to the serial
+// trace. The workers are one WorkerSet (util/worker_set.hpp), the
+// calling thread among them; they claim whole groups from a shared
+// counter, and each materializes the group's trace once (with a
+// worker-local access-pattern cache) and evaluates the group's
+// configuration bank against it in a single ConfigBank pass.
+// Explorer::explore() is the same drain with one worker, the calling
+// thread, and starts no thread; results are identical to the serial
 // sweep, in the same key order.
 //
-// Exceptions thrown inside a worker (for example a contract violation
-// while generating a kernel's trace) are captured per worker and the
-// first one is rethrown on the calling thread after all workers joined —
-// they never reach a thread boundary and terminate the process.
+// An exception thrown inside a worker (for example a contract violation
+// while generating a kernel's trace) stops the others claiming groups,
+// and the lowest-numbered worker's is rethrown on the calling thread
+// after all workers returned — none reaches a thread boundary and
+// terminates the process.
 #pragma once
 
 #include <cstdint>

@@ -14,7 +14,7 @@ namespace {
 /// activity) on its way to the replay loop, so the streamed path gets
 /// Add_bs from the same single pass instead of a second trace scan.
 /// Each filled span is observed in stream order, on whichever thread
-/// decodes (the streamed loop's decoder thread).
+/// decodes (the streamed loop's decode task).
 class MeterSource final : public TraceSource {
 public:
   MeterSource(TraceSource& inner, BusMonitor* bus)

@@ -36,9 +36,13 @@ Kernel registeredKernel(const std::string& name) {
   throw ContractViolation("unknown kernel '" + name + "'; known: " + valid);
 }
 
+bool isKernelPath(std::string_view name) noexcept {
+  return name.find('/') != std::string_view::npos ||
+         (name.size() > 3 && name.ends_with(".mx"));
+}
+
 Kernel kernelByNameOrPath(const std::string& name) {
-  if (name.find('/') != std::string::npos ||
-      (name.size() > 3 && name.substr(name.size() - 3) == ".mx")) {
+  if (isKernelPath(name)) {
     std::ifstream file(name);
     if (!file) throw ContractViolation("cannot open kernel file " + name);
     return parseKernel(file, name);

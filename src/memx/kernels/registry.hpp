@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "memx/loopir/kernel.hpp"
@@ -20,8 +21,13 @@ namespace memx {
 /// not resolved here; see kernelByNameOrPath.
 [[nodiscard]] Kernel registeredKernel(const std::string& name);
 
-/// CLI-style lookup: a path (contains '/' or ends in ".mx") is parsed
-/// as a kernel file, anything else goes through registeredKernel.
+/// Whether `name` denotes a kernel file rather than a registered name:
+/// it contains '/' or ends in ".mx". The one rule every entry point
+/// resolves workload names by.
+[[nodiscard]] bool isKernelPath(std::string_view name) noexcept;
+
+/// CLI-style lookup: a path (see isKernelPath) is parsed as a kernel
+/// file, anything else goes through registeredKernel.
 /// Throws memx::ContractViolation when the file cannot be opened and
 /// propagates parser errors.
 [[nodiscard]] Kernel kernelByNameOrPath(const std::string& name);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "memx/util/assert.hpp"
+#include "memx/util/csv_field.hpp"
 #include "memx/util/json_escape.hpp"
 #include "memx/util/numeric_io.hpp"
 
@@ -18,20 +19,6 @@ namespace {
 constexpr const char* kHeader =
     "workload,cache,line,assoc,tiling,accesses,miss_rate,cycles,"
     "energy_nj";
-
-/// RFC-4180-style field escaping: fields containing a comma, quote or
-/// newline are wrapped in quotes with inner quotes doubled. Used for the
-/// workload name, the only free-text CSV column.
-std::string csvEscape(const std::string& field) {
-  if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 /// Append `v` in decimal. The buffer holds the longest std::uint64_t
 /// (20 digits), so a failed conversion is a bug, not a truncation.
@@ -45,51 +32,6 @@ void appendUnsigned(std::string& out, std::uint64_t v) {
 /// Longest CSV row after the workload field: four uint32 and one
 /// uint64 column, three doubles, eight commas and the newline.
 constexpr std::size_t kMaxRowTail = 4 * 10 + 20 + 3 * kDouble17Chars + 9;
-
-/// Split one CSV line honoring quoted fields ("" inside quotes is a
-/// literal quote). Throws with the 1-based `lineNo` on unbalanced quotes
-/// or garbage after a closing quote.
-std::vector<std::string> splitCsvLine(const std::string& line,
-                                      std::size_t lineNo) {
-  std::vector<std::string> cells;
-  std::string cell;
-  bool quoted = false;
-  bool cellWasQuoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell += c;
-      }
-    } else if (c == '"') {
-      MEMX_EXPECTS(cell.empty() && !cellWasQuoted,
-                   "exploration-CSV row " + std::to_string(lineNo) +
-                       ": quote inside an unquoted field");
-      quoted = true;
-      cellWasQuoted = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-      cellWasQuoted = false;
-    } else {
-      MEMX_EXPECTS(!cellWasQuoted,
-                   "exploration-CSV row " + std::to_string(lineNo) +
-                       ": content after a closing quote");
-      cell += c;
-    }
-  }
-  MEMX_EXPECTS(!quoted, "exploration-CSV row " + std::to_string(lineNo) +
-                            ": unterminated quoted field");
-  cells.push_back(std::move(cell));
-  return cells;
-}
 
 /// Strict unsigned parse: digits only, fully consumed, within `max`.
 /// stoul-style silent truncation (2^32 reading back as 0) and negative
@@ -159,7 +101,11 @@ ExplorationResult readResultCsv(std::istream& is) {
   while (std::getline(is, line)) {
     ++lineNo;
     if (line.empty()) continue;
-    const std::vector<std::string> cells = splitCsvLine(line, lineNo);
+    const CsvFields split = splitCsvLine(line);
+    MEMX_EXPECTS(split.error.empty(), "exploration-CSV row " +
+                                          std::to_string(lineNo) + ": " +
+                                          split.error);
+    const std::vector<std::string>& cells = split.fields;
     MEMX_EXPECTS(cells.size() == 9, "exploration-CSV row " +
                                         std::to_string(lineNo) +
                                         " has wrong column count");

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "memx/cachesim/cache_config.hpp"
+#include "memx/util/csv_field.hpp"
 #include "memx/util/numeric_io.hpp"
 
 namespace memx::search {
@@ -23,20 +24,6 @@ constexpr std::size_t kColumnCount = std::size(kColumns);
 [[noreturn]] void fail(std::size_t lineNo, const std::string& what) {
   throw std::runtime_error("front CSV line " + std::to_string(lineNo) +
                            ": " + what);
-}
-
-std::vector<std::string> splitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
-    }
-    fields.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
 }
 
 std::uint32_t parseU32(const std::string& field, std::size_t lineNo,
@@ -100,11 +87,11 @@ void writeFrontCsv(std::ostream& out, const std::vector<FrontRow>& rows) {
   const ClassicLocaleGuard locale(out);
   out << frontCsvHeader() << '\n';
   for (const FrontRow& r : rows) {
-    out << r.workload << ',' << r.cacheBytes << ',' << r.lineBytes << ','
-        << r.associativity << ',' << r.tiling << ',' << r.replacement << ','
-        << r.writePolicy << ',' << r.layout << ',' << r.l2Bytes << ','
-        << f64(r.objectives[0]) << ',' << f64(r.objectives[1]) << ','
-        << f64(r.objectives[2]) << '\n';
+    out << csvEscape(r.workload) << ',' << r.cacheBytes << ','
+        << r.lineBytes << ',' << r.associativity << ',' << r.tiling << ','
+        << r.replacement << ',' << r.writePolicy << ',' << r.layout << ','
+        << r.l2Bytes << ',' << f64(r.objectives[0]) << ','
+        << f64(r.objectives[1]) << ',' << f64(r.objectives[2]) << '\n';
   }
 }
 
@@ -122,7 +109,9 @@ std::vector<FrontRow> readFrontCsv(std::istream& in) {
     ++lineNo;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const std::vector<std::string> fields = splitFields(line);
+    const CsvFields split = splitCsvLine(line);
+    if (!split.error.empty()) fail(lineNo, split.error);
+    const std::vector<std::string>& fields = split.fields;
     if (fields.size() != kColumnCount) {
       fail(lineNo, "expected " + std::to_string(kColumnCount) +
                        " fields, got " + std::to_string(fields.size()));

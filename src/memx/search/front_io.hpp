@@ -38,11 +38,14 @@ struct FrontRow {
                                   const SearchPoint& point);
 
 /// Write `rows` as CSV (header + one line per row, doubles as %.17g).
+/// A workload containing a comma, quote or newline is quoted RFC-4180
+/// style, as in the exploration CSV, so a kernel file's path round-trips.
 void writeFrontCsv(std::ostream& out, const std::vector<FrontRow>& rows);
 
 /// Parse a front CSV produced by writeFrontCsv. Throws
 /// std::runtime_error naming the offending line and column on any
-/// malformed input (wrong header, field count, or unparsable number).
+/// malformed input (wrong header, bad quoting, field count, or
+/// unparsable number).
 [[nodiscard]] std::vector<FrontRow> readFrontCsv(std::istream& in);
 
 }  // namespace memx::search

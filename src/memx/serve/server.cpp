@@ -40,8 +40,7 @@ struct ResolvedKernel {
             "src:" + cacheKeyDigest(request.kernelSource)};
   }
   const std::string& name = request.workload;
-  if (name.find('/') != std::string::npos ||
-      (name.size() > 3 && name.substr(name.size() - 3) == ".mx")) {
+  if (isKernelPath(name)) {
     // A kernel file: key by content, not by path — the file may change
     // between requests, and a stale path-keyed entry would silently
     // serve the old kernel's sweep.

@@ -5,6 +5,7 @@
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/util/assert.hpp"
 #include "memx/kernels/mpeg_kernels.hpp"
+#include "memx/kernels/registry.hpp"
 #include "memx/loopir/trace_gen.hpp"
 #include "memx/trace/trace_stats.hpp"
 
@@ -138,6 +139,22 @@ TEST(MpegKernels, DistinctWorkloadSizes) {
   std::set<std::uint64_t> sizes;
   for (const auto& wk : ks) sizes.insert(wk.kernel.referenceCount());
   EXPECT_GE(sizes.size(), 5u);
+}
+
+TEST(KernelRegistry, OneRuleSaysWhatIsAKernelFile) {
+  for (const char* path : {"a.mx", "dir/matmul", "/tmp/a,b.mx", "./x"}) {
+    EXPECT_TRUE(isKernelPath(path)) << path;
+  }
+  for (const char* name : {"matmul", ".mx", "a.mxx", "mx", ""}) {
+    EXPECT_FALSE(isKernelPath(name)) << name;
+  }
+  // Every registered name resolves through the registry, not the disk.
+  for (const std::string& name : kernelRegistryNames()) {
+    EXPECT_FALSE(isKernelPath(name)) << name;
+    EXPECT_EQ(kernelByNameOrPath(name).name, registeredKernel(name).name);
+  }
+  EXPECT_THROW((void)kernelByNameOrPath("no/such/kernel.mx"),
+               ContractViolation);
 }
 
 }  // namespace

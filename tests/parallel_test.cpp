@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -67,7 +68,16 @@ TEST(ParallelExplorer, WorkerExceptionPropagates) {
   k.body = {makeAccess(0, {AffineExpr::var(0)})};
   ExploreOptions o = smallSweep();
   o.optimizeLayout = false;
-  EXPECT_THROW((void)exploreParallel(k, o, 4), ContractViolation);
+  try {
+    (void)exploreParallel(k, o, 4);
+    ADD_FAILURE() << "worker exception swallowed";
+  } catch (const ContractViolation& e) {
+    // The worker's own message, not a generic one from the join.
+    EXPECT_NE(std::string(e.what()).find(
+                  "subscript out of bounds in kernel oob array a"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ParallelExplorer, SingleThreadWorks) {

@@ -551,6 +551,47 @@ TEST(FrontIo, RejectsMalformedInput) {
   EXPECT_THROW((void)readFrontCsv(badLayout), std::runtime_error);
 }
 
+TEST(FrontIo, WorkloadWithCommaAndQuoteRoundTrips) {
+  // A kernel file's path is its workload name, and a path may hold
+  // either character.
+  FrontRow row;
+  row.workload = "/tmp/a,b \"fast\".mx";
+  row.cacheBytes = 64;
+  row.lineBytes = 8;
+  row.associativity = 2;
+  row.tiling = 4;
+  row.replacement = "LRU";
+  row.writePolicy = "write-back";
+  row.layout = "opt";
+  row.l2Bytes = 1024;
+  row.objectives = {12.5, 400.0, 0.1};
+  std::stringstream io;
+  writeFrontCsv(io, {row, row});
+  EXPECT_NE(io.str().find("\n\"/tmp/a,b \"\"fast\"\".mx\",64,8,"),
+            std::string::npos)
+      << io.str();
+  const std::vector<FrontRow> parsed = readFrontCsv(io);
+  ASSERT_EQ(parsed.size(), 2u);
+  for (const FrontRow& back : parsed) {
+    EXPECT_EQ(back.workload, row.workload);
+    EXPECT_EQ(back.cacheBytes, row.cacheBytes);
+    EXPECT_EQ(back.tiling, row.tiling);
+    EXPECT_EQ(back.layout, row.layout);
+    EXPECT_EQ(back.l2Bytes, row.l2Bytes);
+    EXPECT_EQ(back.objectives, row.objectives);
+  }
+  // Bad quoting is reported with the front reader's own prefix.
+  std::stringstream unterminated(
+      frontCsvHeader() +
+      "\n\"/tmp/a,b.mx,64,8,2,4,LRU,write-back,opt,0,1,2,3\n");
+  try {
+    (void)readFrontCsv(unterminated);
+    ADD_FAILURE() << "unterminated quote accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "front CSV line 2: unterminated quoted field");
+  }
+}
+
 TEST(SearchDiff, ShrinkStepsReduceOrReportMinimal) {
   DesignSpaceOptions s = smallJointSpace();
   const std::uint64_t before = DesignSpace(s).size();

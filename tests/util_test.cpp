@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "memx/util/assert.hpp"
 #include "memx/util/bits.hpp"
 #include "memx/util/pow2_range.hpp"
+#include "memx/util/worker_set.hpp"
 
 namespace memx {
 namespace {
@@ -121,6 +131,120 @@ TEST(Contracts, EnsuresThrowsPostcondition) {
     const std::string what = e.what();
     EXPECT_NE(what.find("postcondition"), std::string::npos);
   }
+}
+
+// --- WorkerSet ----------------------------------------------------------
+
+/// Threads of this process, or nullopt where /proc/self/task is absent.
+std::optional<std::size_t> processThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  std::size_t n = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++n;
+  return n;
+}
+
+TEST(WorkerSet, RunsTheBodyOncePerThreadWithTheCallerAsThreadZero) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{4}}) {
+    WorkerSet set(n);
+    std::vector<std::atomic<int>> calls(n);
+    std::vector<std::thread::id> ids(n);
+    std::atomic<bool> outOfRange{false};
+    set.run([&](std::size_t t) {
+      if (t >= n) {
+        outOfRange = true;
+        return;
+      }
+      ++calls[t];
+      ids[t] = std::this_thread::get_id();
+    });
+    EXPECT_FALSE(outOfRange);
+    for (std::size_t t = 0; t < n; ++t) EXPECT_EQ(calls[t], 1) << t;
+    EXPECT_EQ(ids[0], std::this_thread::get_id());
+    EXPECT_EQ(std::set<std::thread::id>(ids.begin(), ids.end()).size(), n);
+  }
+}
+
+TEST(WorkerSet, EachThreadKeepsItsIdAcrossRuns) {
+  constexpr std::size_t kThreads = 3;
+  WorkerSet set(kThreads);
+  std::vector<std::thread::id> first(kThreads);
+  set.run([&](std::size_t t) { first[t] = std::this_thread::get_id(); });
+  // Each slot is touched only by its own thread; run() orders the rest.
+  std::vector<std::size_t> same(kThreads, 0);
+  for (int r = 0; r < 100; ++r) {
+    set.run([&](std::size_t t) {
+      if (std::this_thread::get_id() == first[t]) ++same[t];
+    });
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(same[t], 100u) << t;
+}
+
+TEST(WorkerSet, RethrowsTheLowestThreadsExceptionAfterEveryBodyReturned) {
+  WorkerSet set(4);
+  std::atomic<bool> twoThrowing{false};
+  std::vector<std::atomic<bool>> returned(4);
+  try {
+    set.run([&](std::size_t t) {
+      if (t == 2) {
+        returned[t] = true;
+        twoThrowing = true;
+        throw std::runtime_error("thread 2 failed");
+      }
+      if (t == 1) {
+        // Throw after thread 2 has: the lower thread still wins.
+        while (!twoThrowing) std::this_thread::yield();
+        returned[t] = true;
+        throw std::runtime_error("thread 1 failed");
+      }
+      // A slow body: run() must not rethrow before it returns.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      returned[t] = true;
+    });
+    ADD_FAILURE() << "exception swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "thread 1 failed");
+  }
+  for (std::size_t t = 0; t < 4; ++t) EXPECT_TRUE(returned[t]) << t;
+
+  // The set survives a failed run: every thread runs the next body, and
+  // the old exceptions are gone.
+  std::atomic<int> calls{0};
+  EXPECT_NO_THROW(set.run([&](std::size_t) { ++calls; }));
+  EXPECT_EQ(calls, 4);
+}
+
+TEST(WorkerSet, OneThreadStartsNone) {
+  const std::optional<std::size_t> before = processThreads();
+  {
+    WorkerSet set(1);
+    if (before) {
+      EXPECT_EQ(processThreads(), before);
+    }
+    std::thread::id ran;
+    set.run([&](std::size_t t) {
+      EXPECT_EQ(t, 0u);
+      ran = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran, std::this_thread::get_id());
+    // Without helpers the body's exception passes straight through.
+    EXPECT_THROW(set.run([](std::size_t) { throw std::logic_error("x"); }),
+                 std::logic_error);
+  }
+  if (before) {
+    // A set of three starts two helpers and joins them on destruction.
+    {
+      const WorkerSet set(3);
+      EXPECT_EQ(processThreads(), *before + 2);
+    }
+    EXPECT_EQ(processThreads(), before);
+  }
+}
+
+TEST(WorkerSet, RejectsAnEmptySet) {
+  EXPECT_THROW(WorkerSet(0), ContractViolation);
 }
 
 }  // namespace
